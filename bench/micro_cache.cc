@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cache/cache_server.h"
+#include "cache/sharded_cache.h"
 #include "common/rng.h"
 
 namespace {
@@ -91,7 +92,7 @@ BENCHMARK(BM_CacheMixedZipf);
 
 void BM_SnapshotDigestWire(benchmark::State& state) {
   // Full SET_BLOOM_FILTER + BLOOM_FILTER protocol round trip.
-  CacheServer cache(bench_config());
+  ShardedCacheServer cache(bench_config(), 1);
   for (int i = 0; i < 50'000; ++i) {
     cache.set("page:" + std::to_string(i), "v", 0, 1024);
   }

@@ -34,9 +34,8 @@ int main() {
               old_server.digest().num_counters(),
               old_server.digest().counter_bits());
 
-  // -- 2. snapshot through the memcached protocol --------------------------
-  old_server.get(cache::kSetBloomFilterKey, 0);
-  const std::string wire = *old_server.get(cache::kGetBloomFilterKey, 0);
+  // -- 2. snapshot, encoded as the BLOOM_FILTER wire blob --------------------
+  const std::string wire = cache::encode_digest(old_server.snapshot_digest());
   std::printf("broadcast digest: %zu bytes on the wire (\"a few KB\", §IV-A)\n",
               wire.size());
 

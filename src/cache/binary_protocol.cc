@@ -1,11 +1,6 @@
 #include "cache/binary_protocol.h"
 
-#include <algorithm>
-#include <charconv>
-
 #include "common/check.h"
-#include "common/hash.h"
-#include "obs/span.h"
 
 namespace proteus::cache {
 
@@ -102,6 +97,25 @@ using binary::Frame;
 using binary::Opcode;
 using binary::Status;
 
+namespace {
+
+Status wire_status(CommandStatus status) {
+  switch (status) {
+    case CommandStatus::kOk: return Status::kOk;
+    case CommandStatus::kNotFound: return Status::kKeyNotFound;
+    case CommandStatus::kExists: return Status::kKeyExists;
+    case CommandStatus::kNonNumeric: return Status::kDeltaBadValue;
+    case CommandStatus::kReserved: return Status::kNotStored;
+    case CommandStatus::kBadEpoch: return Status::kInvalidArguments;
+    case CommandStatus::kStaleEpoch: return Status::kStaleEpoch;
+    case CommandStatus::kBadChecksum: return Status::kBadChecksum;
+    case CommandStatus::kBusy: break;
+  }
+  return Status::kBusy;
+}
+
+}  // namespace
+
 std::string BinaryProtocolSession::respond(const Frame& request,
                                            Status status, std::string extras,
                                            std::string key, std::string value,
@@ -121,132 +135,44 @@ std::string BinaryProtocolSession::feed(std::string_view bytes, SimTime now) {
   if (closed_) return {};
   buffer_.append(bytes);
   std::string out;
-  // The pipeline cap is per shard per feed() batch (one slot in bare mode).
-  std::fill(served_.begin(), served_.end(), 0);
+  exec_.begin_batch();
   for (;;) {
-    const SimTime parse_start = spans_ != nullptr ? obs::span_clock_now() : 0;
+    const SimTime parse_start = exec_.parse_clock();
     std::size_t consumed = 0;
     auto frame = binary::decode_frame(buffer_, consumed);
     if (!frame.has_value()) break;
     buffer_.erase(0, consumed);
     // The opaque field doubles as the (32-bit) wire trace id.
-    const std::uint64_t tid = spans_ != nullptr ? frame->opaque : 0;
-    if (tid != 0) {
-      last_trace_id_ = tid;
-      obs::SpanRecord s;
-      s.trace_id = tid;
-      s.span_id = spans_->next_id();
-      s.kind = obs::SpanKind::kServerParse;
-      s.start_us = parse_start;
-      s.duration_us = obs::span_clock_now() - parse_start;
-      s.server = server_id_;
-      spans_->record(std::move(s));
-    }
-    // Pipeline cap: cache-touching frames beyond the per-batch budget get
-    // EBUSY (the frame is already consumed, so the stream stays in sync).
-    // Quit/noop/version are exempt — free, and quit must always work. A
-    // frame refused here never attempts its shard lock, so it can never
-    // also count as a deadline shed.
+    exec_.parsed(frame->opaque, parse_start);
+    // Pipeline cap: cache-touching frames beyond their shard's per-batch
+    // budget get EBUSY (the frame is already consumed, so the stream stays
+    // in sync). Quit/noop/version are exempt — free, and quit must always
+    // work. Keyless frames (stat, flush) account against shard 0.
     const bool cache_touching = frame->magic == binary::kRequestMagic &&
                                 frame->opcode != Opcode::kQuit &&
                                 frame->opcode != Opcode::kNoop &&
                                 frame->opcode != Opcode::kVersion;
-    // The budget is per shard: a frame accounts against its key's shard;
-    // keyless frames (stat, flush) against shard 0.
-    std::size_t batch_shard = 0;
-    if (engine_ != nullptr && !frame->key.empty()) {
-      batch_shard = engine_->shard_index(frame->key);
-    }
-    if (cache_touching && pipeline_.max_per_batch > 0 &&
-        served_[batch_shard] >= pipeline_.max_per_batch) {
-      if (pipeline_.sheds != nullptr) {
-        pipeline_.sheds->fetch_add(1, std::memory_order_relaxed);
-      }
+    if (cache_touching && !exec_.admit(frame->key)) {
       out += respond(*frame, Status::kBusy);
       continue;
     }
-    if (cache_touching) ++served_[batch_shard];
-    const SimTime op_start = tid != 0 ? obs::span_clock_now() : 0;
-    out += handle(*frame, now, tid);
-    if (tid != 0) {
-      obs::SpanRecord s;
-      s.trace_id = tid;
-      s.span_id = spans_->next_id();
-      s.kind = obs::SpanKind::kServerOp;
-      s.start_us = op_start;
-      s.duration_us = obs::span_clock_now() - op_start;
-      s.server = server_id_;
-      s.key = frame->key;
-      spans_->record(std::move(s));
-    }
+    out += handle(*frame, now);
     if (closed_) break;
   }
   return out;
 }
 
-CacheServer* BinaryProtocolSession::acquire(std::string_view key,
-                                            ShardedCacheServer::Guard& guard,
-                                            std::uint64_t tid) {
-  if (engine_ == nullptr) return single_;
-  const std::size_t idx = engine_->shard_index(key);
-  const SimTime wait_start = tid != 0 ? obs::span_clock_now() : 0;
-  guard = engine_->lock_shard_for(idx, pipeline_.lock_deadline_us);
-  const bool timed_out = !guard.owns_lock();
-  if (tid != 0) {
-    // Lock-wait spans carry the key so proteus-spans can attribute
-    // contention to the shard that owns it.
-    obs::SpanRecord s;
-    s.trace_id = tid;
-    s.span_id = spans_->next_id();
-    s.kind = obs::SpanKind::kServerLockWait;
-    s.cause = timed_out ? obs::SpanCause::kShed : obs::SpanCause::kNone;
-    s.start_us = wait_start;
-    s.duration_us = obs::span_clock_now() - wait_start;
-    s.server = server_id_;
-    s.key = std::string(key.substr(0, 64));
-    spans_->record(std::move(s));
-  }
-  if (timed_out) {
-    if (pipeline_.deadline_sheds != nullptr) {
-      pipeline_.deadline_sheds->fetch_add(1, std::memory_order_relaxed);
-    }
-    return nullptr;
-  }
-  return &engine_->shard(idx);
-}
-
-bool BinaryProtocolSession::admit_epoch(std::uint64_t epoch) {
-  return engine_ != nullptr ? engine_->admit_epoch(epoch)
-                            : single_->admit_epoch(epoch);
-}
-
-bool BinaryProtocolSession::adopt_epoch(std::uint64_t epoch) {
-  return engine_ != nullptr ? engine_->adopt_epoch(epoch)
-                            : single_->adopt_epoch(epoch);
-}
-
-void BinaryProtocolSession::observe_epoch(std::uint64_t epoch) {
-  if (engine_ != nullptr) {
-    engine_->observe_epoch(epoch);
-  } else {
-    single_->observe_epoch(epoch);
-  }
-}
-
-std::string BinaryProtocolSession::handle(const Frame& request, SimTime now,
-                                          std::uint64_t tid) {
+std::string BinaryProtocolSession::handle(Frame& request, SimTime now) {
   if (request.magic != binary::kRequestMagic) {
     return respond(request, Status::kInvalidArguments);
   }
-
+  Command cmd;
+  cmd.key = request.key;
+  cmd.trace_id = request.opaque;
   // The request vbucket field carries the cluster epoch saturated to 16
-  // bits. A saturated stamp (0xffff) is indeterminate — it can never be
-  // proven stale, so it passes without teaching the server.
-  const auto admit_wire_epoch = [&]() -> bool {
-    const std::uint64_t stamp = request.status_or_vbucket;
-    if (stamp >= 0xffff) return true;
-    return admit_epoch(stamp);
-  };
+  // bits. A saturated stamp (0xffff) can never be proven stale, so it
+  // counts as unstamped: it passes the fence without teaching the server.
+  cmd.epoch = request.status_or_vbucket == 0xffff ? 0 : request.status_or_vbucket;
 
   switch (request.opcode) {
     case Opcode::kGet:
@@ -263,44 +189,23 @@ std::string BinaryProtocolSession::handle(const Frame& request, SimTime now,
       if (request.key.empty() || (!request.extras.empty() && !want_checksum)) {
         return respond(request, Status::kInvalidArguments);
       }
-      if (request.status_or_vbucket < 0xffff) {
-        observe_epoch(request.status_or_vbucket);
+      cmd.op = Command::Op::kGet;
+      if (want_checksum) cmd.checksum = 0;
+      CommandResult r = exec_.execute(cmd, now);
+      if (r.status == CommandStatus::kNotFound && quiet) {
+        return {};  // quiet gets suppress misses
       }
-      if (engine_ != nullptr &&
-          ShardedCacheServer::is_reserved_key(request.key)) {
-        // Admin reads (digest blob, epoch hello) are served by the engine's
-        // merged/broadcast paths without a shard lock — wire bytes
-        // identical to the single-cache build (§V-3).
-        auto value = engine_->get(request.key, now);
-        if (!value.has_value()) {
-          return quiet ? std::string{}
-                       : respond(request, Status::kKeyNotFound);
-        }
-        std::string extras;
-        binary::put_u32(extras, 0);  // reserved keys carry no flags
-        return respond(request, Status::kOk, std::move(extras),
-                       with_key ? request.key : std::string{},
-                       std::move(*value));
-      }
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(request.key, guard, tid);
-      if (cache == nullptr) return respond(request, Status::kBusy);
-      auto value = cache->get(request.key, now);
-      if (!value.has_value()) {
-        return quiet ? std::string{}  // quiet gets suppress misses
-                     : respond(request, Status::kKeyNotFound);
+      if (r.status != CommandStatus::kOk) {
+        return respond(request, wire_status(r.status));
       }
       std::string extras;
-      binary::put_u32(extras, cache->flags_of(request.key, now).value_or(0));
-      if (want_checksum) {
-        if (const auto crc = cache->checksum_of(request.key, now);
-            crc.has_value()) {
-          binary::put_u32(extras, *crc);  // extras widen to flags + crc
-        }
+      binary::put_u32(extras, r.flags);
+      if (r.crc.has_value()) {
+        binary::put_u32(extras, *r.crc);  // extras widen to flags + crc
       }
       return respond(request, Status::kOk, std::move(extras),
                      with_key ? request.key : std::string{},
-                     std::move(*value), cache->cas_of(request.key, now));
+                     std::move(r.value), r.cas);
     }
 
     case Opcode::kSet:
@@ -312,82 +217,23 @@ std::string BinaryProtocolSession::handle(const Frame& request, SimTime now,
       if ((request.extras.size() != 8 && !stamped) || request.key.empty()) {
         return respond(request, Status::kInvalidArguments);
       }
-      std::optional<std::uint32_t> crc;
-      if (stamped) {
-        crc = binary::get_u32(request.extras, 8);
-        if (crc32c(request.value) != *crc) {
-          // The value rotted between the client's stamp and here: refuse
-          // rather than store bad bytes (the client re-sends). The reject
-          // note mutates shard stats, so it needs the shard lock.
-          ShardedCacheServer::Guard guard;
-          CacheServer* cache = acquire(request.key, guard, tid);
-          if (cache == nullptr) return respond(request, Status::kBusy);
-          cache->note_corrupt_set_reject(now, request.key);
-          return respond(request, Status::kBadChecksum);
-        }
-      }
-      if (request.key == kEpochKey) {
-        // Epoch adoption: value is the decimal epoch (text-protocol parity).
-        std::uint64_t proposed = 0;
-        const char* end = request.value.data() + request.value.size();
-        const auto [ptr, ec] =
-            std::from_chars(request.value.data(), end, proposed);
-        if (request.opcode != Opcode::kSet || ec != std::errc() ||
-            ptr != end) {
-          return respond(request, Status::kInvalidArguments);
-        }
-        return respond(request, adopt_epoch(proposed) ? Status::kOk
-                                                      : Status::kStaleEpoch);
-      }
-      if (!admit_wire_epoch()) {
-        return respond(request, Status::kStaleEpoch);
-      }
-      if (request.key == kSetBloomFilterKey ||
-          request.key == kGetBloomFilterKey) {
-        return respond(request, Status::kNotStored);  // digest is read-only
-      }
-      const std::uint32_t flags = binary::get_u32(request.extras, 0);
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(request.key, guard, tid);
-      if (cache == nullptr) return respond(request, Status::kBusy);
-      const bool exists = cache->contains(request.key, now);
-      if (request.opcode == Opcode::kAdd && exists) {
-        return respond(request, Status::kKeyExists);
-      }
-      if (request.opcode == Opcode::kReplace && !exists) {
-        return respond(request, Status::kKeyNotFound);
-      }
-      if (request.cas != 0) {
-        // CAS-conditional store.
-        switch (cache->compare_and_swap(request.key, request.value, now,
-                                        request.cas, 0, flags, crc)) {
-          case CacheServer::CasResult::kNotFound:
-            return respond(request, Status::kKeyNotFound);
-          case CacheServer::CasResult::kExists:
-            return respond(request, Status::kKeyExists);
-          case CacheServer::CasResult::kStored:
-            break;
-        }
-      } else {
-        cache->set(request.key, request.value, now, 0, flags, crc);
-      }
-      return respond(request, Status::kOk, {}, {}, {},
-                     cache->cas_of(request.key, now));
+      cmd.op = request.opcode == Opcode::kSet   ? Command::Op::kSet
+               : request.opcode == Opcode::kAdd ? Command::Op::kAdd
+                                                : Command::Op::kReplace;
+      cmd.flags = binary::get_u32(request.extras, 0);
+      if (stamped) cmd.checksum = binary::get_u32(request.extras, 8);
+      cmd.cas = request.cas;
+      cmd.payload = std::move(request.value);
+      const CommandResult r = exec_.execute(cmd, now);
+      return respond(request, wire_status(r.status), {}, {}, {}, r.cas);
     }
 
     case Opcode::kDelete: {
       if (request.key.empty()) {
         return respond(request, Status::kInvalidArguments);
       }
-      if (!admit_wire_epoch()) {
-        return respond(request, Status::kStaleEpoch);
-      }
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(request.key, guard, tid);
-      if (cache == nullptr) return respond(request, Status::kBusy);
-      return respond(request, cache->erase(request.key)
-                                  ? Status::kOk
-                                  : Status::kKeyNotFound);
+      cmd.op = Command::Op::kDelete;
+      return respond(request, wire_status(exec_.execute(cmd, now).status));
     }
 
     case Opcode::kIncrement:
@@ -396,49 +242,23 @@ std::string BinaryProtocolSession::handle(const Frame& request, SimTime now,
       if (request.extras.size() != 20 || request.key.empty()) {
         return respond(request, Status::kInvalidArguments);
       }
-      const std::uint64_t delta = binary::get_u64(request.extras, 0);
-      const std::uint64_t initial = binary::get_u64(request.extras, 8);
-      const std::uint32_t expiry = binary::get_u32(request.extras, 16);
-      // The guard spans the get+set pair: incr/decr stays atomic per shard.
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(request.key, guard, tid);
-      if (cache == nullptr) return respond(request, Status::kBusy);
-      auto value = cache->get(request.key, now);
-      std::uint64_t next;
-      if (!value.has_value()) {
-        // 0xffffffff expiry means "do not create" per the protocol.
-        if (expiry == 0xffffffffu) {
-          return respond(request, Status::kKeyNotFound);
-        }
-        next = initial;
-      } else {
-        std::uint64_t current = 0;
-        const char* end = value->data() + value->size();
-        const auto [ptr, ec] = std::from_chars(value->data(), end, current);
-        if (ec != std::errc() || ptr != end) {
-          return respond(request, Status::kDeltaBadValue);
-        }
-        if (request.opcode == Opcode::kIncrement) {
-          next = current + delta;
-        } else {
-          next = current > delta ? current - delta : 0;
-        }
+      cmd.op = request.opcode == Opcode::kIncrement ? Command::Op::kIncr
+                                                    : Command::Op::kDecr;
+      cmd.delta = binary::get_u64(request.extras, 0);
+      cmd.initial = binary::get_u64(request.extras, 8);
+      // 0xffffffff expiry means "do not create" per the protocol.
+      cmd.no_create = binary::get_u32(request.extras, 16) == 0xffffffffu;
+      const CommandResult r = exec_.execute(cmd, now);
+      if (r.status != CommandStatus::kOk) {
+        return respond(request, wire_status(r.status));
       }
-      cache->set(request.key, std::to_string(next), now);
       std::string payload;
-      binary::put_u64(payload, next);
-      return respond(request, Status::kOk, {}, {}, std::move(payload),
-                     cache->cas_of(request.key, now));
+      binary::put_u64(payload, r.counter);
+      return respond(request, Status::kOk, {}, {}, std::move(payload), r.cas);
     }
 
     case Opcode::kFlush:
-      // Engine flush is a fan-out under every shard lock (atomic across
-      // shards); the session itself holds none of them here.
-      if (engine_ != nullptr) {
-        engine_->flush();
-      } else {
-        single_->flush();
-      }
+      exec_.flush();
       return respond(request, Status::kOk);
 
     case Opcode::kNoop:
@@ -452,30 +272,14 @@ std::string BinaryProtocolSession::handle(const Frame& request, SimTime now,
       return respond(request, Status::kOk);
 
     case Opcode::kStat: {
-      // Minimal STAT: one (name, value) response per statistic, terminated
-      // by an empty-key frame, per the protocol. Engine mode reports the
-      // merged view across shards (internally locked, one at a time).
-      const bool sharded = engine_ != nullptr;
-      const CacheStats s = sharded ? engine_->stats() : single_->stats();
+      // One (name, value) response per statistic — the same list text
+      // `stats` answers — terminated by an empty-key frame, per the
+      // protocol.
       std::string out;
-      const auto stat = [&](std::string_view name, std::uint64_t v) {
-        out += respond(request, Status::kOk, {}, std::string(name),
-                       std::to_string(v));
-      };
-      stat("cmd_get", s.gets);
-      stat("get_hits", s.hits);
-      stat("get_misses", s.misses);
-      stat("cmd_set", s.sets);
-      stat("evictions", s.evictions);
-      stat("curr_items",
-           sharded ? engine_->item_count() : single_->item_count());
-      stat("bytes", sharded ? engine_->bytes_used() : single_->bytes_used());
-      stat("cluster_epoch",
-           sharded ? engine_->cluster_epoch() : single_->cluster_epoch());
-      stat("incarnation",
-           sharded ? engine_->incarnation() : single_->incarnation());
-      stat("stale_epoch_rejects", sharded ? engine_->stale_epoch_rejects()
-                                          : single_->stale_epoch_rejects());
+      for (const CommandExecutor::Stat& stat : exec_.stats()) {
+        out += respond(request, Status::kOk, {}, std::string(stat.name),
+                       std::to_string(stat.value));
+      }
       out += respond(request, Status::kOk);  // terminator
       return out;
     }

@@ -1,4 +1,4 @@
-// Memcached binary protocol front end for CacheServer.
+// Memcached binary protocol codec over the sharded cache engine.
 //
 // The paper validated wire compatibility against spymemcached (§V-3),
 // which speaks the memcached binary protocol. This module implements the
@@ -13,7 +13,10 @@
 //   vbucket-or-status(2) total_body(4) opaque(4) cas(8)
 // followed by extras | key | value. Requests use magic 0x80, responses
 // 0x81. The session is push-parsed like the text variant: feed() accepts
-// arbitrary chunks and emits complete response frames.
+// arbitrary chunks and emits complete response frames. Like the text
+// codec it only frames: each request runs through the shared
+// CommandExecutor (cache/command_executor.h), so STAT answers exactly the
+// name/value list text `stats` does.
 //
 // The reserved digest keys (SET_BLOOM_FILTER / BLOOM_FILTER) work through
 // binary GET exactly as through text GET, so a binary client can drive the
@@ -30,8 +33,8 @@
 // unused by this server on requests, like real memcached outside of
 // couchbase — carries the cluster epoch saturated to 0xffff. A mutation
 // stamped below the server's epoch gets Status::kStaleEpoch; stamp 0 means
-// "unstamped" (stock client) and always passes, and the 0xffff saturation
-// point is treated as indeterminate-but-current. The reserved key
+// "unstamped" (stock client) and always passes, and so does the 0xffff
+// saturation point, which can never be proven stale. The reserved key
 // PROTEUS_EPOCH serves the full 64-bit epoch + incarnation via GET and
 // adopts a decimal epoch via SET, exactly as in the text protocol.
 //
@@ -48,11 +51,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "cache/cache_server.h"
-#include "cache/pipeline_policy.h"
-#include "cache/sharded_cache.h"
+#include "cache/command_executor.h"
 #include "common/time.h"
 
 namespace proteus::obs {
@@ -130,39 +130,24 @@ std::uint64_t get_u64(std::string_view bytes, std::size_t offset);
 
 }  // namespace binary
 
+// One client connection over a ShardedCacheServer. Each frame routes to
+// its key's shard and takes ONLY that shard's mutex, bounded by
+// `pipeline.lock_deadline_us` (0 = wait forever); a timed-out frame is
+// answered EBUSY and counted in `pipeline.deadline_sheds`. Reserved
+// digest/epoch keys are served by the engine's merged/broadcast paths, so
+// the wire bytes do not depend on the shard count (§V-3).
 class BinaryProtocolSession {
  public:
   // `spans` (optional) records server-side parse/op spans for frames whose
   // opaque field carries a trace id; `server_id` tags them with this
   // daemon's fleet index (-1 = unknown). Both must outlive the session.
-  // `pipeline` caps cache-touching frames per feed() batch (see
+  // `pipeline` caps cache-touching frames per shard per feed() batch (see
   // cache/pipeline_policy.h); excess frames are answered with EBUSY.
-  explicit BinaryProtocolSession(CacheServer& server,
-                                 obs::SpanCollector* spans = nullptr,
-                                 int server_id = -1,
-                                 PipelinePolicy pipeline = {})
-      : single_(&server),
-        spans_(spans),
-        server_id_(server_id),
-        pipeline_(pipeline),
-        served_(1, 0) {}
-
-  // Engine-mode session: each frame routes to its key's shard and takes
-  // ONLY that shard's mutex, bounded by `pipeline.lock_deadline_us` (0 =
-  // wait forever); a timed-out frame is answered EBUSY and counted in
-  // `pipeline.deadline_sheds`. The pipeline cap becomes per shard per
-  // batch. Reserved digest/epoch keys are served by the engine's
-  // merged/broadcast paths, so the wire bytes are identical to the
-  // single-cache build (§V-3).
   explicit BinaryProtocolSession(ShardedCacheServer& engine,
                                  obs::SpanCollector* spans = nullptr,
                                  int server_id = -1,
                                  PipelinePolicy pipeline = {})
-      : engine_(&engine),
-        spans_(spans),
-        server_id_(server_id),
-        pipeline_(pipeline),
-        served_(static_cast<std::size_t>(engine.num_shards()), 0) {}
+      : exec_(engine, spans, server_id, pipeline) {}
 
   // Feeds raw bytes; returns any complete response frames.
   std::string feed(std::string_view bytes, SimTime now);
@@ -172,35 +157,17 @@ class BinaryProtocolSession {
   // Trace id (32-bit, from the opaque field) of the most recent frame that
   // carried one; 0 = none yet. The daemon reads this after feed() to
   // correlate its lock-wait span.
-  std::uint64_t last_trace_id() const noexcept { return last_trace_id_; }
+  std::uint64_t last_trace_id() const noexcept {
+    return exec_.last_trace_id();
+  }
 
  private:
-  std::string handle(const binary::Frame& request, SimTime now,
-                     std::uint64_t tid);
+  std::string handle(binary::Frame& request, SimTime now);
   std::string respond(const binary::Frame& request, binary::Status status,
                       std::string extras = {}, std::string key = {},
                       std::string value = {}, std::uint64_t cas = 0) const;
-  // Engine mode: locks `key`'s shard under pipeline_.lock_deadline_us (0 =
-  // wait forever), records the kServerLockWait span, and returns the shard
-  // cache — or nullptr after counting one deadline shed on timeout. Bare
-  // mode: returns the single cache with no locking.
-  CacheServer* acquire(std::string_view key, ShardedCacheServer::Guard& guard,
-                       std::uint64_t tid);
-  // Epoch fencing dispatch: engine atomics in engine mode (the fence is
-  // fleet-wide, never per shard), the single cache otherwise.
-  bool admit_epoch(std::uint64_t epoch);
-  bool adopt_epoch(std::uint64_t epoch);
-  void observe_epoch(std::uint64_t epoch);
 
-  CacheServer* single_ = nullptr;         // bare mode (exactly one is set)
-  ShardedCacheServer* engine_ = nullptr;  // engine mode
-  obs::SpanCollector* spans_ = nullptr;
-  int server_id_ = -1;
-  PipelinePolicy pipeline_;
-  // Cache-touching frames served this feed(), per shard (one slot in bare
-  // mode) — the pipeline cap's per-shard budget.
-  std::vector<int> served_;
-  std::uint64_t last_trace_id_ = 0;
+  CommandExecutor exec_;
   std::string buffer_;
   bool closed_ = false;
 };

@@ -75,34 +75,16 @@ CacheServer::CacheServer(CacheConfig config)
                 config_.digest_policy);
           }()) {
   PROTEUS_CHECK(config_.memory_budget_bytes > 0);
-  if (config_.incarnation != 0) incarnation_ = config_.incarnation;
 }
 
 bool CacheServer::expired(const Item& item, SimTime now) const noexcept {
   return config_.item_ttl > 0 && now - item.last_access > config_.item_ttl;
 }
 
-std::optional<std::string> CacheServer::get(std::string_view key, SimTime now) {
+std::optional<std::string> CacheServer::get(std::string_view key, SimTime now,
+                                            ItemMeta* meta) {
   PROTEUS_CHECK_MSG(power_state_ != PowerState::kOff,
                     "get() on a powered-off cache server");
-
-  // Reserved digest protocol keys travel through the normal get path so any
-  // memcached client library can drive them (§V-3).
-  if (key == kSetBloomFilterKey) {
-    ++stats_.admin_gets;
-    pending_snapshot_ = serialize_snapshot();
-    return std::string("OK");
-  }
-  if (key == kGetBloomFilterKey) {
-    ++stats_.admin_gets;
-    if (pending_snapshot_.empty()) pending_snapshot_ = serialize_snapshot();
-    return pending_snapshot_;
-  }
-  if (key == kEpochKey) {
-    ++stats_.admin_gets;
-    return std::to_string(cluster_epoch_) + " " + std::to_string(incarnation_);
-  }
-
   ++stats_.gets;
   auto it = index_.find(key);
   if (it == index_.end()) {
@@ -133,12 +115,19 @@ std::optional<std::string> CacheServer::get(std::string_view key, SimTime now) {
   ++stats_.hits;
   it->second->last_access = now;
   touch_lru(it->second);
+  if (meta != nullptr) {
+    meta->flags = it->second->flags;
+    meta->crc = it->second->has_crc ? std::optional(it->second->crc)
+                                     : std::nullopt;
+    meta->cas = it->second->cas;
+  }
   return it->second->value;
 }
 
-void CacheServer::set(std::string_view key, std::string value, SimTime now,
-                      std::size_t charge, std::uint32_t flags,
-                      std::optional<std::uint32_t> crc) {
+std::uint64_t CacheServer::set(std::string_view key, std::string value,
+                               SimTime now, std::size_t charge,
+                               std::uint32_t flags,
+                               std::optional<std::uint32_t> crc) {
   PROTEUS_CHECK_MSG(power_state_ != PowerState::kOff,
                     "set() on a powered-off cache server");
   PROTEUS_CHECK_MSG(key != kSetBloomFilterKey && key != kGetBloomFilterKey &&
@@ -154,7 +143,7 @@ void CacheServer::set(std::string_view key, std::string value, SimTime now,
                 config_.per_item_overhead;
   if (slab_sizer_.has_value()) {
     item.charge = slab_sizer_->chunk_size_for(item.charge);
-    if (item.charge == 0) return;  // exceeds the largest slab class
+    if (item.charge == 0) return 0;  // exceeds the largest slab class
   }
   item.value = std::move(value);
   item.last_access = now;
@@ -165,9 +154,11 @@ void CacheServer::set(std::string_view key, std::string value, SimTime now,
 
   if (auto it = index_.find(item.key); it != index_.end()) unlink(it->second);
 
-  if (item.charge > config_.memory_budget_bytes) return;  // never fits
+  if (item.charge > config_.memory_budget_bytes) return 0;  // never fits
   evict_to_fit(item.charge);
+  const std::uint64_t cas = item.cas;
   link(std::move(item));
+  return cas;
 }
 
 bool CacheServer::erase(std::string_view key) {
@@ -185,7 +176,6 @@ void CacheServer::flush() {
   index_.clear();
   bytes_used_ = 0;
   digest_.clear();
-  pending_snapshot_.clear();
 }
 
 bool CacheServer::contains(std::string_view key, SimTime now) const {
@@ -193,26 +183,10 @@ bool CacheServer::contains(std::string_view key, SimTime now) const {
   return it != index_.end() && !expired(*it->second, now);
 }
 
-std::optional<std::uint32_t> CacheServer::flags_of(std::string_view key,
-                                                   SimTime now) const {
-  auto it = index_.find(key);
-  if (it == index_.end() || expired(*it->second, now)) return std::nullopt;
-  return it->second->flags;
-}
-
 std::uint64_t CacheServer::cas_of(std::string_view key, SimTime now) const {
   auto it = index_.find(key);
   if (it == index_.end() || expired(*it->second, now)) return 0;
   return it->second->cas;
-}
-
-std::optional<std::uint32_t> CacheServer::checksum_of(std::string_view key,
-                                                      SimTime now) const {
-  auto it = index_.find(key);
-  if (it == index_.end() || expired(*it->second, now) || !it->second->has_crc) {
-    return std::nullopt;
-  }
-  return it->second->crc;
 }
 
 void CacheServer::note_corrupt_set_reject(SimTime now, std::string_view key) {
@@ -232,19 +206,6 @@ bool CacheServer::corrupt_value_for_test(std::string_view key,
   return true;
 }
 
-CacheServer::CasResult CacheServer::compare_and_swap(
-    std::string_view key, std::string value, SimTime now,
-    std::uint64_t expected_cas, std::size_t charge, std::uint32_t flags,
-    std::optional<std::uint32_t> crc) {
-  auto it = index_.find(key);
-  if (it == index_.end() || expired(*it->second, now)) {
-    return CasResult::kNotFound;
-  }
-  if (it->second->cas != expected_cas) return CasResult::kExists;
-  set(key, std::move(value), now, charge, flags, crc);
-  return CasResult::kStored;
-}
-
 void CacheServer::power_off() {
   flush();
   power_state_ = PowerState::kOff;
@@ -253,9 +214,6 @@ void CacheServer::power_off() {
 void CacheServer::power_on() {
   PROTEUS_CHECK(power_state_ == PowerState::kOff);
   power_state_ = PowerState::kActive;
-  // A power cycle is a cold start: items and digest state were dropped by
-  // power_off(), so the next life must not be mistaken for the previous one.
-  ++incarnation_;
 }
 
 std::size_t CacheServer::hot_item_count(SimTime now, SimTime ttl) const {
@@ -345,10 +303,6 @@ void CacheServer::evict_to_fit(std::size_t incoming_charge) {
       unlink(std::prev(protected_.end()));
     }
   }
-}
-
-std::string CacheServer::serialize_snapshot() const {
-  return encode_digest(digest_.snapshot());
 }
 
 }  // namespace proteus::cache

@@ -5,9 +5,10 @@
 //   * every item link/unlink (do_item_link / do_item_unlink in the paper)
 //     also inserts/removes the key in the server's counting Bloom filter, so
 //     the digest is consistent with cache content by construction;
-//   * the reserved keys "SET_BLOOM_FILTER" and "BLOOM_FILTER" snapshot and
-//     retrieve the digest through the ordinary get path, staying wire
-//     compatible with unmodified memcached clients (§V-3);
+//   * the digest snapshots into the plain Bloom filter a web server
+//     fetches; the engine (sharded_cache.h) serves it through the reserved
+//     keys "SET_BLOOM_FILTER" and "BLOOM_FILTER" on the ordinary get path,
+//     staying wire compatible with unmodified memcached clients (§V-3);
 //   * a server has a power state so the cluster layer can model
 //     active / draining (transition, §IV) / off.
 //
@@ -110,9 +111,10 @@ struct CacheConfig {
   // sweep — tagged with `trace_server_id`. Null disables tracing.
   obs::TraceSink* trace = nullptr;
   int trace_server_id = -1;
-  // Incarnation id carried in the PROTEUS_EPOCH hello. 0 = start at 1; a
-  // daemon overrides it with a per-process unique value so a cold restart is
-  // distinguishable from the previous life of the same address.
+  // Incarnation id the engine (sharded_cache.h) carries in the PROTEUS_EPOCH
+  // hello. 0 = start at 1; a daemon overrides it with a per-process unique
+  // value so a cold restart is distinguishable from the previous life of the
+  // same address.
   std::uint64_t incarnation = 0;
 };
 
@@ -121,9 +123,16 @@ class CacheServer {
   explicit CacheServer(CacheConfig config);
 
   // --- data plane ---------------------------------------------------------
-  // Returns the value and refreshes LRU/last-access, or nullopt on miss.
-  // Intercepts the reserved digest keys per the memcached protocol.
-  std::optional<std::string> get(std::string_view key, SimTime now);
+  // What a hit carries besides its bytes, filled by the same index lookup.
+  struct ItemMeta {
+    std::uint32_t flags = 0;           // opaque client metadata
+    std::optional<std::uint32_t> crc;  // CRC32C stamped at SET time, if any
+    std::uint64_t cas = 0;             // store version (see cas_of)
+  };
+  // Returns the value and refreshes LRU/last-access, or nullopt on miss;
+  // on a hit, `meta` (optional) receives the item's metadata.
+  std::optional<std::string> get(std::string_view key, SimTime now,
+                                 ItemMeta* meta = nullptr);
 
   // Stores (key, value); `charge` overrides the accounted value size so a
   // simulation can model 4 KB pages without materialising 4 KB payloads.
@@ -132,30 +141,15 @@ class CacheServer {
   // the client stamped at SET time; when present the server re-verifies it
   // on every get and drops the item as corrupt on mismatch instead of
   // serving bad bytes (docs/PROTOCOL.md "Payload integrity").
-  void set(std::string_view key, std::string value, SimTime now,
-           std::size_t charge = 0, std::uint32_t flags = 0,
-           std::optional<std::uint32_t> crc = std::nullopt);
+  // Returns the stored item's CAS version, or 0 if it can never fit.
+  std::uint64_t set(std::string_view key, std::string value, SimTime now,
+                    std::size_t charge = 0, std::uint32_t flags = 0,
+                    std::optional<std::uint32_t> crc = std::nullopt);
 
-  // Client flags stored with the item, or nullopt if absent/expired.
-  std::optional<std::uint32_t> flags_of(std::string_view key, SimTime now) const;
-
-  // CRC32C stored with the item at SET time, or nullopt if the item is
-  // absent/expired or was stored without one (stock client).
-  std::optional<std::uint32_t> checksum_of(std::string_view key,
-                                           SimTime now) const;
-
-  // CAS (check-and-set) version of the item: a server-unique, monotonically
-  // increasing value assigned on every store, as in memcached. 0 = absent.
+  // CAS (check-and-set) version of the item: a monotonically increasing
+  // value assigned on every store, as in memcached, unique within the key's
+  // shard (each ShardedCacheServer shard counts its own). 0 = absent.
   std::uint64_t cas_of(std::string_view key, SimTime now) const;
-
-  enum class CasResult { kStored, kExists, kNotFound };
-  // Stores only if the resident item's CAS equals `expected_cas`
-  // (memcached "cas" command semantics): kNotFound if the key is absent,
-  // kExists on version mismatch.
-  CasResult compare_and_swap(std::string_view key, std::string value,
-                             SimTime now, std::uint64_t expected_cas,
-                             std::size_t charge = 0, std::uint32_t flags = 0,
-                             std::optional<std::uint32_t> crc = std::nullopt);
 
   bool erase(std::string_view key);
   void flush();
@@ -167,49 +161,6 @@ class CacheServer {
   const bloom::CountingBloomFilter& digest() const noexcept { return digest_; }
   // The §IV-A broadcast operation: CBF -> plain bloom snapshot.
   bloom::BloomFilter snapshot_digest() const { return digest_.snapshot(); }
-
-  // --- epoch fencing --------------------------------------------------------
-  // The cluster epoch acts as a fencing token: mutations stamped with an
-  // epoch older than the highest this server has seen are rejected
-  // (`SERVER_ERROR stale-epoch` on the wire), so a web server routing on a
-  // pre-resize view can never write into a draining or re-owned key range.
-  std::uint64_t cluster_epoch() const noexcept { return cluster_epoch_; }
-  // Admits a request stamped with `epoch`: 0 (unstamped, stock client)
-  // always passes; a stamp below the current epoch is counted and refused;
-  // a newer stamp is adopted (the request also teaches the server).
-  bool admit_epoch(std::uint64_t epoch) noexcept {
-    if (epoch == 0) return true;
-    if (epoch < cluster_epoch_) {
-      ++stale_epoch_rejects_;
-      return false;
-    }
-    cluster_epoch_ = epoch;
-    return true;
-  }
-  // `set PROTEUS_EPOCH` path: adopt an equal-or-newer epoch, refuse a stale
-  // one. Unlike admit_epoch, 0 is a real (initial) epoch here.
-  bool adopt_epoch(std::uint64_t epoch) noexcept {
-    if (epoch < cluster_epoch_) {
-      ++stale_epoch_rejects_;
-      return false;
-    }
-    cluster_epoch_ = epoch;
-    return true;
-  }
-  // Read path: a get stamped with a newer epoch still teaches the server,
-  // but a stale stamp is neither rejected nor counted — draining servers
-  // must keep answering old-view reads for the TTL window (Algorithm 2).
-  void observe_epoch(std::uint64_t epoch) noexcept {
-    if (epoch > cluster_epoch_) cluster_epoch_ = epoch;
-  }
-  std::uint64_t stale_epoch_rejects() const noexcept {
-    return stale_epoch_rejects_;
-  }
-  // Incarnation id: bumped on every cold start (power_on after power_off;
-  // daemons seed a per-process unique value via CacheConfig::incarnation).
-  // A digest fetched from incarnation i is worthless under incarnation j>i —
-  // the counting-Bloom state died with the old life.
-  std::uint64_t incarnation() const noexcept { return incarnation_; }
 
   // --- power ---------------------------------------------------------------
   PowerState power_state() const noexcept { return power_state_; }
@@ -266,7 +217,6 @@ class CacheServer {
   void evict_to_fit(std::size_t incoming_charge);
   void shrink_protected();              // enforce the protected-ratio cap
   bool expired(const Item& item, SimTime now) const noexcept;
-  std::string serialize_snapshot() const;
 
   CacheConfig config_;
   std::optional<SlabSizer> slab_sizer_;
@@ -281,10 +231,6 @@ class CacheServer {
   std::uint64_t next_cas_ = 1;
   CacheStats stats_;
   PowerState power_state_ = PowerState::kActive;
-  std::string pending_snapshot_;  // staged by SET_BLOOM_FILTER
-  std::uint64_t cluster_epoch_ = 0;
-  std::uint64_t incarnation_ = 1;
-  std::uint64_t stale_epoch_rejects_ = 0;
 };
 
 // Wire codec for broadcast digests: header + raw words, little-endian.

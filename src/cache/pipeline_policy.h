@@ -1,4 +1,5 @@
-// Per-connection pipeline admission shared by both protocol front ends.
+// Per-connection pipeline admission, applied by the CommandExecutor behind
+// both protocol codecs.
 //
 // A client that pipelines an unbounded burst of commands into one TCP
 // segment can monopolize a cache shard's mutex for the whole batch,
@@ -9,11 +10,9 @@
 // client can degrade instead of timing out. Crucially the parser still
 // CONSUMES shed storage payloads — shedding must never desync the stream.
 //
-// Under the sharded engine the cap is PER SHARD per batch: a burst aimed
-// at one hot shard exhausts only that shard's budget, it cannot exempt (or
-// starve) commands bound for the other shards. A session bound to a bare
-// CacheServer has exactly one "shard", which reproduces the original
-// whole-batch semantics unchanged.
+// The cap is PER SHARD per batch: a burst aimed at one hot shard exhausts
+// only that shard's budget, it cannot exempt (or starve) commands bound for
+// the other shards. A 1-shard engine has one budget for the whole batch.
 //
 // `lock_deadline_us` bounds how long one command may wait for its shard's
 // mutex before being shed (stale work is wasted work — the client has
@@ -45,8 +44,7 @@ struct PipelinePolicy {
   std::atomic<std::uint64_t>* sheds = nullptr;
   // Longest one command may wait for its shard's mutex before being shed.
   // 0 = unlimited (wait forever) on BOTH protocol handlers. Microseconds,
-  // same unit as the daemon clock. Only meaningful for sessions bound to a
-  // ShardedCacheServer — a bare-CacheServer session takes no locks.
+  // same unit as the daemon clock.
   SimTime lock_deadline_us = 0;
   // Daemon-wide queue-deadline shed counter; may be null. Never
   // incremented by a pipeline-cap shed.

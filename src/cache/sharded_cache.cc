@@ -139,9 +139,8 @@ CacheStats ShardedCacheServer::stats() const {
     merged.expirations += s.expirations;
     merged.corrupt_drops += s.corrupt_drops;
     merged.corrupt_set_rejects += s.corrupt_set_rejects;
-    merged.admin_gets += s.admin_gets;
   }
-  merged.admin_gets += admin_gets_.load(std::memory_order_relaxed);
+  merged.admin_gets = admin_gets_.load(std::memory_order_relaxed);
   return merged;
 }
 
@@ -224,8 +223,8 @@ std::string ShardedCacheServer::staged_digest_blob() {
     const std::lock_guard<std::mutex> staged_lock(staged_mu_);
     if (!staged_digest_.empty()) return staged_digest_;
   }
-  // Nothing staged yet: snapshot on demand (CacheServer parity). Taken
-  // outside staged_mu_ — shard locks never nest inside the staging mutex.
+  // Nothing staged yet: snapshot on demand, outside staged_mu_ — shard
+  // locks never nest inside the staging mutex.
   std::string blob = encode_digest(merged_digest_snapshot());
   const std::lock_guard<std::mutex> staged_lock(staged_mu_);
   if (staged_digest_.empty()) staged_digest_ = std::move(blob);
@@ -331,13 +330,6 @@ bool ShardedCacheServer::contains(std::string_view key, SimTime now) const {
   const std::size_t i = shard_index(key);
   const Guard guard = lock_shard(i);
   return shards_[i]->cache.contains(key, now);
-}
-
-void ShardedCacheServer::note_corrupt_set_reject(SimTime now,
-                                                 std::string_view key) {
-  const std::size_t i = shard_index(key);
-  const Guard guard = lock_shard(i);
-  shards_[i]->cache.note_corrupt_set_reject(now, key);
 }
 
 CacheStats ShardedCacheServer::shard_stats(std::size_t i) const {

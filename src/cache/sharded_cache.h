@@ -74,7 +74,7 @@ class ShardedCacheServer {
   }
 
   // --- shard locking -------------------------------------------------------
-  // RAII shard-lock handle. Public so a protocol session can hold the
+  // RAII shard-lock handle. Public so the command executor can hold the
   // lock across one whole command (an incr's get+set must be atomic).
   // Debug builds maintain a per-thread rank watermark and assert that
   // locks are only ever acquired in ascending shard order.
@@ -137,8 +137,8 @@ class ShardedCacheServer {
   // The §IV-A broadcast snapshot: bitwise OR of the per-shard snapshots
   // (identical geometry makes the union exact — see the header comment).
   bloom::BloomFilter merged_digest_snapshot() const;
-  // SET_BLOOM_FILTER: stage the merged snapshot, return "OK" (CacheServer
-  // parity). BLOOM_FILTER: serve the staged blob, staging one on demand.
+  // SET_BLOOM_FILTER: stage the merged snapshot, return "OK".
+  // BLOOM_FILTER: serve the staged blob, staging one on demand.
   std::string stage_digest_snapshot();
   std::string staged_digest_blob();
   // Routed membership probe (each key lives in exactly one shard).
@@ -162,17 +162,15 @@ class ShardedCacheServer {
 
   // --- convenience data plane (each call locks its shard internally) -------
   // Reserved protocol keys are intercepted here (merged digest / epoch
-  // hello) exactly as CacheServer::get does for the single-cache build, and
-  // counted as admin traffic — never as data-plane gets.
+  // hello) and counted as admin traffic — never as data-plane gets.
   std::optional<std::string> get(std::string_view key, SimTime now);
   void set(std::string_view key, std::string value, SimTime now,
            std::size_t charge = 0, std::uint32_t flags = 0,
            std::optional<std::uint32_t> crc = std::nullopt);
   bool erase(std::string_view key);
   bool contains(std::string_view key, SimTime now) const;
-  void note_corrupt_set_reject(SimTime now, std::string_view key);
 
-  // Reserved-key probe shared with the protocol sessions.
+  // Reserved-key probe shared with the command executor.
   static bool is_reserved_key(std::string_view key) noexcept {
     return key == kSetBloomFilterKey || key == kGetBloomFilterKey ||
            key == kEpochKey;
@@ -204,7 +202,7 @@ class ShardedCacheServer {
   // hit_ratio() reflects only data-plane traffic (the SLO burn rate must
   // not be skewed by digest pulls during transitions).
   std::atomic<std::uint64_t> admin_gets_{0};
-  // SET_BLOOM_FILTER staging (CacheServer::pending_snapshot_ parity).
+  // The blob SET_BLOOM_FILTER staged.
   mutable std::mutex staged_mu_;
   std::string staged_digest_;
 };

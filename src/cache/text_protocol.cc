@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 
-#include "common/hash.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -53,52 +52,54 @@ bool consume_noreply(std::vector<std::string_view>& tokens,
 
 // Strips the trailing meta tokens — `bg` (priority), O<hex64> (trace),
 // E<hex64> (epoch fence), C<hex8> (payload checksum) — in ANY order,
-// consuming recognized tokens from the tail until none match. Decodes are
-// strict (exact length, lowercase hex), so ordinary keys that merely start
-// with 'O'/'E'/'C' never parse as tokens. The `bg` marker only counts when
-// at least one real argument precedes it, so a key literally named "bg"
-// stays addressable via `get bg`.
-void consume_meta_tokens(std::vector<std::string_view>& tokens,
-                         TextCommand& cmd) {
+// consuming recognized tokens from the tail until none match, and returns
+// the rest of the line. Decodes are strict (exact length, lowercase hex),
+// so ordinary keys that merely start with 'O'/'E'/'C' never parse as
+// tokens. The verb itself is never a token, and the `bg` marker only counts
+// when at least one real argument precedes it, so a key literally named
+// "bg" stays addressable via `get bg`. Allocation-free: admission runs it
+// on every batch (is_background_line).
+std::string_view strip_meta_tokens(std::string_view line, TextCommand& cmd) {
   for (;;) {
-    if (tokens.size() < 2) return;
-    const std::string_view tail = tokens.back();
-    if (tail == "bg" && tokens.size() >= 3) {  // verb + >=1 real arg + marker
-      tokens.pop_back();
-      cmd.background = true;
-      continue;
-    }
+    const std::size_t space = line.rfind(' ');
+    if (space == std::string_view::npos) return line;  // the verb alone
+    const std::string_view rest = line.substr(0, space);
+    const std::string_view tail = line.substr(space + 1);
     std::uint64_t u64 = 0;
-    if (obs::decode_trace_token(tail, u64)) {
-      tokens.pop_back();
-      cmd.trace_id = u64;
-      continue;
-    }
-    if (obs::decode_epoch_token(tail, u64)) {
-      tokens.pop_back();
-      cmd.epoch = u64;
-      continue;
-    }
     std::uint32_t u32 = 0;
-    if (obs::decode_checksum_token(tail, u32)) {
-      tokens.pop_back();
+    if (tail == "bg" && rest.find(' ') != std::string_view::npos) {
+      cmd.background = true;
+    } else if (obs::decode_trace_token(tail, u64)) {
+      cmd.trace_id = u64;
+    } else if (obs::decode_epoch_token(tail, u64)) {
+      cmd.epoch = u64;
+    } else if (obs::decode_checksum_token(tail, u32)) {
       cmd.checksum = u32;
-      continue;
+    } else {
+      return line;
     }
-    return;
+    line = rest;
   }
+}
+
+// The verbs whose lines may carry meta tokens.
+bool takes_meta_tokens(std::string_view verb) {
+  return verb == "get" || verb == "gets" || verb == "set" || verb == "add" ||
+         verb == "replace" || verb == "delete";
 }
 
 }  // namespace
 
 TextCommand parse_command_line(std::string_view line) {
   TextCommand cmd;
+  if (takes_meta_tokens(line.substr(0, line.find(' ')))) {
+    line = strip_meta_tokens(line, cmd);
+  }
   auto tokens = tokenize(line);
   if (tokens.empty()) return cmd;
   const std::string_view verb = tokens[0];
 
   if (verb == "get" || verb == "gets") {
-    consume_meta_tokens(tokens, cmd);
     if (tokens.size() < 2) return cmd;
     for (std::size_t i = 1; i < tokens.size(); ++i) {
       if (!valid_key(tokens[i])) return cmd;
@@ -109,7 +110,6 @@ TextCommand parse_command_line(std::string_view line) {
   }
 
   if (verb == "set" || verb == "add" || verb == "replace") {
-    consume_meta_tokens(tokens, cmd);
     cmd.noreply = consume_noreply(tokens, 5);
     if (tokens.size() != 5 || !valid_key(tokens[1])) return cmd;
     if (!parse_number(tokens[2], cmd.flags) ||
@@ -125,7 +125,6 @@ TextCommand parse_command_line(std::string_view line) {
   }
 
   if (verb == "delete") {
-    consume_meta_tokens(tokens, cmd);
     cmd.noreply = consume_noreply(tokens, 2);
     if (tokens.size() != 2 || !valid_key(tokens[1])) return cmd;
     cmd.keys.emplace_back(tokens[1]);
@@ -174,12 +173,79 @@ TextCommand parse_command_line(std::string_view line) {
   return cmd;
 }
 
+bool is_background_line(std::string_view line) {
+  const std::string_view verb = line.substr(0, line.find(' '));
+  if (!takes_meta_tokens(verb)) return false;
+  TextCommand meta;  // only its token fields are written: no allocation
+  const std::string_view rest = strip_meta_tokens(line, meta);
+  if (meta.background) return true;
+  if (verb != "get" && verb != "gets") return false;
+  const std::string_view args =
+      rest.substr(std::min(rest.size(), verb.size() + 1));
+  const std::string_view first_key = args.substr(0, args.find(' '));
+  return first_key == kSetBloomFilterKey || first_key == kGetBloomFilterKey;
+}
+
+namespace {
+
+bool is_storage(TextCommand::Op op) {
+  return op == TextCommand::Op::kSet || op == TextCommand::Op::kAdd ||
+         op == TextCommand::Op::kReplace;
+}
+
+static_assert(static_cast<int>(TextCommand::Op::kGet) ==
+                  static_cast<int>(Command::Op::kGet) &&
+              static_cast<int>(TextCommand::Op::kTouch) ==
+                  static_cast<int>(Command::Op::kTouch),
+              "TextCommand::Op must open with Command::Op's values");
+
+// The reply line for a keyed command's outcome. Add-exists and
+// replace-missing both read NOT_STORED, as in memcached.
+std::string_view reply_line(TextCommand::Op op, CommandStatus status) {
+  switch (status) {
+    case CommandStatus::kOk:
+      return op == TextCommand::Op::kDelete  ? "DELETED\r\n"
+             : op == TextCommand::Op::kTouch ? "TOUCHED\r\n"
+                                             : "STORED\r\n";
+    case CommandStatus::kNotFound:
+      return is_storage(op) ? "NOT_STORED\r\n" : "NOT_FOUND\r\n";
+    case CommandStatus::kExists:
+      return "NOT_STORED\r\n";
+    case CommandStatus::kNonNumeric:
+      return "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n";
+    case CommandStatus::kReserved:
+      return "CLIENT_ERROR reserved key\r\n";
+    case CommandStatus::kBadEpoch:
+      return "CLIENT_ERROR bad epoch payload\r\n";
+    case CommandStatus::kStaleEpoch:
+      return "SERVER_ERROR stale-epoch\r\n";
+    case CommandStatus::kBadChecksum:
+      return "SERVER_ERROR bad-checksum\r\n";
+    case CommandStatus::kBusy:
+      break;
+  }
+  return "SERVER_ERROR overloaded\r\n";
+}
+
+Command command_for(const TextCommand& cmd) {
+  Command c;
+  c.op = static_cast<Command::Op>(cmd.op);
+  c.key = cmd.keys[0];
+  c.flags = cmd.flags;
+  c.epoch = cmd.epoch;
+  c.checksum = cmd.checksum;
+  c.delta = cmd.delta;
+  c.trace_id = cmd.trace_id;
+  return c;
+}
+
+}  // namespace
+
 std::string TextProtocolSession::feed(std::string_view bytes, SimTime now) {
   if (closed_) return {};
   buffer_.append(bytes);
   std::string out;
-  // The pipeline cap is per shard per feed() batch (one slot in bare mode).
-  std::fill(served_.begin(), served_.end(), 0);
+  exec_.begin_batch();
 
   for (;;) {
     if (resync_) {
@@ -202,7 +268,7 @@ std::string TextProtocolSession::feed(std::string_view bytes, SimTime now) {
       std::string payload = buffer_.substr(0, pending_->bytes);
       const bool terminated =
           buffer_[pending_->bytes] == '\r' && buffer_[pending_->bytes + 1] == '\n';
-      TextCommand cmd = *pending_;
+      TextCommand cmd = std::move(*pending_);
       pending_.reset();
       const bool shed = pending_shed_;
       pending_shed_ = false;
@@ -219,8 +285,7 @@ std::string TextProtocolSession::feed(std::string_view bytes, SimTime now) {
         if (!cmd.noreply) out += "SERVER_ERROR overloaded\r\n";
         continue;
       }
-      const std::string reply = handle_storage(cmd, std::move(payload), now);
-      if (!cmd.noreply) out += reply;
+      out += handle_keyed(cmd, std::move(payload), now);
       continue;
     }
 
@@ -236,35 +301,19 @@ std::string TextProtocolSession::feed(std::string_view bytes, SimTime now) {
 
 std::string TextProtocolSession::handle_line(std::string_view line,
                                              SimTime now) {
-  const SimTime parse_start = spans_ != nullptr ? obs::span_clock_now() : 0;
+  const SimTime parse_start = exec_.parse_clock();
   TextCommand cmd = parse_command_line(line);
-  if (cmd.trace_id != 0) last_trace_id_ = cmd.trace_id;
-  const std::uint64_t tid = spans_ != nullptr ? cmd.trace_id : 0;
-  if (tid != 0) {
-    record_server_span(tid, static_cast<int>(obs::SpanKind::kServerParse),
-                       parse_start);
-  }
-  // Pipeline cap: cache-touching commands beyond the per-batch budget are
-  // refused with a well-formed shed reply. Exempt: quit/version (free, and
-  // quit must always work) and invalid lines (answered ERROR regardless).
-  // A command refused here never attempts its shard lock, so it can never
-  // also count as a deadline shed.
+  exec_.parsed(cmd.trace_id, parse_start);
+  // Pipeline cap: cache-touching commands beyond their shard's per-batch
+  // budget are refused with a well-formed shed reply; a command accounts
+  // against its first key's shard. Exempt: quit/version (free, and quit
+  // must always work) and invalid lines (answered ERROR regardless).
   const bool cache_touching = cmd.op != TextCommand::Op::kQuit &&
                               cmd.op != TextCommand::Op::kVersion &&
                               cmd.op != TextCommand::Op::kInvalid;
-  // The budget is per shard: a command accounts against its first key's
-  // shard; keyless commands (stats, flush_all) against shard 0.
-  std::size_t batch_shard = 0;
-  if (engine_ != nullptr && !cmd.keys.empty()) {
-    batch_shard = engine_->shard_index(cmd.keys[0]);
-  }
-  if (cache_touching && pipeline_.max_per_batch > 0 &&
-      served_[batch_shard] >= pipeline_.max_per_batch) {
-    if (pipeline_.sheds != nullptr) {
-      pipeline_.sheds->fetch_add(1, std::memory_order_relaxed);
-    }
-    if (cmd.op == TextCommand::Op::kSet || cmd.op == TextCommand::Op::kAdd ||
-        cmd.op == TextCommand::Op::kReplace) {
+  if (cache_touching &&
+      !exec_.admit(cmd.keys.empty() ? std::string_view{} : cmd.keys[0])) {
+    if (is_storage(cmd.op)) {
       // The data block is still in flight; consume it before refusing.
       pending_ = std::move(cmd);
       pending_shed_ = true;
@@ -272,345 +321,103 @@ std::string TextProtocolSession::handle_line(std::string_view line,
     }
     return cmd.noreply ? std::string{} : "SERVER_ERROR overloaded\r\n";
   }
-  if (cache_touching) ++served_[batch_shard];
-  const SimTime op_start = tid != 0 ? obs::span_clock_now() : 0;
-  std::string reply;
-  bool deferred = false;
   switch (cmd.op) {
     case TextCommand::Op::kInvalid:
-      reply = "ERROR\r\n";
-      break;
+      return "ERROR\r\n";
     case TextCommand::Op::kGet:
-      reply = handle_get(cmd, now);
-      break;
+      return handle_get(cmd, now);
     case TextCommand::Op::kSet:
     case TextCommand::Op::kAdd:
     case TextCommand::Op::kReplace:
-      pending_ = std::move(cmd);
-      deferred = true;  // reply (and op span) wait for the data block
-      break;
-    case TextCommand::Op::kDelete: {
-      if (!admit_epoch(cmd.epoch)) {
-        if (!cmd.noreply) reply = "SERVER_ERROR stale-epoch\r\n";
-        if (tid != 0) {
-          record_server_span(tid, static_cast<int>(obs::SpanKind::kServerOp),
-                             op_start,
-                             static_cast<int>(obs::SpanCause::kStaleEpoch));
-        }
-        return reply;
-      }
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(cmd.keys[0], guard, tid);
-      if (cache == nullptr) {
-        if (!cmd.noreply) reply = "SERVER_ERROR overloaded\r\n";
-        break;
-      }
-      const bool deleted = cache->erase(cmd.keys[0]);
-      if (!cmd.noreply) reply = deleted ? "DELETED\r\n" : "NOT_FOUND\r\n";
-      break;
-    }
+      pending_ = std::move(cmd);  // runs once the data block arrives
+      return {};
+    case TextCommand::Op::kDelete:
     case TextCommand::Op::kIncr:
     case TextCommand::Op::kDecr:
-      reply = handle_counter(cmd, now);
-      break;
-    case TextCommand::Op::kTouch: {
-      // CacheServer's TTL is access-based; a touch is a read.
-      ShardedCacheServer::Guard guard;
-      CacheServer* cache = acquire(cmd.keys[0], guard, tid);
-      if (cache == nullptr) {
-        if (!cmd.noreply) reply = "SERVER_ERROR overloaded\r\n";
-        break;
-      }
-      const bool found = cache->get(cmd.keys[0], now).has_value();
-      if (!cmd.noreply) reply = found ? "TOUCHED\r\n" : "NOT_FOUND\r\n";
-      break;
-    }
+    case TextCommand::Op::kTouch:
+      return handle_keyed(cmd, {}, now);
     case TextCommand::Op::kFlushAll:
-      // Engine flush is a fan-out under every shard lock (atomic across
-      // shards); the session itself holds none of them here.
-      if (engine_ != nullptr) {
-        engine_->flush();
-      } else {
-        single_->flush();
-      }
-      if (!cmd.noreply) reply = "OK\r\n";
-      break;
+      exec_.flush();
+      return cmd.noreply ? std::string{} : "OK\r\n";
     case TextCommand::Op::kStats:
-      reply = handle_stats(cmd);
-      break;
+      return handle_stats(cmd);
     case TextCommand::Op::kVersion:
-      reply = "VERSION proteus-1.0\r\n";
-      break;
+      return "VERSION proteus-1.0\r\n";
     case TextCommand::Op::kQuit:
       closed_ = true;
       break;
   }
-  if (tid != 0 && !deferred) {
-    record_server_span(tid, static_cast<int>(obs::SpanKind::kServerOp),
-                       op_start);
-  }
-  return reply;
+  return {};
 }
 
-std::string TextProtocolSession::handle_storage(const TextCommand& cmd,
-                                                std::string payload,
-                                                SimTime now) {
-  const std::uint64_t tid = spans_ != nullptr ? cmd.trace_id : 0;
-  const SimTime op_start = tid != 0 ? obs::span_clock_now() : 0;
-  std::string reply;
-  const std::string& key = cmd.keys[0];
-  if (key == kEpochKey) {
-    // Epoch adoption: payload is the decimal epoch. Stale proposals are
-    // refused so a lagging coordinator cannot roll the fence backwards.
-    std::uint64_t proposed = 0;
-    if (cmd.op != TextCommand::Op::kSet || !parse_number(payload, proposed)) {
-      reply = "CLIENT_ERROR bad epoch payload\r\n";
-    } else if (adopt_epoch(proposed)) {
-      reply = "STORED\r\n";
-    } else {
-      reply = "SERVER_ERROR stale-epoch\r\n";
-    }
-  } else if (!admit_epoch(cmd.epoch)) {
-    reply = "SERVER_ERROR stale-epoch\r\n";
-    if (tid != 0) {
-      record_server_span(tid, static_cast<int>(obs::SpanKind::kServerOp),
-                         op_start,
-                         static_cast<int>(obs::SpanCause::kStaleEpoch));
-    }
-    return reply;
-  } else if (key == kSetBloomFilterKey || key == kGetBloomFilterKey) {
-    reply = "CLIENT_ERROR reserved key\r\n";  // digest keys are read-only
-  } else {
-    ShardedCacheServer::Guard guard;
-    CacheServer* cache = acquire(key, guard, tid);
-    if (cache == nullptr) {
-      reply = "SERVER_ERROR overloaded\r\n";
-    } else if (cmd.checksum.has_value() && crc32c(payload) != *cmd.checksum) {
-      // The payload rotted between the client's stamp and here (wire
-      // corruption or a buggy middlebox). Refuse rather than store bad
-      // bytes; the client treats this as a failed set and re-sends.
-      cache->note_corrupt_set_reject(now, key);
-      reply = "SERVER_ERROR bad-checksum\r\n";
-      if (tid != 0) {
-        record_server_span(tid, static_cast<int>(obs::SpanKind::kServerOp),
-                           op_start,
-                           static_cast<int>(obs::SpanCause::kCorrupt));
-      }
-      return reply;
-    } else if (cmd.op == TextCommand::Op::kAdd && cache->contains(key, now)) {
-      reply = "NOT_STORED\r\n";
-    } else if (cmd.op == TextCommand::Op::kReplace &&
-               !cache->contains(key, now)) {
-      reply = "NOT_STORED\r\n";
-    } else {
-      cache->set(key, std::move(payload), now, /*charge=*/0, cmd.flags,
-                 cmd.checksum);
-      reply = "STORED\r\n";
-    }
+std::string TextProtocolSession::handle_keyed(const TextCommand& cmd,
+                                              std::string payload,
+                                              SimTime now) {
+  Command c = command_for(cmd);
+  c.payload = std::move(payload);
+  const CommandResult r = exec_.execute(c, now);
+  if (cmd.noreply) return {};
+  if (r.status == CommandStatus::kOk && (cmd.op == TextCommand::Op::kIncr ||
+                                         cmd.op == TextCommand::Op::kDecr)) {
+    return std::to_string(r.counter) + "\r\n";
   }
-  if (tid != 0) {
-    record_server_span(tid, static_cast<int>(obs::SpanKind::kServerOp),
-                       op_start);
-  }
-  return reply;
-}
-
-void TextProtocolSession::record_server_span(std::uint64_t trace_id,
-                                             int kind_tag, SimTime start,
-                                             int cause_tag,
-                                             std::string_view key) {
-  if (spans_ == nullptr || trace_id == 0) return;
-  obs::SpanRecord s;
-  s.trace_id = trace_id;
-  s.span_id = spans_->next_id();
-  s.parent_id = 0;  // wire parent unknown; analyzer correlates by trace id
-  s.kind = static_cast<obs::SpanKind>(kind_tag);
-  s.cause = static_cast<obs::SpanCause>(cause_tag);
-  s.start_us = start;
-  s.duration_us = obs::span_clock_now() - start;
-  s.server = server_id_;
-  s.key = std::string(key.substr(0, 64));
-  spans_->record(std::move(s));
-}
-
-CacheServer* TextProtocolSession::acquire(std::string_view key,
-                                          ShardedCacheServer::Guard& guard,
-                                          std::uint64_t tid) {
-  if (engine_ == nullptr) return single_;
-  const std::size_t idx = engine_->shard_index(key);
-  const SimTime wait_start = tid != 0 ? obs::span_clock_now() : 0;
-  guard = engine_->lock_shard_for(idx, pipeline_.lock_deadline_us);
-  const bool timed_out = !guard.owns_lock();
-  if (tid != 0) {
-    // Lock-wait spans carry the key so proteus-spans can attribute
-    // contention to the shard that owns it.
-    record_server_span(
-        tid, static_cast<int>(obs::SpanKind::kServerLockWait), wait_start,
-        timed_out ? static_cast<int>(obs::SpanCause::kShed) : 0, key);
-  }
-  if (timed_out) {
-    if (pipeline_.deadline_sheds != nullptr) {
-      pipeline_.deadline_sheds->fetch_add(1, std::memory_order_relaxed);
-    }
-    return nullptr;
-  }
-  return &engine_->shard(idx);
-}
-
-bool TextProtocolSession::admit_epoch(std::uint64_t epoch) {
-  return engine_ != nullptr ? engine_->admit_epoch(epoch)
-                            : single_->admit_epoch(epoch);
-}
-
-bool TextProtocolSession::adopt_epoch(std::uint64_t epoch) {
-  return engine_ != nullptr ? engine_->adopt_epoch(epoch)
-                            : single_->adopt_epoch(epoch);
-}
-
-void TextProtocolSession::observe_epoch(std::uint64_t epoch) {
-  if (engine_ != nullptr) {
-    engine_->observe_epoch(epoch);
-  } else {
-    single_->observe_epoch(epoch);
-  }
+  return std::string(reply_line(cmd.op, r.status));
 }
 
 std::string TextProtocolSession::handle_get(const TextCommand& cmd,
                                             SimTime now) {
-  observe_epoch(cmd.epoch);  // reads teach, never fence
-  const std::uint64_t tid = spans_ != nullptr ? cmd.trace_id : 0;
+  Command c = command_for(cmd);
   std::string out;
   for (const std::string& key : cmd.keys) {
-    if (engine_ != nullptr && ShardedCacheServer::is_reserved_key(key)) {
-      // Admin reads (digest blob, epoch hello) are served by the engine's
-      // merged/broadcast paths without a shard lock: the blob is the OR of
-      // every shard's digest segment, byte-identical on the wire to the
-      // single-cache build (§V-3). Counted as admin traffic, never as
-      // data-plane gets.
-      auto value = engine_->get(key, now);
-      if (!value.has_value()) continue;
-      out += "VALUE " + key + " 0 " + std::to_string(value->size()) + "\r\n";
-      out += *value;
-      out += "\r\n";
-      continue;
-    }
-    ShardedCacheServer::Guard guard;
-    CacheServer* cache = acquire(key, guard, tid);
-    if (cache == nullptr) {
+    c.key = key;
+    const CommandResult r = exec_.execute(c, now);
+    if (r.status == CommandStatus::kBusy) {
       // Shard-lock deadline hit mid-multi-get: shed the whole command with
       // an honest refusal rather than emit a truncated VALUE stream.
       return "SERVER_ERROR overloaded\r\n";
     }
-    auto value = cache->get(key, now);
-    if (!value.has_value()) continue;  // missing keys are silently skipped
-    const auto flags = cache->flags_of(key, now);
-    out += "VALUE " + key + ' ' + std::to_string(flags.value_or(0)) + ' ' +
-           std::to_string(value->size());
-    if (cmd.checksum.has_value()) {
-      // The get opted in to checksum echo; only items stored with one have
-      // one (a stored-without-checksum item echoes nothing).
-      if (const auto crc = cache->checksum_of(key, now); crc.has_value()) {
-        out += ' ';
-        out += obs::encode_checksum_token(*crc);
-      }
+    if (r.status != CommandStatus::kOk) continue;  // misses are skipped
+    out += "VALUE ";
+    out += key;
+    out += ' ';
+    out += std::to_string(r.flags);
+    out += ' ';
+    out += std::to_string(r.value.size());
+    if (r.crc.has_value()) {
+      out += ' ';
+      out += obs::encode_checksum_token(*r.crc);
     }
     out += "\r\n";
-    out += *value;
+    out += r.value;
     out += "\r\n";
   }
   out += "END\r\n";
   return out;
 }
 
-std::string TextProtocolSession::handle_counter(const TextCommand& cmd,
-                                                SimTime now) {
-  const std::string& key = cmd.keys[0];
-  const std::uint64_t tid = spans_ != nullptr ? cmd.trace_id : 0;
-  // The guard spans the get+set pair: incr/decr stays atomic per shard.
-  ShardedCacheServer::Guard guard;
-  CacheServer* cache = acquire(key, guard, tid);
-  if (cache == nullptr) {
-    return cmd.noreply ? std::string{} : "SERVER_ERROR overloaded\r\n";
-  }
-  auto value = cache->get(key, now);
-  if (!value.has_value()) {
-    return cmd.noreply ? std::string{} : "NOT_FOUND\r\n";
-  }
-  std::uint64_t current = 0;
-  if (!parse_number(*value, current)) {
-    return cmd.noreply
-               ? std::string{}
-               : "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n";
-  }
-  std::uint64_t next;
-  if (cmd.op == TextCommand::Op::kIncr) {
-    next = current + cmd.delta;  // memcached wraps on 64-bit overflow
-  } else {
-    next = current > cmd.delta ? current - cmd.delta : 0;  // clamps at 0
-  }
-  cache->set(key, std::to_string(next), now);
-  return cmd.noreply ? std::string{} : std::to_string(next) + "\r\n";
-}
-
 std::string TextProtocolSession::handle_stats(const TextCommand& cmd) {
   if (cmd.stats_arg == "reset") {
-    // Engine reset is a fan-out under every shard lock (atomic across
-    // shards); the session holds no shard lock of its own here.
-    if (engine_ != nullptr) {
-      engine_->reset_stats();
-    } else {
-      single_->reset_stats();
-    }
+    exec_.reset_stats();
     if (stats_reset_hook_) stats_reset_hook_();
     return "RESET\r\n";
   }
   if (cmd.stats_arg == "proteus") {
     // The unified registry (daemon-wide metrics + latency quantiles); a
-    // bare CacheServer session has no registry and reports nothing. The
-    // session holds NO shard lock here — registry callbacks lock shards
-    // internally, one at a time.
+    // session without a registry reports nothing. The session holds NO
+    // shard lock here — registry callbacks lock shards internally, one at
+    // a time.
     return metrics_ != nullptr ? obs::render_stats_text(metrics_->snapshot())
                                : "END\r\n";
   }
   if (!cmd.stats_arg.empty()) return "ERROR\r\n";
-  // Engine mode reports the merged view across shards (each accessor
-  // visits shards one at a time, internally locked).
-  const bool sharded = engine_ != nullptr;
-  const CacheStats s = sharded ? engine_->stats() : single_->stats();
   std::string out;
-  const auto stat = [&out](std::string_view name, std::uint64_t v) {
+  for (const CommandExecutor::Stat& stat : exec_.stats()) {
     out += "STAT ";
-    out += name;
+    out += stat.name;
     out += ' ';
-    out += std::to_string(v);
+    out += std::to_string(stat.value);
     out += "\r\n";
-  };
-  stat("cmd_get", s.gets);
-  stat("get_hits", s.hits);
-  stat("get_misses", s.misses);
-  stat("cmd_set", s.sets);
-  stat("delete_hits", s.deletes);
-  stat("evictions", s.evictions);
-  stat("expired_unfetched", s.expirations);
-  stat("curr_items", sharded ? engine_->item_count() : single_->item_count());
-  stat("bytes", sharded ? engine_->bytes_used() : single_->bytes_used());
-  stat("limit_maxbytes",
-       sharded ? engine_->memory_budget() : single_->memory_budget());
-  stat("digest_counters", sharded ? engine_->digest_num_counters()
-                                  : single_->digest().num_counters());
-  stat("digest_bytes", sharded ? engine_->digest_memory_bytes()
-                               : single_->digest().memory_bytes());
-  stat("cluster_epoch",
-       sharded ? engine_->cluster_epoch() : single_->cluster_epoch());
-  stat("incarnation",
-       sharded ? engine_->incarnation() : single_->incarnation());
-  stat("stale_epoch_rejects", sharded ? engine_->stale_epoch_rejects()
-                                      : single_->stale_epoch_rejects());
-  stat("corrupt_drops", s.corrupt_drops);
-  stat("corrupt_set_rejects", s.corrupt_set_rejects);
-  // Reserved-key admin traffic (digest pulls, epoch hellos) — excluded
-  // from cmd_get/get_hits/get_misses so hit ratios stay data-plane only.
-  stat("admin_gets", s.admin_gets);
+  }
   out += "END\r\n";
   return out;
 }

@@ -1,12 +1,12 @@
-// Memcached text protocol front end for CacheServer.
+// Memcached text protocol codec over the sharded cache engine.
 //
 // The paper modified stock memcached and kept wire compatibility: "It
 // exactly follows Memcached protocol, and should be compatible with all
 // Memcached client packages" (§V-3), validated against spymemcached and
 // python-memcached. This module implements the subset of the memcached
-// text protocol those clients use against this repo's CacheServer, so the
-// digest operations (SET_BLOOM_FILTER / BLOOM_FILTER) are reachable through
-// an unmodified client exactly as in the paper:
+// text protocol those clients use, so the digest operations
+// (SET_BLOOM_FILTER / BLOOM_FILTER) are reachable through an unmodified
+// client exactly as in the paper:
 //
 //   get <key>[ <key>...]\r\n
 //   set|add|replace <key> <flags> <exptime> <bytes> [noreply]\r\n<data>\r\n
@@ -26,7 +26,7 @@
 // additionally record server-side parse/op spans correlated by that id.
 //
 // Priority extension (src/core/overload.h): get/storage/delete lines may
-// additionally end with a literal `bg` token (after the trace token) that
+// additionally carry a literal `bg` meta token (see below for ordering) that
 // marks the request as background/maintenance traffic — the daemon sheds it
 // first under overload. Like the trace token it is invisible to stock
 // memcached semantics.
@@ -57,7 +57,10 @@
 // "Observability" lists the catalog).
 //
 // The session is push-parsed: feed() accepts arbitrary byte chunks (TCP
-// segmentation agnostic) and emits complete protocol responses.
+// segmentation agnostic) and emits complete protocol responses. It only
+// frames: each command runs through the CommandExecutor
+// (cache/command_executor.h) the binary codec shares, so the two wire
+// encodings cannot disagree on what a command means.
 #pragma once
 
 #include <cstdint>
@@ -67,9 +70,7 @@
 #include <string_view>
 #include <vector>
 
-#include "cache/cache_server.h"
-#include "cache/pipeline_policy.h"
-#include "cache/sharded_cache.h"
+#include "cache/command_executor.h"
 #include "common/time.h"
 
 namespace proteus::obs {
@@ -82,6 +83,7 @@ namespace proteus::cache {
 // A parsed request line (exposed for tests and for servers that want to
 // route commands themselves).
 struct TextCommand {
+  // Opens with the executor's Command::Op values, in the same order.
   enum class Op {
     kGet,
     kSet,
@@ -108,8 +110,8 @@ struct TextCommand {
   // Wire trace context: nonzero when the line carried a trailing O<hex64>
   // token (stripped before key handling).
   std::uint64_t trace_id = 0;
-  // Priority extension: true when the line ended with a literal `bg` token
-  // (after any trace token). Instrumented clients tag
+  // Priority extension: true when the line carried a `bg` meta token
+  // (anywhere among the tail tokens). Instrumented clients tag
   // maintenance traffic — migration fetches, digest pulls — so the daemon
   // can shed it first under overload. A stock memcached sees one more
   // (always-missing) get key, exactly like the trace token.
@@ -132,10 +134,19 @@ struct TextCommand {
 // side effects on malformed input.
 TextCommand parse_command_line(std::string_view line);
 
-// One client connection worth of protocol state, bound either to a bare
-// CacheServer (caller owns locking — the original single-cache mode, used
-// by tests and embedders) or to a ShardedCacheServer engine (the session
-// locks each command's shard itself; see the engine ctor).
+// Admission's view of one command line, without allocating: true when the
+// parser would tag it background (a `bg` meta token anywhere in its tail)
+// or it is a digest pull (get/gets whose first key is SET_BLOOM_FILTER or
+// BLOOM_FILTER) — §IV maintenance traffic either way.
+bool is_background_line(std::string_view line);
+
+// One client connection worth of protocol state over a ShardedCacheServer.
+// Each command routes to its key's shard and takes ONLY that shard's mutex,
+// bounded by `pipeline.lock_deadline_us` (0 = wait forever); a timed-out
+// command is shed with `SERVER_ERROR overloaded` and counted in
+// `pipeline.deadline_sheds`. Reserved digest/epoch keys are served by the
+// engine's merged/broadcast paths, so the wire bytes do not depend on the
+// shard count (§V-3).
 class TextProtocolSession {
  public:
   // `metrics` (optional) backs the `stats proteus` extension; the registry
@@ -144,39 +155,15 @@ class TextProtocolSession {
   // `spans` (optional) records server-side parse/op spans for commands
   // carrying a trace token; `server_id` tags them with this daemon's fleet
   // index (-1 = unknown). Both must outlive the session.
-  // `pipeline` caps cache-touching commands per feed() batch (see
+  // `pipeline` caps cache-touching commands per shard per feed() batch (see
   // cache/pipeline_policy.h); excess commands get `SERVER_ERROR overloaded`
   // while their storage payloads are still consumed.
-  explicit TextProtocolSession(CacheServer& server,
-                               const obs::MetricsRegistry* metrics = nullptr,
-                               obs::SpanCollector* spans = nullptr,
-                               int server_id = -1,
-                               PipelinePolicy pipeline = {})
-      : single_(&server),
-        metrics_(metrics),
-        spans_(spans),
-        server_id_(server_id),
-        pipeline_(pipeline),
-        served_(1, 0) {}
-
-  // Engine-mode session: each command routes to its key's shard and takes
-  // ONLY that shard's mutex, bounded by `pipeline.lock_deadline_us` (0 =
-  // wait forever); a timed-out command is shed with `SERVER_ERROR
-  // overloaded` and counted in `pipeline.deadline_sheds`. The pipeline cap
-  // becomes per shard per batch. Reserved digest/epoch keys are served by
-  // the engine's merged/broadcast paths, so the wire bytes are identical
-  // to the single-cache build (§V-3).
   explicit TextProtocolSession(ShardedCacheServer& engine,
                                const obs::MetricsRegistry* metrics = nullptr,
                                obs::SpanCollector* spans = nullptr,
                                int server_id = -1,
                                PipelinePolicy pipeline = {})
-      : engine_(&engine),
-        metrics_(metrics),
-        spans_(spans),
-        server_id_(server_id),
-        pipeline_(pipeline),
-        served_(static_cast<std::size_t>(engine.num_shards()), 0) {}
+      : exec_(engine, spans, server_id, pipeline), metrics_(metrics) {}
 
   // Feeds raw bytes; appends any complete responses to the return value.
   // A "quit" command sets closed() and further input is ignored.
@@ -186,7 +173,9 @@ class TextProtocolSession {
 
   // Trace id of the most recent command that carried one (0 = none yet) —
   // the daemon reads this after feed() to correlate its lock-wait span.
-  std::uint64_t last_trace_id() const noexcept { return last_trace_id_; }
+  std::uint64_t last_trace_id() const noexcept {
+    return exec_.last_trace_id();
+  }
 
   // Invoked on `stats reset` after the cache counters clear, so an owning
   // daemon can reset its own counters (sheds, trace/span drops) in the same
@@ -199,42 +188,16 @@ class TextProtocolSession {
 
  private:
   std::string handle_line(std::string_view line, SimTime now);
-  std::string handle_storage(const TextCommand& cmd, std::string payload,
-                             SimTime now);
+  // Runs a single-key command (storage commands carry their data block)
+  // and returns its reply, empty under noreply.
+  std::string handle_keyed(const TextCommand& cmd, std::string payload,
+                           SimTime now);
   std::string handle_get(const TextCommand& cmd, SimTime now);
-  std::string handle_counter(const TextCommand& cmd, SimTime now);
   std::string handle_stats(const TextCommand& cmd);
-  // Records a server-side span when `trace_id` is nonzero and a collector
-  // is attached; [start, span_clock_now()] on the shared steady clock.
-  // `cause_tag` (a SpanCause) annotates fenced/rejected work; 0 = none.
-  // `key` attributes the span to the involved key (lock-wait spans use it
-  // for per-shard contention attribution).
-  void record_server_span(std::uint64_t trace_id, int kind_tag, SimTime start,
-                          int cause_tag = 0, std::string_view key = {});
-  // Engine mode: locks `key`'s shard under pipeline_.lock_deadline_us (0 =
-  // wait forever), records the kServerLockWait span, and returns the shard
-  // cache — or nullptr after counting one deadline shed on timeout. Bare
-  // mode: returns the single cache with no locking (the caller owns the
-  // lock, exactly as before sharding).
-  CacheServer* acquire(std::string_view key, ShardedCacheServer::Guard& guard,
-                       std::uint64_t tid);
-  // Epoch fencing dispatch: engine atomics in engine mode (the fence is
-  // fleet-wide, never per shard), the single cache otherwise.
-  bool admit_epoch(std::uint64_t epoch);
-  bool adopt_epoch(std::uint64_t epoch);
-  void observe_epoch(std::uint64_t epoch);
 
-  CacheServer* single_ = nullptr;         // bare mode (exactly one is set)
-  ShardedCacheServer* engine_ = nullptr;  // engine mode
+  CommandExecutor exec_;
   const obs::MetricsRegistry* metrics_ = nullptr;
-  obs::SpanCollector* spans_ = nullptr;
-  int server_id_ = -1;
-  PipelinePolicy pipeline_;
   std::function<void()> stats_reset_hook_;
-  // Cache-touching commands served this feed(), per shard (one slot in
-  // bare mode) — the pipeline cap's per-shard budget.
-  std::vector<int> served_;
-  std::uint64_t last_trace_id_ = 0;
   std::string buffer_;
   bool closed_ = false;
   bool resync_ = false;  // discarding to the next CRLF after a bad chunk

@@ -40,19 +40,15 @@ int resolve_shards(int shards, int threads) {
 }
 
 // Cheap, allocation-free batch classification for two-priority admission.
-// A batch is background when its first command is tagged with the trailing
-// `bg` token (instrumented clients mark migration fetches that way) or is
-// digest-key traffic — both are §IV maintenance work that must yield to
-// foreground gets under pressure.
+// A batch is background when its first command is tagged with the `bg`
+// meta token (instrumented clients mark migration fetches that way) or is
+// a digest pull — both are §IV maintenance work that must yield to
+// foreground gets under pressure. The line is read by the parser's own
+// tail scan, so admission and the parser never disagree on `bg`.
 bool text_batch_is_background(std::string_view bytes) {
   const std::size_t eol = bytes.find("\r\n");
-  const std::string_view line =
-      eol == std::string_view::npos ? bytes : bytes.substr(0, eol);
-  if (line.size() >= 3 && line.substr(line.size() - 3) == " bg") return true;
-  if (line.rfind("get ", 0) != 0) return false;
-  const std::string_view first_key = line.substr(4, line.find(' ', 4) - 4);
-  return first_key == cache::kSetBloomFilterKey ||
-         first_key == cache::kGetBloomFilterKey;
+  return cache::is_background_line(
+      eol == std::string_view::npos ? bytes : bytes.substr(0, eol));
 }
 
 bool binary_batch_is_background(std::string_view bytes) {

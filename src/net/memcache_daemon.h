@@ -14,10 +14,10 @@
 // rounded down to a power of two, override via the `shards` ctor arg),
 // each with its own mutex, LRU, budget slice, stats, and digest segment —
 // two threads touching different shards never contend. The protocol
-// sessions take each command's shard lock themselves (see
+// sessions' command executor takes each command's shard lock itself (see
 // cache/sharded_cache.h for the locking discipline); the reserved digest
 // and epoch keys are served by engine-level merged/broadcast paths so the
-// wire contract is byte-identical to the single-cache build (§V-3).
+// wire contract is byte-identical at any shard count (§V-3).
 //
 // Observability: the daemon owns an obs::MetricsRegistry holding the cache
 // counters, hardening counters, and a per-operation service-latency

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "cache/text_protocol.h"
 #include "common/hash.h"
+#include "obs/span.h"
 
 namespace proteus::cache {
 namespace {
@@ -24,7 +28,7 @@ CacheConfig proto_config() {
 }
 
 struct Rig {
-  CacheServer server{proto_config()};
+  ShardedCacheServer server{proto_config(), 1};
   BinaryProtocolSession session{server};
 
   // Sends one request and decodes the (first) response frame.
@@ -382,6 +386,105 @@ TEST(BinaryProtocol, UnstampedItemEchoesStockExtrasOnOptIn) {
   EXPECT_EQ(got.status_or_vbucket, static_cast<std::uint16_t>(Status::kOk));
   ASSERT_EQ(got.extras.size(), 4u);
   EXPECT_EQ(binary::get_u32(got.extras, 0), 3u);
+}
+
+TEST(BinaryProtocol, CorruptEpochPushIsRefusedAndLeavesTheFence) {
+  Rig rig;
+  ASSERT_EQ(rig.roundtrip(rig.make_set(std::string(kEpochKey), "5"))
+                .status_or_vbucket,
+            static_cast<std::uint16_t>(Status::kOk));
+  // 12-byte extras stamp the payload; a push that fails its CRC is refused
+  // before its payload is read as an epoch.
+  Frame push = rig.make_set(std::string(kEpochKey), "9");
+  binary::put_u32(push.extras, crc32c("9") ^ 1u);
+  EXPECT_EQ(rig.roundtrip(push).status_or_vbucket,
+            static_cast<std::uint16_t>(Status::kBadChecksum));
+  EXPECT_EQ(rig.server.cluster_epoch(), 5u);
+  EXPECT_EQ(rig.server.stats().corrupt_set_rejects, 1u);
+}
+
+// --- one executor behind both codecs -----------------------------------------
+
+// Decodes every frame of a response stream.
+std::vector<Frame> decode_all(std::string_view out) {
+  std::vector<Frame> frames;
+  while (!out.empty()) {
+    std::size_t consumed = 0;
+    auto f = binary::decode_frame(out, consumed);
+    if (!f.has_value()) break;
+    frames.push_back(std::move(*f));
+    out.remove_prefix(consumed);
+  }
+  return frames;
+}
+
+TEST(CodecParity, StaleAndCorruptStoreGetsTheSameRefusalOnBothCodecs) {
+  ShardedCacheServer engine(proto_config(), 1);
+  ASSERT_TRUE(engine.adopt_epoch(7));
+  TextProtocolSession text(engine);
+  BinaryProtocolSession bin(engine);
+  const std::string value = "late-and-rotted";
+  const std::uint32_t wrong = crc32c(value) ^ 1u;
+
+  // Checksum verify comes first on both codecs, so a store that is both
+  // stale (epoch 3 < 7) and corrupt is refused as corrupt.
+  EXPECT_EQ(text.feed("set k 0 0 " + std::to_string(value.size()) + " " +
+                          obs::encode_epoch_token(3) + " " +
+                          obs::encode_checksum_token(wrong) + "\r\n" +
+                          value + "\r\n",
+                      0),
+            "SERVER_ERROR bad-checksum\r\n");
+  Frame set;
+  set.opcode = Opcode::kSet;
+  set.key = "k";
+  set.value = value;
+  set.status_or_vbucket = 3;  // the epoch stamp
+  binary::put_u32(set.extras, 0);
+  binary::put_u32(set.extras, 0);
+  binary::put_u32(set.extras, wrong);
+  const auto replies =
+      decode_all(bin.feed(binary::encode_frame(set, binary::kRequestMagic), 0));
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].status_or_vbucket,
+            static_cast<std::uint16_t>(Status::kBadChecksum));
+
+  EXPECT_EQ(engine.stats().corrupt_set_rejects, 2u);
+  EXPECT_EQ(engine.stale_epoch_rejects(), 0u);
+  EXPECT_EQ(engine.cluster_epoch(), 7u);
+}
+
+TEST(CodecParity, BinaryStatEmitsExactlyTheTextStats) {
+  ShardedCacheServer engine(proto_config(), 4);
+  TextProtocolSession text(engine);
+  text.feed("set a 0 0 1\r\nx\r\nset b 0 0 1\r\ny\r\nget a\r\nget zz\r\n"
+            "delete b\r\nget BLOOM_FILTER\r\n",
+            0);
+
+  std::vector<std::pair<std::string, std::string>> text_stats;
+  const std::string lines = text.feed("stats\r\n", 0);
+  std::size_t pos = 0;
+  while (lines.compare(pos, 5, "STAT ") == 0) {
+    const std::size_t eol = lines.find("\r\n", pos);
+    const std::string line = lines.substr(pos + 5, eol - pos - 5);
+    const std::size_t space = line.find(' ');
+    text_stats.emplace_back(line.substr(0, space), line.substr(space + 1));
+    pos = eol + 2;
+  }
+  ASSERT_EQ(lines.substr(pos), "END\r\n");
+
+  BinaryProtocolSession bin(engine);
+  Frame stat;
+  stat.opcode = Opcode::kStat;
+  const auto frames =
+      decode_all(bin.feed(binary::encode_frame(stat, binary::kRequestMagic), 0));
+  ASSERT_FALSE(frames.empty());
+  EXPECT_TRUE(frames.back().key.empty());  // terminator
+  std::vector<std::pair<std::string, std::string>> bin_stats;
+  for (std::size_t i = 0; i + 1 < frames.size(); ++i) {
+    bin_stats.emplace_back(frames[i].key, frames[i].value);
+  }
+  EXPECT_EQ(bin_stats, text_stats);
+  EXPECT_EQ(text_stats.size(), 18u);
 }
 
 }  // namespace

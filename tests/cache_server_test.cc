@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "cache/sharded_cache.h"
+
 #include "common/hash.h"
 
 namespace proteus::cache {
@@ -156,10 +158,10 @@ TEST(CacheServer, SnapshotDigestMatchesContent) {
   }
 }
 
-// --- reserved protocol keys (§V-3) ------------------------------------------
+// --- reserved protocol keys (§V-3), served by a 1-shard engine -------------
 
 TEST(CacheServer, BloomFilterProtocolKeys) {
-  CacheServer cache(small_config());
+  ShardedCacheServer cache(small_config(), 1);
   for (int i = 0; i < 64; ++i) cache.set("k" + std::to_string(i), "v", 0);
 
   auto ok = cache.get(kSetBloomFilterKey, 0);
@@ -175,7 +177,7 @@ TEST(CacheServer, BloomFilterProtocolKeys) {
 }
 
 TEST(CacheServer, SnapshotIsStableUntilRetaken) {
-  CacheServer cache(small_config());
+  ShardedCacheServer cache(small_config(), 1);
   cache.set("early", "v", 0);
   cache.get(kSetBloomFilterKey, 0);  // snapshot now
   cache.set("late", "v", 1);
@@ -189,7 +191,7 @@ TEST(CacheServer, SnapshotIsStableUntilRetaken) {
 }
 
 TEST(CacheServer, ProtocolKeysDoNotPolluteStats) {
-  CacheServer cache(small_config());
+  ShardedCacheServer cache(small_config(), 1);
   cache.get(kSetBloomFilterKey, 0);
   cache.get(kGetBloomFilterKey, 0);
   EXPECT_EQ(cache.stats().gets, 0u);
@@ -244,19 +246,23 @@ TEST(CacheServer, CasAssignedMonotonically) {
   EXPECT_EQ(cache.cas_of("absent", 0), 0u);
 }
 
-TEST(CacheServer, CompareAndSwapSemantics) {
+TEST(CacheServer, SetReturnsTheVersionAHitReports) {
   CacheServer cache(small_config());
-  cache.set("k", "v1", 0);
-  const auto cas = cache.cas_of("k", 0);
-  EXPECT_EQ(cache.compare_and_swap("k", "v2", 1, cas),
-            CacheServer::CasResult::kStored);
-  EXPECT_EQ(*cache.get("k", 2), "v2");
-  // The old version no longer matches.
-  EXPECT_EQ(cache.compare_and_swap("k", "v3", 3, cas),
-            CacheServer::CasResult::kExists);
-  EXPECT_EQ(*cache.get("k", 4), "v2");
-  EXPECT_EQ(cache.compare_and_swap("ghost", "x", 5, 1),
-            CacheServer::CasResult::kNotFound);
+  const std::uint64_t v1 = cache.set("k", "v1", 0, /*charge=*/0, /*flags=*/7);
+  EXPECT_EQ(v1, cache.cas_of("k", 0));
+  const std::uint64_t v2 = cache.set("k", "v2", 1);
+  EXPECT_GT(v2, v1);
+  // One lookup serves the bytes and the metadata.
+  CacheServer::ItemMeta meta;
+  EXPECT_EQ(*cache.get("k", 2, &meta), "v2");
+  EXPECT_EQ(meta.cas, v2);
+  EXPECT_EQ(meta.flags, 0u);
+  EXPECT_FALSE(meta.crc.has_value());
+  // A value that can never fit is not stored: version 0.
+  EXPECT_EQ(cache.set("huge", std::string(small_config().memory_budget_bytes,
+                                          'x'),
+                      3),
+            0u);
 }
 
 TEST(CacheServer, ExpireIdleSweepsColdTail) {
@@ -391,8 +397,9 @@ TEST(CacheServer, ServeTimeVerifyDropsCorruptStampedItems) {
   CacheServer cache(small_config());
   const std::string value = "payload-guarded-by-crc32c";
   cache.set("ck", value, 0, /*charge=*/0, /*flags=*/0, crc32c(value));
-  EXPECT_EQ(cache.checksum_of("ck", 1), crc32c(value));
-  EXPECT_EQ(*cache.get("ck", 1), value);
+  CacheServer::ItemMeta meta;
+  EXPECT_EQ(*cache.get("ck", 1, &meta), value);
+  EXPECT_EQ(meta.crc, crc32c(value));
   EXPECT_EQ(cache.stats().corrupt_drops, 0u);
 
   // At-rest rot: flip one bit under the stored stamp. The next serve must
@@ -415,9 +422,10 @@ TEST(CacheServer, UnstampedItemsAreNotVerified) {
   ASSERT_TRUE(cache.corrupt_value_for_test("legacy", 5));
   // No stamp means no way to tell rot from a legitimate value: the item
   // keeps serving (stock memcached behavior) and nothing is counted.
-  EXPECT_TRUE(cache.get("legacy", 1).has_value());
+  CacheServer::ItemMeta meta;
+  EXPECT_TRUE(cache.get("legacy", 1, &meta).has_value());
   EXPECT_EQ(cache.stats().corrupt_drops, 0u);
-  EXPECT_FALSE(cache.checksum_of("legacy", 1).has_value());
+  EXPECT_FALSE(meta.crc.has_value());
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "cache/binary_protocol.h"
 #include "cache/text_protocol.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -20,12 +22,40 @@
 namespace proteus {
 namespace {
 
+// Feeds `wire` in random chunks of 1..max_chunk bytes, drawn from
+// `chunk_seed`, and returns the concatenated replies.
+template <typename Session>
+std::string feed_chunked(Session& session, std::string_view wire,
+                         std::uint64_t chunk_seed, std::size_t max_chunk) {
+  std::string out;
+  Rng chunk_rng(chunk_seed);
+  std::size_t pos = 0;
+  while (pos < wire.size()) {
+    const std::size_t n = std::min<std::size_t>(
+        wire.size() - pos, 1 + chunk_rng.next_below(max_chunk));
+    out += session.feed(wire.substr(pos, n), 0);
+    pos += n;
+  }
+  return out;
+}
+
+cache::CacheConfig small_cache() {
+  cache::CacheConfig cfg;
+  cfg.memory_budget_bytes = 4 << 20;
+  return cfg;
+}
+
+// The text suites run over a 1-shard and a 4-shard engine: a seed and a
+// shard count per instance.
+using SeedAndShards = std::tuple<std::uint64_t, int>;
+const auto kShardCounts = ::testing::Values(1, 4);
+
 // --- protocol: responses must not depend on TCP segmentation ---------------
 
-class ProtocolSegmentation : public ::testing::TestWithParam<std::uint64_t> {};
+class ProtocolSegmentation : public ::testing::TestWithParam<SeedAndShards> {};
 
 TEST_P(ProtocolSegmentation, ResponseInvariantUnderChunking) {
-  const std::uint64_t seed = GetParam();
+  const auto [seed, shards] = GetParam();
   Rng rng(seed);
 
   // Build a random but valid command script.
@@ -51,20 +81,9 @@ TEST_P(ProtocolSegmentation, ResponseInvariantUnderChunking) {
   }
 
   const auto run_chunked = [&](std::size_t max_chunk) {
-    cache::CacheConfig cfg;
-    cfg.memory_budget_bytes = 4 << 20;
-    cache::CacheServer server(cfg);
-    cache::TextProtocolSession session(server);
-    std::string out;
-    Rng chunk_rng(seed ^ max_chunk);
-    std::size_t pos = 0;
-    while (pos < wire.size()) {
-      const std::size_t n = std::min<std::size_t>(
-          wire.size() - pos, 1 + chunk_rng.next_below(max_chunk));
-      out += session.feed(std::string_view(wire).substr(pos, n), 0);
-      pos += n;
-    }
-    return out;
+    cache::ShardedCacheServer engine(small_cache(), shards);
+    cache::TextProtocolSession session(engine);
+    return feed_chunked(session, wire, seed ^ max_chunk, max_chunk);
   };
 
   const std::string whole = run_chunked(wire.size());
@@ -73,18 +92,20 @@ TEST_P(ProtocolSegmentation, ResponseInvariantUnderChunking) {
   EXPECT_EQ(run_chunked(1024), whole); // mixed large chunks
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolSegmentation,
-                         ::testing::Values(1ull, 17ull, 3333ull, 98765ull));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ProtocolSegmentation,
+    ::testing::Combine(::testing::Values(1ull, 17ull, 3333ull, 98765ull),
+                       kShardCounts));
 
-// --- sharding: a 4-shard engine is reply-invariant vs the bare cache --------
+// --- sharding: a 4-shard engine is reply-invariant vs a 1-shard one ---------
 //
-// Same random script, same chunkings, two backends: a single CacheServer
-// and a 4-shard ShardedCacheServer. Lock striping is an implementation
-// detail — every reply byte, `stats` output included, must be identical.
+// Same random script, same chunkings, two engines: 1 shard and 4 shards.
+// Lock striping is an implementation detail — every reply byte, `stats`
+// output included, must be identical.
 
 class ShardReplyInvariance : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ShardReplyInvariance, FourShardEngineMatchesBareCacheReplies) {
+TEST_P(ShardReplyInvariance, FourShardEngineMatchesOneShardReplies) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed);
 
@@ -110,42 +131,17 @@ TEST_P(ShardReplyInvariance, FourShardEngineMatchesBareCacheReplies) {
     }
   }
 
-  cache::CacheConfig cfg;
-  cfg.memory_budget_bytes = 4 << 20;
-  const auto run_bare = [&](std::size_t max_chunk) {
-    cache::CacheServer server(cfg);
-    cache::TextProtocolSession session(server);
-    std::string out;
-    Rng chunk_rng(seed ^ max_chunk);
-    std::size_t pos = 0;
-    while (pos < wire.size()) {
-      const std::size_t n = std::min<std::size_t>(
-          wire.size() - pos, 1 + chunk_rng.next_below(max_chunk));
-      out += session.feed(std::string_view(wire).substr(pos, n), 0);
-      pos += n;
-    }
-    return out;
-  };
-  const auto run_sharded = [&](std::size_t max_chunk) {
-    cache::ShardedCacheServer engine(cfg, 4);
+  const auto run = [&](int shards, std::size_t max_chunk) {
+    cache::ShardedCacheServer engine(small_cache(), shards);
     cache::TextProtocolSession session(engine);
-    std::string out;
-    Rng chunk_rng(seed ^ max_chunk);
-    std::size_t pos = 0;
-    while (pos < wire.size()) {
-      const std::size_t n = std::min<std::size_t>(
-          wire.size() - pos, 1 + chunk_rng.next_below(max_chunk));
-      out += session.feed(std::string_view(wire).substr(pos, n), 0);
-      pos += n;
-    }
-    return out;
+    return feed_chunked(session, wire, seed ^ max_chunk, max_chunk);
   };
 
-  const std::string bare = run_bare(wire.size());
-  EXPECT_EQ(run_sharded(wire.size()), bare);
-  EXPECT_EQ(run_sharded(1), bare);
-  EXPECT_EQ(run_sharded(7), bare);
-  EXPECT_EQ(run_sharded(1024), bare);
+  const std::string one_shard = run(1, wire.size());
+  EXPECT_EQ(run(4, wire.size()), one_shard);
+  EXPECT_EQ(run(4, 1), one_shard);
+  EXPECT_EQ(run(4, 7), one_shard);
+  EXPECT_EQ(run(4, 1024), one_shard);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardReplyInvariance,
@@ -212,10 +208,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FacadeFuzz,
 
 // --- overload: the pipeline shed path must never desync the stream -----------
 
-class ShedPathFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+class ShedPathFuzz : public ::testing::TestWithParam<SeedAndShards> {};
 
 TEST_P(ShedPathFuzz, PipelineShedKeepsProtocolSyncUnderChunking) {
-  const std::uint64_t seed = GetParam();
+  const auto [seed, shards] = GetParam();
   Rng rng(seed);
 
   // Random valid script, heavy on storage commands: a shed set must still
@@ -243,20 +239,13 @@ TEST_P(ShedPathFuzz, PipelineShedKeepsProtocolSyncUnderChunking) {
   for (const int cap : {1, 2, 5}) {
     for (const std::size_t max_chunk : {std::size_t{1}, std::size_t{9},
                                         std::size_t{4096}}) {
-      cache::CacheConfig cfg;
-      cfg.memory_budget_bytes = 4 << 20;
-      cache::CacheServer server(cfg);
+      cache::ShardedCacheServer engine(small_cache(), shards);
       std::atomic<std::uint64_t> sheds{0};
-      cache::TextProtocolSession session(server, nullptr, nullptr, -1,
+      cache::TextProtocolSession session(engine, nullptr, nullptr, -1,
                                          cache::PipelinePolicy{cap, &sheds});
-      Rng chunk_rng(seed ^ max_chunk ^ static_cast<std::uint64_t>(cap));
-      std::size_t pos = 0;
-      while (pos < wire.size()) {
-        const std::size_t n = std::min<std::size_t>(
-            wire.size() - pos, 1 + chunk_rng.next_below(max_chunk));
-        session.feed(std::string_view(wire).substr(pos, n), 0);
-        pos += n;
-      }
+      feed_chunked(session, wire,
+                   seed ^ max_chunk ^ static_cast<std::uint64_t>(cap),
+                   max_chunk);
       // However many commands were shed along the way, the session must
       // still be in perfect protocol sync: a fresh single-command batch
       // (within any cap >= 1) round-trips exactly.
@@ -272,8 +261,10 @@ TEST_P(ShedPathFuzz, PipelineShedKeepsProtocolSyncUnderChunking) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ShedPathFuzz,
-                         ::testing::Values(5ull, 21ull, 909ull, 424242ull));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ShedPathFuzz,
+    ::testing::Combine(::testing::Values(5ull, 21ull, 909ull, 424242ull),
+                       kShardCounts));
 
 // --- trace-token decoder: arbitrary bytes, exact-shape acceptance ------------
 
@@ -311,11 +302,11 @@ TEST(TraceTokenDecodeFuzz, ArbitraryStringsMatchTheShapeCheck) {
 
 // --- text protocol: O-tokens are invisible to the reply stream ---------------
 
-class TraceTokenProtocolFuzz : public ::testing::TestWithParam<std::uint64_t> {
-};
+class TraceTokenProtocolFuzz
+    : public ::testing::TestWithParam<SeedAndShards> {};
 
 TEST_P(TraceTokenProtocolFuzz, TokenedScriptMatchesUntokenedReplies) {
-  const std::uint64_t seed = GetParam();
+  const auto [seed, shards] = GetParam();
   Rng rng(seed);
 
   // Invalid token-like strings: stock keys to our parser (and to stock
@@ -373,20 +364,10 @@ TEST_P(TraceTokenProtocolFuzz, TokenedScriptMatchesUntokenedReplies) {
 
   const auto run = [&](const std::string& wire, obs::SpanCollector* spans,
                        std::size_t max_chunk) {
-    cache::CacheConfig cfg;
-    cfg.memory_budget_bytes = 4 << 20;
-    cache::CacheServer server(cfg);
-    cache::TextProtocolSession session(server, nullptr, spans, /*server_id=*/3);
-    std::string out;
-    Rng chunk_rng(seed ^ max_chunk);
-    std::size_t pos = 0;
-    while (pos < wire.size()) {
-      const std::size_t n = std::min<std::size_t>(
-          wire.size() - pos, 1 + chunk_rng.next_below(max_chunk));
-      out += session.feed(std::string_view(wire).substr(pos, n), 0);
-      pos += n;
-    }
-    return out;
+    cache::ShardedCacheServer engine(small_cache(), shards);
+    cache::TextProtocolSession session(engine, nullptr, spans,
+                                       /*server_id=*/3);
+    return feed_chunked(session, wire, seed ^ max_chunk, max_chunk);
   };
 
   obs::SpanCollector spans(1u << 14, /*sample_every=*/1);
@@ -405,20 +386,18 @@ TEST_P(TraceTokenProtocolFuzz, TokenedScriptMatchesUntokenedReplies) {
       << "server spans must appear for exactly the valid trace tokens";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TraceTokenProtocolFuzz,
-                         ::testing::Values(5ull, 404ull, 31337ull));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, TraceTokenProtocolFuzz,
+    ::testing::Combine(::testing::Values(5ull, 404ull, 31337ull),
+                       kShardCounts));
 
 // --- meta tokens: O (trace), E (epoch), C (checksum) combine in ANY order ----
 
-cache::CacheConfig small_cache() {
-  cache::CacheConfig cfg;
-  cfg.memory_budget_bytes = 4 << 20;
-  return cfg;
-}
+class MetaTokenPermutations : public ::testing::TestWithParam<int> {};
 
-TEST(MetaTokenPermutations, GetAcceptsEveryTokenOrder) {
-  cache::CacheServer server(small_cache());
-  cache::TextProtocolSession session(server);
+TEST_P(MetaTokenPermutations, GetAcceptsEveryTokenOrder) {
+  cache::ShardedCacheServer engine(small_cache(), GetParam());
+  cache::TextProtocolSession session(engine);
 
   const std::string value = "integrity-checked-payload";
   const std::string crc_tok = obs::encode_checksum_token(crc32c(value));
@@ -464,9 +443,9 @@ TEST(MetaTokenPermutations, GetAcceptsEveryTokenOrder) {
             "VALUE plain 0 2\r\nhi\r\nEND\r\n");
 }
 
-TEST(MetaTokenPermutations, SetAcceptsEveryTokenOrderAndStamps) {
-  cache::CacheServer server(small_cache());
-  cache::TextProtocolSession session(server);
+TEST_P(MetaTokenPermutations, SetAcceptsEveryTokenOrderAndStamps) {
+  cache::ShardedCacheServer engine(small_cache(), GetParam());
+  cache::TextProtocolSession session(engine);
 
   const std::string value = "stamped-at-set-time";
   const std::string good = obs::encode_checksum_token(crc32c(value));
@@ -506,12 +485,14 @@ TEST(MetaTokenPermutations, SetAcceptsEveryTokenOrderAndStamps) {
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(Shards, MetaTokenPermutations, kShardCounts);
+
 // --- fuzz: shuffled token tails leave the reply stream invariant -------------
 
-class MetaTokenOrderFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+class MetaTokenOrderFuzz : public ::testing::TestWithParam<SeedAndShards> {};
 
 TEST_P(MetaTokenOrderFuzz, ShuffledTokenTailsMatchAndEchoCorrectChecksums) {
-  const std::uint64_t seed = GetParam();
+  const auto [seed, shards] = GetParam();
   Rng rng(seed);
 
   // Two scripts with identical commands and identical token SETS but
@@ -563,18 +544,9 @@ TEST_P(MetaTokenOrderFuzz, ShuffledTokenTailsMatchAndEchoCorrectChecksums) {
   }
 
   const auto run = [&](const std::string& wire, std::size_t max_chunk) {
-    cache::CacheServer server(small_cache());
-    cache::TextProtocolSession session(server);
-    std::string out;
-    Rng chunk_rng(seed ^ max_chunk);
-    std::size_t pos = 0;
-    while (pos < wire.size()) {
-      const std::size_t n = std::min<std::size_t>(
-          wire.size() - pos, 1 + chunk_rng.next_below(max_chunk));
-      out += session.feed(std::string_view(wire).substr(pos, n), 0);
-      pos += n;
-    }
-    return out;
+    cache::ShardedCacheServer engine(small_cache(), shards);
+    cache::TextProtocolSession session(engine);
+    return feed_chunked(session, wire, seed ^ max_chunk, max_chunk);
   };
 
   const std::string out_a = run(script_a, script_a.size());
@@ -612,8 +584,99 @@ TEST_P(MetaTokenOrderFuzz, ShuffledTokenTailsMatchAndEchoCorrectChecksums) {
   EXPECT_GT(echoes, 0) << "fuzz script must exercise the checksum echo";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MetaTokenOrderFuzz,
-                         ::testing::Values(11ull, 2024ull, 777777ull));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, MetaTokenOrderFuzz,
+    ::testing::Combine(::testing::Values(11ull, 2024ull, 777777ull),
+                       kShardCounts));
+
+// --- binary protocol: replies ignore segmentation and shard count ----------
+//
+// A random stream of data-plane frames with random opaques, fed whole and
+// in chunks to 1- and 4-shard engines. CAS values are per shard (each shard
+// counts its own stores), so replies are compared with the CAS field
+// zeroed; every other byte must match.
+
+std::string binary_script(std::uint64_t seed) {
+  using cache::binary::Opcode;
+  Rng rng(seed);
+  std::string wire;
+  for (int i = 0; i < 400; ++i) {
+    cache::binary::Frame f;
+    f.opaque = static_cast<std::uint32_t>(rng.next_u64());
+    f.key = "k" + std::to_string(rng.next_below(40));
+    const auto pick = rng.next_below(11);
+    if (pick < 4) {
+      f.opcode = std::array{Opcode::kGet, Opcode::kGetK, Opcode::kGetQ,
+                            Opcode::kGetKQ}[pick];
+    } else if (pick < 7) {
+      f.opcode = std::array{Opcode::kSet, Opcode::kAdd,
+                            Opcode::kReplace}[pick - 4];
+      // Half the values are decimal so INCR/DECR have counters to move.
+      const bool numeric = rng.next_below(2) == 0;
+      const auto len = numeric ? 1 + rng.next_below(6) : rng.next_below(48);
+      for (std::uint64_t b = 0; b < len; ++b) {
+        f.value += numeric ? static_cast<char>('0' + rng.next_below(10))
+                           : static_cast<char>('a' + rng.next_below(26));
+      }
+      cache::binary::put_u32(f.extras,
+                             static_cast<std::uint32_t>(rng.next_below(100)));
+      cache::binary::put_u32(f.extras, 0);  // expiry
+    } else if (pick == 7) {
+      f.opcode = Opcode::kDelete;
+    } else if (pick < 10) {
+      f.opcode = pick == 8 ? Opcode::kIncrement : Opcode::kDecrement;
+      cache::binary::put_u64(f.extras, rng.next_below(10));   // delta
+      cache::binary::put_u64(f.extras, rng.next_below(100));  // initial
+      // Expiry 0xffffffff = do not create a missing counter.
+      cache::binary::put_u32(f.extras,
+                             rng.next_below(2) == 0 ? 0 : 0xffffffffu);
+    } else {
+      f.opcode = Opcode::kStat;
+      f.key.clear();
+    }
+    wire += cache::binary::encode_frame(f, cache::binary::kRequestMagic);
+  }
+  return wire;
+}
+
+// Re-encodes a response stream with every CAS field zeroed.
+std::string without_cas(std::string_view out) {
+  std::string normalized;
+  while (!out.empty()) {
+    std::size_t consumed = 0;
+    auto f = cache::binary::decode_frame(out, consumed);
+    if (!f.has_value()) return normalized + "<truncated>";
+    f->cas = 0;
+    normalized += cache::binary::encode_frame(*f, f->magic);
+    out.remove_prefix(consumed);
+  }
+  return normalized;
+}
+
+class BinaryReplyInvariance : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BinaryReplyInvariance, RepliesIgnoreSegmentationAndShardCount) {
+  const std::uint64_t seed = GetParam();
+  const std::string wire = binary_script(seed);
+  const auto run = [&](int shards, std::size_t max_chunk) {
+    cache::ShardedCacheServer engine(small_cache(), shards);
+    cache::BinaryProtocolSession session(engine);
+    return without_cas(feed_chunked(session, wire, seed ^ max_chunk, max_chunk));
+  };
+
+  const std::string reference = run(1, wire.size());
+  ASSERT_EQ(reference.find("<truncated>"), std::string::npos);
+  for (const int shards : {1, 4}) {
+    for (const std::size_t max_chunk :
+         {std::size_t{1}, std::size_t{7}, std::size_t{1024}, wire.size()}) {
+      EXPECT_EQ(run(shards, max_chunk), reference)
+          << shards << " shards, chunks of up to " << max_chunk << " bytes";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BinaryReplyInvariance,
+                         ::testing::Values(3ull, 64ull, 4099ull, 271828ull));
 
 }  // namespace
 }  // namespace proteus

@@ -6,7 +6,7 @@
 #include <memory>
 #include <string>
 
-#include "cache/cache_server.h"
+#include "cache/sharded_cache.h"
 #include "cluster/router.h"
 #include "hashring/modulo_placement.h"
 #include "proteus.h"  // umbrella header: must compile standalone
@@ -23,7 +23,7 @@ TEST(Integration, DigestBroadcastKeepsWebServersConsistent) {
   // two independently decoded routers must make identical decisions.
   cache::CacheConfig cc;
   cc.memory_budget_bytes = 4 << 20;
-  cache::CacheServer server(cc);
+  cache::ShardedCacheServer server(cc, 1);
   for (int i = 0; i < 500; ++i) server.set("page:" + std::to_string(i), "v", 0);
 
   server.get(cache::kSetBloomFilterKey, 0);

@@ -255,7 +255,7 @@ cache::CacheConfig proto_config() {
 }
 
 TEST(TextPipelineCap, ShedsExcessCommandsWithWellFormedReplies) {
-  cache::CacheServer server(proto_config());
+  cache::ShardedCacheServer server(proto_config(), 1);
   std::atomic<std::uint64_t> sheds{0};
   cache::TextProtocolSession session(server, nullptr, nullptr, -1,
                                      cache::PipelinePolicy{1, &sheds});
@@ -271,7 +271,7 @@ TEST(TextPipelineCap, ShedsExcessCommandsWithWellFormedReplies) {
 }
 
 TEST(TextPipelineCap, ShedStorageCommandStillConsumesItsDataBlock) {
-  cache::CacheServer server(proto_config());
+  cache::ShardedCacheServer server(proto_config(), 1);
   std::atomic<std::uint64_t> sheds{0};
   cache::TextProtocolSession session(server, nullptr, nullptr, -1,
                                      cache::PipelinePolicy{1, &sheds});
@@ -287,7 +287,7 @@ TEST(TextPipelineCap, ShedStorageCommandStillConsumesItsDataBlock) {
 }
 
 TEST(TextPipelineCap, QuitIsExemptFromTheCap) {
-  cache::CacheServer server(proto_config());
+  cache::ShardedCacheServer server(proto_config(), 1);
   std::atomic<std::uint64_t> sheds{0};
   cache::TextProtocolSession session(server, nullptr, nullptr, -1,
                                      cache::PipelinePolicy{1, &sheds});
@@ -315,7 +315,7 @@ TEST(BinaryPipelineCap, ShedsExcessFramesWithEbusy) {
   using cache::binary::Frame;
   using cache::binary::Opcode;
   using cache::binary::Status;
-  cache::CacheServer server(proto_config());
+  cache::ShardedCacheServer server(proto_config(), 1);
   std::atomic<std::uint64_t> sheds{0};
   cache::BinaryProtocolSession session(server, nullptr, -1,
                                        cache::PipelinePolicy{1, &sheds});
@@ -369,6 +369,17 @@ class RawClient {
       ASSERT_GT(n, 0);
       off += static_cast<std::size_t>(n);
     }
+  }
+
+  // Reads until one CRLF-terminated text line arrives (or EOF).
+  std::string recv_line() {
+    std::string line;
+    char c = 0;
+    while (line.size() < 2 || line.compare(line.size() - 2, 2, "\r\n") != 0) {
+      if (::read(fd_, &c, 1) <= 0) break;
+      line += c;
+    }
+    return line;
   }
 
   // Reads until `n` binary response frames decode from the stream.
@@ -435,6 +446,29 @@ TEST_F(OverloadedDaemon, TextBackgroundGetShedsForegroundServes) {
   EXPECT_GE(daemon_->shed_background(), 1u);
   EXPECT_NE(daemon_->metrics_text().find("proteus_daemon_shed_background_total"),
             std::string::npos);
+}
+
+// Admission reads `bg` with the parser's own tail scan, so the marker counts
+// wherever it sits among the meta tokens.
+TEST_F(OverloadedDaemon, TextBackgroundTokenShedsInAnyTailPosition) {
+  RawClient raw(daemon_->port());
+  ASSERT_TRUE(raw.connected());
+  const std::string trace = obs::encode_trace_token(0x0123456789abcdefULL);
+  for (const std::string& line :
+       {"get k " + trace + " bg", "get k bg " + trace}) {
+    raw.send(line + "\r\n");
+    EXPECT_EQ(raw.recv_line(), "SERVER_ERROR overloaded\r\n") << line;
+  }
+  EXPECT_GE(daemon_->shed_background(), 2u);
+}
+
+// `gets` is `get` to the parser, so a `gets` digest pull is background too.
+TEST_F(OverloadedDaemon, TextGetsDigestPullSheds) {
+  RawClient raw(daemon_->port());
+  ASSERT_TRUE(raw.connected());
+  raw.send("gets BLOOM_FILTER\r\n");
+  EXPECT_EQ(raw.recv_line(), "SERVER_ERROR overloaded\r\n");
+  EXPECT_GE(daemon_->shed_background(), 1u);
 }
 
 TEST_F(OverloadedDaemon, BinaryBackgroundShedRepliesEbusyEchoingOpaque) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/hash.h"
 #include "obs/metrics.h"
@@ -22,7 +23,7 @@ CacheConfig proto_config() {
 }
 
 struct Rig {
-  CacheServer server{proto_config()};
+  ShardedCacheServer server{proto_config(), 1};
   TextProtocolSession session{server};
   std::string run(std::string_view wire, SimTime now = 0) {
     return session.feed(wire, now);
@@ -102,6 +103,24 @@ TEST(ParseCommandLine, IncrDecrTouchFlush) {
   EXPECT_EQ(parse_command_line("decr c 2").op, TextCommand::Op::kDecr);
   EXPECT_EQ(parse_command_line("touch k 30").op, TextCommand::Op::kTouch);
   EXPECT_EQ(parse_command_line("flush_all").op, TextCommand::Op::kFlushAll);
+}
+
+TEST(ParseCommandLine, BackgroundClassifierAgreesWithTheParser) {
+  const std::string o = obs::encode_trace_token(0x0123456789abcdefULL);
+  const std::string e = obs::encode_epoch_token(4);
+  const std::vector<std::string> lines = {
+      "get k bg",           "get k bg " + o, "get k " + o + " bg " + e,
+      "set k 0 0 1 bg " + e, "delete k " + o + " bg",
+      "get bg",             "get k",         "get k " + o,
+      "incr k bg"};
+  for (const std::string& line : lines) {
+    EXPECT_EQ(is_background_line(line), parse_command_line(line).background)
+        << line;
+  }
+  // Digest pulls are background whatever their tokens; epoch hellos are not.
+  EXPECT_TRUE(is_background_line("gets BLOOM_FILTER"));
+  EXPECT_TRUE(is_background_line("get SET_BLOOM_FILTER " + o));
+  EXPECT_FALSE(is_background_line("get PROTEUS_EPOCH"));
 }
 
 // --- session round trips -------------------------------------------------------
@@ -185,7 +204,7 @@ TEST(TextProtocol, IncrDecr) {
 TEST(TextProtocol, TouchRefreshesHotness) {
   CacheConfig cfg = proto_config();
   cfg.item_ttl = 10 * kSecond;
-  CacheServer server(cfg);
+  ShardedCacheServer server(cfg, 1);
   TextProtocolSession session(server);
   session.feed("set k 0 0 1\r\nx\r\n", 0);
   EXPECT_EQ(session.feed("touch k 0\r\n", 8 * kSecond), "TOUCHED\r\n");
@@ -259,7 +278,7 @@ TEST(TextProtocol, StatsResetZeroesCounters) {
 }
 
 TEST(TextProtocol, StatsProteusRendersRegistry) {
-  CacheServer server{proto_config()};
+  ShardedCacheServer server{proto_config(), 1};
   obs::MetricsRegistry registry;
   registry.counter("demo_total", "a counter")->inc(7);
   TextProtocolSession session(server, &registry);
@@ -338,7 +357,7 @@ TEST(TextProtocol, FlagsSurviveEvictionBoundary) {
   CacheConfig cfg = proto_config();
   cfg.memory_budget_bytes = 400;
   cfg.per_item_overhead = 0;
-  CacheServer server(cfg);
+  ShardedCacheServer server(cfg, 1);
   TextProtocolSession session(server);
   session.feed("set a 11 0 300\r\n" + std::string(300, 'x') + "\r\n", 0);
   session.feed("set b 22 0 300\r\n" + std::string(300, 'y') + "\r\n", 0);
@@ -363,7 +382,7 @@ TEST(TextProtocol, AtRestCorruptionServesMissAndCountsTheDrop) {
   // Rot the stored bytes under the stamp: the wire answer is a plain miss
   // (END, no VALUE) — corrupt bytes never make it onto the socket — and the
   // stats line records exactly one drop.
-  ASSERT_TRUE(rig.server.corrupt_value_for_test("ck", 42));
+  ASSERT_TRUE(rig.server.shard(0).corrupt_value_for_test("ck", 42));
   EXPECT_EQ(rig.run("get ck\r\n"), "END\r\n");
   const std::string stats = rig.run("stats\r\n");
   EXPECT_NE(stats.find("STAT corrupt_drops 1\r\n"), std::string::npos);
@@ -380,6 +399,27 @@ TEST(TextProtocol, BadChecksumSetCountsTheReject) {
   EXPECT_EQ(rig.run("get ck\r\n"), "END\r\n");
   const std::string stats = rig.run("stats\r\n");
   EXPECT_NE(stats.find("STAT corrupt_set_rejects 1\r\n"), std::string::npos);
+}
+
+// --- epoch push integrity ----------------------------------------------------
+
+TEST(TextProtocol, CorruptEpochPushIsRefusedAndLeavesTheFence) {
+  Rig rig;
+  ASSERT_EQ(rig.run("set PROTEUS_EPOCH 0 0 1\r\n5\r\n"), "STORED\r\n");
+  // A C-stamped push whose payload fails its CRC is verified before the
+  // payload is read as an epoch: refused, counted, fence untouched.
+  const std::string wrong = obs::encode_checksum_token(crc32c("9") ^ 1u);
+  EXPECT_EQ(rig.run("set PROTEUS_EPOCH 0 0 1 " + wrong + "\r\n9\r\n"),
+            "SERVER_ERROR bad-checksum\r\n");
+  EXPECT_EQ(rig.server.cluster_epoch(), 5u);
+  const std::string stats = rig.run("stats\r\n");
+  EXPECT_NE(stats.find("STAT cluster_epoch 5\r\n"), std::string::npos);
+  EXPECT_NE(stats.find("STAT corrupt_set_rejects 1\r\n"), std::string::npos);
+  // The same push with a good stamp is adopted.
+  const std::string good = obs::encode_checksum_token(crc32c("9"));
+  EXPECT_EQ(rig.run("set PROTEUS_EPOCH 0 0 1 " + good + "\r\n9\r\n"),
+            "STORED\r\n");
+  EXPECT_EQ(rig.server.cluster_epoch(), 9u);
 }
 
 }  // namespace

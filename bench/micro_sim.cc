@@ -3,6 +3,10 @@
 // event for the whole 4-scenario suite to regenerate in seconds.
 #include <benchmark/benchmark.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+
 #include "sim/queueing_server.h"
 #include "sim/simulation.h"
 
@@ -38,6 +42,42 @@ void BM_SelfReschedulingChain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_SelfReschedulingChain);
+
+// A chain whose closures carry what the cluster model's closures carry: a
+// key string too long for the small-string buffer, a nested completion
+// callback and a shared_ptr. Such a closure does not fit std::function's
+// inline buffer, so any copy the event core makes costs allocations.
+struct HeavyStep {
+  Simulation* sim;
+  int* remaining;
+  std::string key;
+  std::function<void()> done;
+  std::shared_ptr<int> owner;
+  void operator()() const {
+    if (--*remaining > 0) {
+      sim->schedule_after(10, HeavyStep{sim, remaining, key, done, owner});
+    } else {
+      done();
+    }
+  }
+};
+
+void BM_HeavyCaptureChain(benchmark::State& state) {
+  const std::string key = "page:" + std::to_string(state.range(0)) +
+                          ":user-session-fragment";
+  auto owner = std::make_shared<int>(0);
+  int finished = 0;
+  for (auto _ : state) {
+    Simulation sim;
+    int remaining = 1000;
+    sim.schedule_at(0, HeavyStep{&sim, &remaining, key, [&finished] { ++finished; },
+                                 owner});
+    sim.run();
+  }
+  benchmark::DoNotOptimize(finished);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
+}
+BENCHMARK(BM_HeavyCaptureChain)->Arg(42);
 
 void BM_QueueingServerThroughput(benchmark::State& state) {
   for (auto _ : state) {

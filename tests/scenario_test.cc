@@ -129,6 +129,45 @@ TEST(Scenario, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.total_energy_kwh, b.total_energy_kwh);
 }
 
+// Pinned outputs of mini_config for every scenario kind. The simulator must
+// reproduce them bit for bit: a change to the event order, the RNG streams
+// or the model shows up here, which DeterministicAcrossRuns (two runs of the
+// same binary) cannot catch.
+struct ScenarioGolden {
+  ScenarioKind kind;
+  std::uint64_t total_requests;
+  std::uint64_t db_queries;
+  std::uint64_t old_server_hits;
+  std::uint64_t digest_false_positives;
+  double overall_hit_ratio;
+  double overall_p999_ms;
+  double total_energy_kwh;
+};
+
+constexpr ScenarioGolden kMiniGoldens[] = {
+    {ScenarioKind::kStatic, 15842, 1002, 0, 0, 0.93675041030172956,
+     329.72800000000001, 0.0094193106648437497},
+    {ScenarioKind::kNaive, 15801, 1863, 0, 0, 0.88209606986899558,
+     329.72800000000001, 0.0083770745312500006},
+    {ScenarioKind::kConsistent, 15810, 1764, 0, 0, 0.88842504743833017,
+     329.72800000000001, 0.0083528472546875003},
+    {ScenarioKind::kProteus, 15826, 1289, 607, 0, 0.88462240613399867,
+     329.72800000000001, 0.0086572831986979158},
+};
+
+TEST(Scenario, MiniConfigMatchesPinnedGoldens) {
+  for (const ScenarioGolden& g : kMiniGoldens) {
+    const ScenarioResult r = run_scenario(mini_config(g.kind));
+    EXPECT_EQ(r.total_requests, g.total_requests) << r.name;
+    EXPECT_EQ(r.db_queries, g.db_queries) << r.name;
+    EXPECT_EQ(r.old_server_hits, g.old_server_hits) << r.name;
+    EXPECT_EQ(r.digest_false_positives, g.digest_false_positives) << r.name;
+    EXPECT_EQ(r.overall_hit_ratio, g.overall_hit_ratio) << r.name;
+    EXPECT_EQ(r.overall_p999_ms, g.overall_p999_ms) << r.name;
+    EXPECT_EQ(r.total_energy_kwh, g.total_energy_kwh) << r.name;
+  }
+}
+
 TEST(Scenario, AppliedScheduleMatchesInputInOpenLoop) {
   const ScenarioResult r = run_scenario(mini_config(ScenarioKind::kProteus));
   EXPECT_EQ(r.applied_schedule, (std::vector<int>{4, 2, 4, 2}));

@@ -199,11 +199,11 @@ RunResult run_config(bool protected_config, int workers, bool shrink,
   const SimTime t_shrink = shrink ? t_start + duration / 2 : 0;
   const SimTime t_end = t_start + duration;
 
-  // Health sampler (artifact runs only). Polling health() is what drives
-  // the daemon's audit roll-up — the scrape loop IS the feed — so this
-  // doubles as the auditor's clock during the run. Samples go to a JSONL
-  // sidecar next to the metrics artifact so CI can inspect the SLO state
-  // sequence from a genuinely overloaded run.
+  // Health sampler (artifact runs only). Each daemon's own metrics sampler
+  // feeds its auditor and SLO engine once a second; polling health() only
+  // reads them. Samples go to a JSONL sidecar next to the metrics artifact
+  // so CI can inspect the SLO state sequence from a genuinely overloaded
+  // run.
   struct HealthSample {
     double t_s;
     std::size_t daemon;

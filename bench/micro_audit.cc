@@ -1,11 +1,12 @@
 // Microbenchmarks — live audit layer overhead (obs/audit.h, obs/slo.h).
 //
-// The auditor is fed from tick()/roll-up points, never per request; the
-// only thing the request hot path ever pays is the disabled gate (a null
-// pointer test plus a clock compare). scripts/bench_json.sh asserts that
-// gate stays under 2 ns/op. The roll-up entry points (observe, SLO record,
-// health render) run about once a second, so their absolute cost only has
-// to vanish next to a 1 s budget — measured here for the record. Exemplar
+// The auditor is fed from tick()/sampler-tick points, never per request;
+// the only thing the request hot path ever pays is the disabled gate (a
+// null pointer test plus a clock compare). scripts/bench_json.sh asserts
+// that gate stays under 2 ns/op. The per-tick entry points (observe, SLO
+// tick and status over the store, health render) run about once a second,
+// so their absolute cost only has to vanish next to a 1 s budget —
+// measured here for the record. Exemplar
 // capture piggybacks on the existing histogram mutex; the delta against a
 // plain record is the marginal cost of trace linking.
 #include <benchmark/benchmark.h>
@@ -17,6 +18,7 @@
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
+#include "obs/tsdb/tsdb.h"
 
 namespace {
 
@@ -74,28 +76,48 @@ void BM_AuditSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_AuditSnapshot);
 
-void BM_SloObserveAndStatus(benchmark::State& state) {
+// The engine's store-side inputs for one sampler tick at `now`.
+void append_tick(TimeSeriesStore& store, SimTime now) {
+  store.append(now, "gets_rate", 1000);
+  store.append(now, "hits_rate", 990);
+  store.append(now, "p999_us", 1200);
+  store.append(now, "watts", 300);
+}
+
+SloSeries bench_series() {
+  return {"gets_rate", "hits_rate", "p999_us",
+          "watts",     "p999_bad",  "power_bad"};
+}
+
+// One sampler tick's SLO work plus a full status read: the tick's store
+// appends, the breach judgement, and every burn over a store holding a
+// fast window's worth of history (the ~1/s cost).
+void BM_SloTickAndStatus(benchmark::State& state) {
   SloConfig cfg;
   cfg.hit_ratio_target = 0.95;
   cfg.p999_target_us = 5000;
   cfg.power_budget_watts = 500;
-  SloEngine engine(cfg);
+  TimeSeriesStore store;
+  SloEngine engine(cfg, &store, bench_series());
   SimTime now = 0;
   for (auto _ : state) {
     now += kSecond;
-    engine.observe(now, 1000, 990, 1200, 300);
+    append_tick(store, now);
+    engine.tick(now);
     benchmark::DoNotOptimize(engine.overall(now));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_SloObserveAndStatus);
+BENCHMARK(BM_SloTickAndStatus);
 
 void BM_HealthRender(benchmark::State& state) {
   SloConfig cfg;
   cfg.hit_ratio_target = 0.95;
   cfg.p999_target_us = 5000;
-  SloEngine engine(cfg);
-  engine.observe(kSecond, 1000, 990, 1200, 0);
+  TimeSeriesStore store;
+  SloEngine engine(cfg, &store, bench_series());
+  append_tick(store, kSecond);
+  engine.tick(kSecond);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         render_health(engine.status(kSecond), "\"epoch\":1"));

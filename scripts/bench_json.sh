@@ -18,8 +18,9 @@
 #   * the tsdb sampler gate with sampling disabled must cost <= 5 ns/op
 #     (BM_TsdbDisabledGate);
 #   * one sampler tick over a 200-metric registry must cost <= 50 us
-#     (BM_TsdbSamplerTick200) — it holds the cache mutex for the registry
-#     sweep, so the budget bounds the stall it can inject per second;
+#     (BM_TsdbSamplerTick200) — it holds the registry mutex (and, per
+#     cache-reading callback, one shard lock at a time) for the sweep, so
+#     the budget bounds the stall it can inject per second;
 #   * the serve-path CRC32C verify of a 1 KiB value must cost <= 30 ns
 #     (BM_Crc32cVerify/1024) — it runs twice per checksummed GET (daemon
 #     and client side);

@@ -34,6 +34,19 @@ for bin in "$CACHED" "$DRILL"; do
 done
 mkdir -p "$ARTIFACTS"
 
+# Flag validation: a non-positive SLO fast window, or an audit flag without
+# the sampler whose history the SLO engine reads, must be refused with a
+# usage error (exit 2) — never an abort, never a silently blind SLO.
+for flags in "--slo-fast-window-s=0" "--slo-fast-window-s=-1" \
+             "--slo-hit-ratio=0.9 --sample-interval-ms=0"; do
+  RC=0
+  # shellcheck disable=SC2086  # word-split the flag list on purpose
+  timeout 10 "$CACHED" --port=0 $flags > /dev/null 2>&1 || RC=$?
+  [[ "$RC" == "2" ]] \
+    || { echo "proteus-cached $flags exited $RC, expected usage error 2"
+         exit 1; }
+done
+
 PORT0=11441 PORT1=11442 PORT2=11443 MPORT=11449
 PIDS=()
 cleanup() {

@@ -69,22 +69,27 @@ class LatencyHistogram {
 
   // q in [0, 1]; returns the bucket-representative value in microseconds.
   double percentile_us(double q) const noexcept {
-    if (total_ == 0) return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    const auto target = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(total_)));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
-      seen += counts_[i];
-      if (seen >= target && counts_[i] > 0) return bucket_midpoint(i);
-    }
-    return max_us_;
+    return quantile_over(total_, q,
+                         [this](std::size_t i) { return counts_[i]; });
   }
 
   // p in [0, 1] — same estimator as percentile_us. For recorded values
   // >= 64 us the bucket-representative answer is within 0.8% relative error
   // of the exact order statistic (tests/histogram_test.cc verifies).
   double quantile(double p) const noexcept { return percentile_us(p); }
+
+  // The same estimator over only the values recorded since `base`, an
+  // earlier copy of this histogram: per-bucket count differences. 0 when
+  // nothing was recorded in between.
+  double quantile_since(const LatencyHistogram& base,
+                        double q) const noexcept {
+    const auto delta = [&](std::size_t i) -> std::uint64_t {
+      return counts_[i] > base.counts_[i] ? counts_[i] - base.counts_[i] : 0;
+    };
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < kNumBuckets; ++i) total += delta(i);
+    return quantile_over(total, q, delta);
+  }
 
  private:
   // 64 sub-buckets per power of two, 41 exponents: covers 1us..2^41us.
@@ -105,6 +110,24 @@ class LatencyHistogram {
       sub = (v >> (exp - kSubBucketBits)) & (kSubBuckets - 1);
     }
     return static_cast<std::size_t>(exp) * kSubBuckets + sub;
+  }
+
+  // Shared estimator: the bucket holding the ceil(q * total)-th value, where
+  // count_at(i) is bucket i's count.
+  template <typename CountAt>
+  double quantile_over(std::uint64_t total, double q,
+                       CountAt count_at) const noexcept {
+    if (total == 0) return 0.0;
+    q = std::clamp(q, 0.0, 1.0);
+    const auto target = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(total)));
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < kNumBuckets; ++i) {
+      const std::uint64_t n = count_at(i);
+      seen += n;
+      if (seen >= target && n > 0) return bucket_midpoint(i);
+    }
+    return max_us_;
   }
 
   static double bucket_midpoint(std::size_t idx) noexcept {

@@ -39,6 +39,13 @@ int resolve_shards(int shards, int threads) {
   return cache::ShardedCacheServer::default_shards_for_threads(threads);
 }
 
+// The store series the SLO engine reads (derived by the sampler from the
+// metrics register_metrics() registers) and the breach series it writes.
+const obs::SloSeries kSloSeries{
+    "proteus_cache_cmd_get_rate",        "proteus_cache_get_hits_rate",
+    "proteus_daemon_op_latency_us_p999", "proteus_audit_fleet_watts",
+    "proteus_slo_p999_latency_bad",      "proteus_slo_power_budget_bad"};
+
 // Cheap, allocation-free batch classification for two-priority admission.
 // A batch is background when its first command is tagged with the `bg`
 // meta token (instrumented clients mark migration fetches that way) or is
@@ -87,7 +94,6 @@ class AutoProtocolHandler final : public ConnectionHandler {
   AutoProtocolHandler(cache::ShardedCacheServer& cache, const ClockFn& clock,
                       const obs::MetricsRegistry* metrics,
                       obs::Histogram* op_latency,
-                      obs::Histogram* op_latency_window,
                       obs::SpanCollector* spans, int server_id,
                       const AdmissionOptions& admission_opts,
                       core::AdmissionController* admission,
@@ -97,7 +103,6 @@ class AutoProtocolHandler final : public ConnectionHandler {
         clock_(clock),
         metrics_(metrics),
         op_latency_(op_latency),
-        op_latency_window_(op_latency_window),
         spans_(spans),
         server_id_(server_id),
         admission_opts_(admission_opts),
@@ -165,10 +170,7 @@ class AutoProtocolHandler final : public ConnectionHandler {
     // server-side component of what a client sees. A traced batch leaves
     // its id as the bucket's exemplar so /metrics can link p99.9 to a span.
     if (op_latency_ != nullptr) {
-      const double latency = static_cast<double>(monotonic_now() - now);
-      op_latency_->record(latency, tid);
-      // Per-audit-window copy, cleared on each roll (null unless auditing).
-      if (op_latency_window_ != nullptr) op_latency_window_->record(latency);
+      op_latency_->record(static_cast<double>(monotonic_now() - now), tid);
     }
     close = binary_ ? binary_->closed() : text_->closed();
     return out;
@@ -189,7 +191,6 @@ class AutoProtocolHandler final : public ConnectionHandler {
   const ClockFn& clock_;
   const obs::MetricsRegistry* metrics_;
   obs::Histogram* op_latency_;
-  obs::Histogram* op_latency_window_;
   obs::SpanCollector* spans_;
   int server_id_;
   const AdmissionOptions& admission_opts_;
@@ -205,8 +206,8 @@ class AutoProtocolHandler final : public ConnectionHandler {
 std::unique_ptr<ConnectionHandler> MemcacheDaemon::make_handler() {
   std::unique_ptr<ConnectionHandler> handler =
       std::make_unique<AutoProtocolHandler>(
-          cache_, clock_, &metrics_, op_latency_, op_latency_window_.get(),
-          &spans_, server_id_, admission_opts_, &admission_, &sheds_,
+          cache_, clock_, &metrics_, op_latency_, &spans_, server_id_,
+          admission_opts_, &admission_, &sheds_,
           [this] { reset_obs_counters(); });
   const std::lock_guard<std::mutex> lock(wrapper_mutex_);
   return wrapper_ ? wrapper_(std::move(handler)) : std::move(handler);
@@ -405,22 +406,24 @@ MemcacheDaemon::MemcacheDaemon(cache::CacheConfig config, std::uint16_t port,
       audit_opts_(std::move(audit)) {
   PROTEUS_CHECK(threads >= 1);
   tsdb_opts_ = std::move(tsdb);
+  // Auditing reads retained history: it brings up the store and sampler.
+  if (tsdb_opts_.enabled || audit_opts_.enabled) {
+    tsdb_ = std::make_unique<obs::TimeSeriesStore>(tsdb_opts_.store);
+  }
   if (audit_opts_.enabled) {
     if (audit_opts_.audit.trace == nullptr) audit_opts_.audit.trace = &trace_;
     auditor_ = std::make_unique<obs::PowerAuditor>(audit_opts_.audit);
-    slo_ = std::make_unique<obs::SloEngine>(audit_opts_.slo);
-    op_latency_window_ = std::make_unique<obs::Histogram>();
+    slo_ = std::make_unique<obs::SloEngine>(audit_opts_.slo, tsdb_.get(),
+                                            kSloSeries);
   }
   register_metrics();
-  if (tsdb_opts_.enabled) {
-    tsdb_ = std::make_unique<obs::TimeSeriesStore>(tsdb_opts_.store);
+  if (tsdb_ != nullptr) {
     obs::AnomalyConfig ac = tsdb_opts_.anomaly;
     if (ac.watch.empty()) {
       // The daemon's default watch list: the four series an operator pages
       // on — load, efficacy, tail latency, power.
-      ac.watch = {"proteus_cache_cmd_get_rate", "proteus_cache_hit_ratio",
-                  "proteus_daemon_op_latency_us_p999",
-                  "proteus_audit_fleet_watts"};
+      ac.watch = {kSloSeries.gets, "proteus_cache_hit_ratio",
+                  kSloSeries.p999_us, kSloSeries.watts};
     }
     if (ac.trace == nullptr) ac.trace = &trace_;
     anomaly_ = std::make_unique<obs::AnomalyDetector>(std::move(ac),
@@ -439,11 +442,11 @@ MemcacheDaemon::MemcacheDaemon(cache::CacheConfig config, std::uint16_t port,
     }
     obs::SamplerConfig sc;
     sc.interval = tsdb_opts_.sample_interval;
-    // No guard: the registry's cache-reading callbacks go through the
-    // engine's internally locked merged views (one shard at a time), so
-    // the sampler thread never serializes the whole cache behind one big
-    // lock — a sampler tick can no longer stall every protocol thread at
-    // once, and it can never hold two shard locks.
+    sc.on_tick = [this](SimTime now) { on_sample_tick(now); };
+    // The registry's cache-reading callbacks go through the engine's
+    // internally locked merged views (one shard at a time), so a sampler
+    // tick never serializes the whole cache and never holds two shard
+    // locks.
     sampler_ = std::make_unique<obs::MetricsSampler>(sc, &metrics_,
                                                      tsdb_.get(),
                                                      anomaly_.get());
@@ -463,12 +466,7 @@ MemcacheDaemon::MemcacheDaemon(cache::CacheConfig config, std::uint16_t port,
   // Started last: the sampler thread visits registry callbacks that read
   // servers_ (connections_accepted et al.), so the daemon must be fully
   // constructed before the first tick can run.
-  if (sampler_ != nullptr) {
-    sampler_->start([this] { return clock_(); },
-                    [this](SimTime now) {
-                      if (flight_ != nullptr) flight_->maybe_checkpoint(now);
-                    });
-  }
+  if (sampler_ != nullptr) sampler_->start([this] { return clock_(); });
 }
 
 MemcacheDaemon::~MemcacheDaemon() {
@@ -525,7 +523,6 @@ std::string MemcacheDaemon::metrics_text() const {
 
 std::string MemcacheDaemon::metrics_text_prefix(
     std::string_view prefix) const {
-  audit_roll();
   // Cache-reading callbacks lock shards internally; no daemon-level lock.
   return obs::render_prometheus(metrics_.snapshot_prefix(prefix));
 }
@@ -538,42 +535,21 @@ std::string MemcacheDaemon::timeseries_json(std::string_view metric,
   return tsdb_->query_json(metric, since, step);
 }
 
-void MemcacheDaemon::audit_roll() const {
-  if (auditor_ == nullptr) return;
-  const SimTime now = clock_();
-  const std::lock_guard<std::mutex> lock(audit_mutex_);
-  // At most one observation per second, however often scrapers hit us.
-  if (audit_have_prev_ && now - last_audit_obs_ < kSecond) return;
-  const cache::CacheStats s = cache_.stats();  // engine-merged
-  const double gets = static_cast<double>(s.gets);
-  const double hits = static_cast<double>(s.hits);
-  const int power_state = static_cast<int>(cache_.power_state());
-  // The daemon audits itself as a one-server fleet.
-  std::vector<obs::ServerAuditSample> fleet(1);
-  fleet[0].power_state = power_state;
-  fleet[0].gets_total = gets;
-  fleet[0].hits_total = hits;
-  auditor_->observe(now, fleet);
-  if (slo_ != nullptr && slo_->enabled() && audit_have_prev_) {
-    double p999 = 0;
-    if (op_latency_window_ != nullptr) {
-      const auto h = op_latency_window_->snapshot();
-      if (h.count() > 0) p999 = h.quantile(0.999);
-      // Cleared per roll: the SLO judges each WINDOW's p99.9 so a breach
-      // can recover once the overload drains.
-      op_latency_window_->clear();
-    }
-    slo_->observe(now, gets - audit_prev_gets_, hits - audit_prev_hits_,
-                  p999, auditor_->snapshot().fleet_watts);
+void MemcacheDaemon::on_sample_tick(SimTime now) {
+  if (auditor_ != nullptr) {
+    // The daemon audits itself as a one-server fleet.
+    const cache::CacheStats s = cache_.stats();  // engine-merged
+    std::vector<obs::ServerAuditSample> fleet(1);
+    fleet[0].power_state = static_cast<int>(cache_.power_state());
+    fleet[0].gets_total = static_cast<double>(s.gets);
+    fleet[0].hits_total = static_cast<double>(s.hits);
+    auditor_->observe(now, fleet);
+    slo_->tick(now);
   }
-  audit_prev_gets_ = gets;
-  audit_prev_hits_ = hits;
-  audit_have_prev_ = true;
-  last_audit_obs_ = now;
+  if (flight_ != nullptr) flight_->maybe_checkpoint(now);
 }
 
 std::pair<int, std::string> MemcacheDaemon::health() const {
-  audit_roll();
   const std::uint64_t epoch = cache_.cluster_epoch();  // engine atomics
   const std::uint64_t incarnation = cache_.incarnation();
   std::string extra = "\"epoch\":" + std::to_string(epoch) +

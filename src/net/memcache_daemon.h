@@ -94,10 +94,11 @@ struct AdmissionOptions {
 // Power/SLO auditing knobs (off by default — a bare daemon carries no
 // auditor). When enabled the daemon audits ITSELF as a one-server fleet:
 // energy integration + PPI from its own op rate, drift windows from its
-// own cache counters, and the SLO engine driving GET /health. All roll-up
-// work happens on the exposition (HTTP poll-loop) thread via
-// metrics_text()/health(), never on a request thread; the request-path
-// cost when disabled is a null-pointer test (bench/micro_audit).
+// own cache counters, and the SLO engine driving GET /health. Auditing
+// reads retained history, so it starts the time-series store and sampler
+// (TsdbOptions) even when TsdbOptions::enabled is false; all audit work
+// runs on the sampler tick, never on a request thread, and
+// metrics_text()/health() only read.
 struct AuditOptions {
   bool enabled = false;
   obs::AuditConfig audit;  // power model, window, drift tolerances
@@ -105,7 +106,8 @@ struct AuditOptions {
 };
 
 // Flight-recorder / retained-history knobs (off by default — a bare daemon
-// carries no sampler thread and no time-series store). When enabled the
+// carries no sampler thread and no time-series store; AuditOptions::enabled
+// turns them on as well). When enabled the
 // daemon samples its own MetricsRegistry into a fixed-memory
 // obs::TimeSeriesStore on `sample_interval` cadence, scores the watched
 // series against their diurnal baseline (kAnomaly trace events +
@@ -184,9 +186,7 @@ class MemcacheDaemon {
   std::size_t bytes_used() const;
   // Registry snapshot rendered as Prometheus text (for /metrics). The
   // registry's cache-reading callbacks go through the engine's internally
-  // locked merged views (one shard at a time). Rolls the audit/SLO window
-  // first when auditing is enabled (this is the off-request-thread roll-up
-  // point — the HTTP poll loop calls it per scrape).
+  // locked merged views (one shard at a time).
   std::string metrics_text() const;
   // Prefix-filtered variant backing GET /metrics?name=P. An unmatched
   // prefix renders an empty body (a filtered scrape, not an error).
@@ -194,22 +194,22 @@ class MemcacheDaemon {
 
   // GET /timeseries backing: empty metric renders the series index, an
   // unknown metric renders an empty string (the endpoint answers 404).
-  // Empty whenever TsdbOptions::enabled was false.
+  // Empty whenever the daemon keeps no store (see tsdb()).
   std::string timeseries_json(std::string_view metric, SimTime since,
                               SimTime step) const;
 
   // GET /health backing: {status code, JSON body}. 200 while no SLO pages,
   // 503 once one does; the body lists each objective's state/burn plus
-  // epoch, incarnation, PPI, and the drift gauges. Also rolls the audit
-  // window. Callable with auditing disabled (always 200, minimal body).
+  // epoch, incarnation, PPI, and the drift gauges. Callable with auditing
+  // disabled (always 200, minimal body).
   std::pair<int, std::string> health() const;
 
   // Null when AuditOptions::enabled was false.
   const obs::PowerAuditor* auditor() const noexcept { return auditor_.get(); }
   const obs::SloEngine* slo() const noexcept { return slo_.get(); }
 
-  // Null when TsdbOptions::enabled was false (recorder additionally
-  // requires dump_dir).
+  // Null when neither TsdbOptions::enabled nor AuditOptions::enabled was
+  // set (recorder additionally requires dump_dir).
   const obs::TimeSeriesStore* tsdb() const noexcept { return tsdb_.get(); }
   const obs::AnomalyDetector* anomaly_detector() const noexcept {
     return anomaly_.get();
@@ -267,10 +267,10 @@ class MemcacheDaemon {
   void register_metrics();
   // Clears shed/trace-drop/span-drop counters — the `stats reset` hook.
   void reset_obs_counters();
-  // Window-gated audit/SLO roll-up (energy integration, drift windows, SLO
-  // observation). Called from metrics_text()/health() on the exposition
-  // thread; no-op when auditing is disabled or the window hasn't elapsed.
-  void audit_roll() const;
+  // The sampler's per-tick consumer (hand-driven or threaded ticks alike):
+  // feeds the auditor, appends the SLO breach series, and paces the flight
+  // recorder's checkpoints.
+  void on_sample_tick(SimTime now);
 
   obs::TraceRing trace_;  // must precede cache_: CacheConfig may point here
   obs::SpanCollector spans_{/*capacity=*/16384};
@@ -284,26 +284,15 @@ class MemcacheDaemon {
   ClockFn clock_;
   obs::MetricsRegistry metrics_;
   obs::Histogram* op_latency_ = nullptr;  // owned by metrics_
-  // Audit layer (all null/idle unless AuditOptions::enabled).
   AuditOptions audit_opts_;
-  std::unique_ptr<obs::PowerAuditor> auditor_;
-  std::unique_ptr<obs::SloEngine> slo_;
-  // Per-window latency histogram: cleared each audit roll so the SLO sees
-  // the WINDOW's p99.9, not the lifetime's (a breach must be able to
-  // recover). Null when auditing is off — the request path pays nothing.
-  std::unique_ptr<obs::Histogram> op_latency_window_;
-  // Roll bookkeeping, touched only on the exposition thread(s).
-  mutable std::mutex audit_mutex_;
-  mutable SimTime last_audit_obs_ = 0;
-  mutable double audit_prev_gets_ = 0;
-  mutable double audit_prev_hits_ = 0;
-  mutable bool audit_have_prev_ = false;
   std::vector<std::unique_ptr<TcpServer>> servers_;
-  // Flight-recorder layer (all null unless TsdbOptions::enabled). The
-  // sampler is declared LAST: its destructor joins the sampling thread
-  // before the store / detector / recorder it feeds are torn down.
+  // Retained-history and audit layers (null unless enabled, see tsdb()
+  // and auditor()). The sampler is declared LAST: its destructor joins the
+  // sampling thread before anything it feeds is torn down.
   TsdbOptions tsdb_opts_;
   std::unique_ptr<obs::TimeSeriesStore> tsdb_;
+  std::unique_ptr<obs::PowerAuditor> auditor_;
+  std::unique_ptr<obs::SloEngine> slo_;
   std::unique_ptr<obs::AnomalyDetector> anomaly_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::MetricsSampler> sampler_;

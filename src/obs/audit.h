@@ -22,10 +22,11 @@
 //     tolerance emits a kModelDrift event into the TraceRing so the
 //     timeline shows WHEN the machine and the model diverged.
 //
-// Thread safety: observe()/snapshot() lock an internal mutex, so a scrape
-// thread can roll windows while another thread reads gauges. The auditor is
-// OFF the request hot path by design — callers feed it from tick()/roll-up
-// points, never per request (bench/micro_audit gates the disabled cost).
+// Thread safety: observe()/snapshot() lock an internal mutex, so a feeding
+// thread (e.g. the daemon's metrics sampler) can roll windows while another
+// thread reads gauges. The auditor is OFF the request hot path by design —
+// callers feed it from tick()/sampler-tick points, never per request
+// (bench/micro_audit gates the disabled cost).
 #pragma once
 
 #include <cstdint>

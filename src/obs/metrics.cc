@@ -77,21 +77,6 @@ bool ExemplarSet::empty() const noexcept {
   return true;
 }
 
-void ExemplarSet::clear() noexcept { slots_ = {}; }
-
-HistogramStats Histogram::stats() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  HistogramStats s;
-  s.count = h_.count();
-  s.sum_us = h_.mean_us() * static_cast<double>(h_.count());
-  if (s.count > 0) {
-    s.p50_us = h_.quantile(0.5);
-    s.p99_us = h_.quantile(0.99);
-    s.p999_us = h_.quantile(0.999);
-  }
-  return s;
-}
-
 MetricsRegistry::Entry* MetricsRegistry::find_or_insert(std::string name,
                                                         std::string help,
                                                         MetricType type) {
@@ -219,18 +204,17 @@ void MetricsRegistry::visit(
         break;
       case MetricType::kHistogram:
         if (e->histogram != nullptr) {
-          v.hist = e->histogram->stats();
-        } else if (e->histogram_fn) {
-          const LatencyHistogram h = e->histogram_fn();
-          v.hist.count = h.count();
-          v.hist.sum_us = h.mean_us() * static_cast<double>(h.count());
-          if (v.hist.count > 0) {
-            v.hist.p50_us = h.quantile(0.5);
-            v.hist.p99_us = h.quantile(0.99);
-            v.hist.p999_us = h.quantile(0.999);
-          }
+          e->histogram->read([&](const LatencyHistogram& h) {
+            v.hist = &h;
+            fn(v);
+          });
+        } else {
+          const LatencyHistogram h =
+              e->histogram_fn ? e->histogram_fn() : LatencyHistogram{};
+          v.hist = &h;
+          fn(v);
         }
-        break;
+        continue;  // fn ran while the histogram was in scope
     }
     fn(v);
   }

@@ -66,19 +66,9 @@ class ExemplarSet {
   // populated bucket; null when the set is empty.
   const Exemplar* nearest(double value_us) const noexcept;
   bool empty() const noexcept;
-  void clear() noexcept;
 
  private:
   std::array<Exemplar, kBuckets> slots_{};
-};
-
-// Cheap histogram roll-up: what the tsdb sampler retains per tick.
-struct HistogramStats {
-  std::uint64_t count = 0;
-  double sum_us = 0;
-  double p50_us = 0;
-  double p99_us = 0;
-  double p999_us = 0;
 };
 
 // Monotonically increasing event count.
@@ -129,20 +119,17 @@ class Histogram {
     const std::lock_guard<std::mutex> lock(mu_);
     return h_;
   }
-  // Count/sum/quantiles computed under the lock WITHOUT copying the bucket
-  // array — the tsdb sampler's 1 Hz path (a full snapshot() is ~20 KB of
-  // copy per histogram, too heavy for a per-tick sweep of the registry).
-  HistogramStats stats() const;
+  // Runs fn(const LatencyHistogram&) under the lock WITHOUT copying the
+  // bucket array — the tsdb sampler's per-tick read.
+  template <typename Fn>
+  void read(Fn&& fn) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    fn(h_);
+  }
   ExemplarSet exemplars() const {
     const std::lock_guard<std::mutex> lock(mu_);
     return exemplars_;
   }
-  void clear() noexcept {
-    const std::lock_guard<std::mutex> lock(mu_);
-    h_.clear();
-    exemplars_.clear();
-  }
-
  private:
   mutable std::mutex mu_;
   LatencyHistogram h_;
@@ -187,16 +174,16 @@ class MetricsRegistry {
   std::vector<MetricSample> snapshot_prefix(std::string_view prefix) const;
 
   // Light visitation for the tsdb sampler: no MetricSample materialization,
-  // no histogram bucket copies. `fn` sees every metric's name/type and
-  // either its scalar value or its HistogramStats. The registry mutex is
-  // held for the whole sweep, and callback metrics are polled — the same
-  // thread-safety contract as snapshot() (daemon callers hold the cache
-  // mutex).
+  // no copies of registered histograms. `fn` sees every metric's name/type
+  // and either its scalar value or its histogram, which stays valid (and,
+  // for a registered Histogram, locked against record()) only for the
+  // call. The registry mutex is held for the whole sweep, and callback
+  // metrics are polled — the same thread-safety contract as snapshot().
   struct VisitedMetric {
     std::string_view name;
     MetricType type = MetricType::kGauge;
-    double value = 0;     // counter / gauge
-    HistogramStats hist;  // histogram
+    double value = 0;                        // counter / gauge
+    const LatencyHistogram* hist = nullptr;  // histogram
   };
   void visit(const std::function<void(const VisitedMetric&)>& fn) const;
 

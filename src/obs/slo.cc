@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
+#include "obs/tsdb/tsdb.h"
 
 namespace proteus::obs {
 
@@ -22,103 +24,122 @@ std::string_view slo_state_name(SloState state) noexcept {
   return "?";
 }
 
-BurnRateTracker::BurnRateTracker(double target, SloWindows windows)
-    : target_(target), windows_(windows) {
-  PROTEUS_CHECK(windows_.fast_window > 0);
-  PROTEUS_CHECK(windows_.slow_window >= windows_.fast_window);
+SloEngine::SloEngine(SloConfig config, TimeSeriesStore* store,
+                     SloSeries series)
+    : config_(config), store_(store), series_(std::move(series)) {
+  PROTEUS_CHECK(store_ != nullptr);
+  PROTEUS_CHECK(config_.windows.fast_window > 0);
+  PROTEUS_CHECK(config_.windows.slow_window >= config_.windows.fast_window);
 }
 
-void BurnRateTracker::record(SimTime now, double good, double bad) {
-  if (good <= 0 && bad <= 0) {
-    prune(now);
-    return;
-  }
-  buckets_.push_back(Bucket{now, good < 0 ? 0 : good, bad < 0 ? 0 : bad});
-  prune(now);
+namespace {
+
+// Indexed by SloEngine::Objective.
+constexpr const char* kObjectiveNames[] = {"hit_ratio", "p999_latency",
+                                           "power_budget"};
+
+// Points of `series` whose buckets end after `since` (empty if unknown).
+std::vector<TsPoint> points_since(const TimeSeriesStore& store,
+                                  std::string_view series, SimTime since) {
+  std::optional<TimeSeriesStore::QueryResult> r =
+      store.query(series, since, /*step=*/0);
+  return r.has_value() ? std::move(r->points) : std::vector<TsPoint>{};
 }
 
-void BurnRateTracker::prune(SimTime now) {
-  while (!buckets_.empty() && buckets_.front().t < now - windows_.slow_window) {
-    buckets_.pop_front();
-  }
+double sum_of(const std::vector<TsPoint>& points) {
+  double sum = 0;
+  for (const TsPoint& p : points) sum += p.sum;
+  return sum;
 }
 
-double BurnRateTracker::burn(SimTime now, SimTime window) const {
-  double good = 0;
-  double bad = 0;
-  for (const Bucket& b : buckets_) {
-    if (b.t >= now - window && b.t <= now) {
-      good += b.good;
-      bad += b.bad;
-    }
+// The value appended to `series` at `now`: the mean of the raw bucket
+// holding `now` (one sample per bucket at the default 1 s tick).
+std::optional<double> value_at(const TimeSeriesStore& store,
+                               std::string_view series, SimTime now) {
+  const std::vector<TsPoint> points = points_since(store, series, now);
+  if (points.empty() || points.back().t > now) return std::nullopt;
+  return points.back().mean();
+}
+
+}  // namespace
+
+void SloEngine::tick(SimTime now) {
+  const auto judge = [&](const std::string& source, double bound,
+                         const std::string& bad) {
+    if (bound <= 0) return;
+    const std::optional<double> v = value_at(*store_, source, now);
+    if (v.has_value() && *v > 0) store_->append(now, bad, *v > bound ? 1 : 0);
+  };
+  judge(series_.p999_us, config_.p999_target_us, series_.p999_bad);
+  judge(series_.watts, config_.power_budget_watts, series_.power_bad);
+}
+
+double SloEngine::target(Objective objective) const noexcept {
+  switch (objective) {
+    case kHitRatio:
+      return config_.hit_ratio_target;
+    case kP999:
+      return config_.p999_target_us;
+    case kPower:
+      return config_.power_budget_watts;
   }
-  const double total = good + bad;
-  if (total <= 0) return 0.0;
-  const double budget = 1.0 - target_;
+  return 0;
+}
+
+std::optional<double> SloEngine::bad_fraction(Objective objective,
+                                              SimTime since) const {
+  if (objective == kHitRatio) {
+    const double gets = sum_of(points_since(*store_, series_.gets, since));
+    if (gets <= 0) return std::nullopt;
+    const double hits = sum_of(points_since(*store_, series_.hits, since));
+    return std::clamp(1.0 - hits / gets, 0.0, 1.0);
+  }
+  const std::vector<TsPoint> bad = points_since(
+      *store_, objective == kP999 ? series_.p999_bad : series_.power_bad,
+      since);
+  double count = 0;
+  for (const TsPoint& p : bad) count += p.count;
+  if (count <= 0) return std::nullopt;
+  return sum_of(bad) / count;
+}
+
+double SloEngine::burn(Objective objective, SimTime now,
+                       SimTime window) const {
+  const double bad = bad_fraction(objective, now - window).value_or(0);
+  const double budget = objective == kHitRatio
+                            ? 1.0 - config_.hit_ratio_target
+                            : config_.window_budget;
   if (budget <= 0) return bad > 0 ? 1e9 : 0.0;
-  return (bad / total) / budget;
+  return bad / budget;
 }
 
-SloState BurnRateTracker::state(SimTime now) const {
-  const double fast = burn(now, windows_.fast_window);
-  const double slow = burn(now, windows_.slow_window);
-  if (fast >= windows_.page_burn && slow >= windows_.page_burn) {
-    return SloState::kPage;
+SloEngine::Status SloEngine::evaluate(Objective objective, SimTime now) const {
+  const SloWindows& w = config_.windows;
+  Status s;
+  s.name = kObjectiveNames[objective];
+  s.target = target(objective);
+  s.burn_fast = burn(objective, now, w.fast_window);
+  s.burn_slow = burn(objective, now, w.slow_window);
+  if (s.burn_fast >= w.page_burn && s.burn_slow >= w.page_burn) {
+    s.state = SloState::kPage;
+  } else if (s.burn_fast >= w.warn_burn) {
+    s.state = SloState::kWarn;
   }
-  if (fast >= windows_.warn_burn) return SloState::kWarn;
-  return SloState::kOk;
-}
-
-void BurnRateTracker::clear() { buckets_.clear(); }
-
-SloEngine::SloEngine(SloConfig config)
-    : config_(config),
-      hit_ratio_(config.hit_ratio_target, config.windows),
-      p999_(1.0 - config.window_budget, config.windows),
-      power_(1.0 - config.window_budget, config.windows) {}
-
-void SloEngine::observe(SimTime now, double gets_delta, double hits_delta,
-                        double p999_us, double watts) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (config_.hit_ratio_target > 0 && gets_delta > 0) {
-    const double hits = std::clamp(hits_delta, 0.0, gets_delta);
-    hit_ratio_.record(now, hits, gets_delta - hits);
-    last_hit_ratio_ = hits / gets_delta;
+  const SimTime since = now - w.fast_window;
+  if (objective == kHitRatio) {
+    if (const auto bad = bad_fraction(kHitRatio, since)) s.observed = 1 - *bad;
+  } else {
+    const std::vector<TsPoint> points = points_since(
+        *store_, objective == kP999 ? series_.p999_us : series_.watts, since);
+    if (!points.empty()) s.observed = points.back().mean();
   }
-  if (config_.p999_target_us > 0 && p999_us > 0) {
-    const bool breached = p999_us > config_.p999_target_us;
-    p999_.record(now, breached ? 0 : 1, breached ? 1 : 0);
-    last_p999_us_ = p999_us;
-  }
-  if (config_.power_budget_watts > 0 && watts > 0) {
-    const bool breached = watts > config_.power_budget_watts;
-    power_.record(now, breached ? 0 : 1, breached ? 1 : 0);
-    last_watts_ = watts;
-  }
+  return s;
 }
 
 std::vector<SloEngine::Status> SloEngine::status(SimTime now) const {
-  const std::lock_guard<std::mutex> lock(mu_);
   std::vector<Status> out;
-  const auto push = [&](const char* name, const BurnRateTracker& t,
-                        double target, double observed) {
-    Status s;
-    s.name = name;
-    s.state = t.state(now);
-    s.target = target;
-    s.observed = observed;
-    s.burn_fast = t.burn(now, config_.windows.fast_window);
-    s.burn_slow = t.burn(now, config_.windows.slow_window);
-    out.push_back(std::move(s));
-  };
-  if (config_.hit_ratio_target > 0) {
-    push("hit_ratio", hit_ratio_, config_.hit_ratio_target, last_hit_ratio_);
-  }
-  if (config_.p999_target_us > 0) {
-    push("p999_latency", p999_, config_.p999_target_us, last_p999_us_);
-  }
-  if (config_.power_budget_watts > 0) {
-    push("power_budget", power_, config_.power_budget_watts, last_watts_);
+  for (const Objective o : {kHitRatio, kP999, kPower}) {
+    if (target(o) > 0) out.push_back(evaluate(o, now));
   }
   return out;
 }
@@ -133,50 +154,32 @@ SloState SloEngine::overall(SimTime now) const {
 
 void SloEngine::register_metrics(MetricsRegistry& registry,
                                  std::function<SimTime()> clock) {
-  // One shared clock closure; each gauge re-evaluates state at snapshot
-  // time so /metrics always reflects the current windows.
-  const auto state_of = [this](SimTime now, const char* name) -> double {
-    for (const Status& s : status(now)) {
-      if (s.name == name) return static_cast<double>(s.state);
-    }
-    return 0.0;
-  };
-  const auto burn_of = [this](SimTime now, const char* name,
-                              bool fast) -> double {
-    for (const Status& s : status(now)) {
-      if (s.name == name) return fast ? s.burn_fast : s.burn_slow;
-    }
-    return 0.0;
-  };
-  const char* names[] = {"hit_ratio", "p999_latency", "power_budget"};
-  const bool on[] = {config_.hit_ratio_target > 0, config_.p999_target_us > 0,
-                     config_.power_budget_watts > 0};
-  for (int i = 0; i < 3; ++i) {
-    if (!on[i]) continue;
-    const char* name = names[i];
-    registry.gauge_fn(std::string("proteus_slo_") + name + "_state",
-                      "0=ok 1=warn 2=page",
-                      [state_of, clock, name] { return state_of(clock(), name); });
-    registry.gauge_fn(std::string("proteus_slo_") + name + "_burn_fast",
+  // Each gauge re-evaluates its objective at snapshot time so /metrics
+  // always reflects the current windows.
+  for (const Objective o : {kHitRatio, kP999, kPower}) {
+    if (target(o) <= 0) continue;
+    const std::string prefix =
+        std::string("proteus_slo_") + kObjectiveNames[o];
+    registry.gauge_fn(prefix + "_state", "0=ok 1=warn 2=page",
+                      [this, clock, o] {
+                        return static_cast<double>(evaluate(o, clock()).state);
+                      });
+    registry.gauge_fn(prefix + "_burn_fast",
                       "fast-window error-budget burn rate",
-                      [burn_of, clock, name] { return burn_of(clock(), name, true); });
-    registry.gauge_fn(std::string("proteus_slo_") + name + "_burn_slow",
+                      [this, clock, o] {
+                        return burn(o, clock(), config_.windows.fast_window);
+                      });
+    registry.gauge_fn(prefix + "_burn_slow",
                       "slow-window error-budget burn rate",
-                      [burn_of, clock, name] { return burn_of(clock(), name, false); });
+                      [this, clock, o] {
+                        return burn(o, clock(), config_.windows.slow_window);
+                      });
   }
   registry.gauge_fn("proteus_slo_state",
                     "worst SLO state: 0=ok 1=warn 2=page (503 on /health)",
                     [this, clock] {
                       return static_cast<double>(overall(clock()));
                     });
-}
-
-void SloEngine::clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  hit_ratio_.clear();
-  p999_.clear();
-  power_.clear();
-  last_hit_ratio_ = last_p999_us_ = last_watts_ = 0;
 }
 
 namespace {

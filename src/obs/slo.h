@@ -17,15 +17,30 @@
 // answer: 200 while nothing pages, 503 once any objective pages, back to
 // 200 when the burn drains out of the fast window.
 //
-// Thread safety: all public methods lock an internal mutex — observe() is
-// called from a roll-up (scrape/poll) thread while state()/health renderers
-// run on the HTTP thread.
+// The engine keeps no history of its own: every burn is computed at
+// status(now) time from the TimeSeriesStore the metrics sampler fills
+// (obs/tsdb), so /health, /timeseries and flight-recorder dumps read the
+// same points. The store's downsampler conserves count and sum exactly, so
+// each burn is built from point sums and stays exact on every tier:
+//
+//   hit ratio   1 - sum(hits) / sum(gets) over the per-tick rate series
+//               (for evenly spaced ticks, the count-weighted ratio);
+//   p99.9 and power
+//               "fraction of bad ticks" objectives: tick(now) appends a
+//               0/1 breach sample judged from that tick's p99.9 / watts
+//               value, and the burn is sum / count of the breach series.
+//
+// The fast window reads the raw tier; the slow window asks the store for
+// `now - slow_window`, which escalates to the mid tier once the raw tier no
+// longer reaches back that far.
+//
+// Thread safety: the engine holds no mutable state; the store locks
+// internally, so tick() (sampler thread) and status() (HTTP thread) may
+// run concurrently.
 #pragma once
 
-#include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -36,6 +51,7 @@
 namespace proteus::obs {
 
 class MetricsRegistry;
+class TimeSeriesStore;
 
 enum class SloState { kOk = 0, kWarn = 1, kPage = 2 };
 std::string_view slo_state_name(SloState state) noexcept;
@@ -50,74 +66,60 @@ struct SloWindows {
   double page_burn = 10.0;
 };
 
-// One objective tracked as timestamped (good, bad) event counts. Burn rate
-// over a window is (bad / (good + bad)) / (1 - target).
-class BurnRateTracker {
- public:
-  // `target` in (0, 1): the success-ratio objective (e.g. 0.95 hit ratio,
-  // 0.999 of windows under the latency bound).
-  BurnRateTracker(double target, SloWindows windows);
-
-  void record(SimTime now, double good, double bad);
-  double burn(SimTime now, SimTime window) const;
-  SloState state(SimTime now) const;
-  double target() const noexcept { return target_; }
-  void clear();
-
- private:
-  void prune(SimTime now);
-
-  struct Bucket {
-    SimTime t = 0;
-    double good = 0;
-    double bad = 0;
-  };
-
-  double target_;
-  SloWindows windows_;
-  std::deque<Bucket> buckets_;
-};
-
 // Which SLOs to enforce; a zero target disables that objective.
 struct SloConfig {
   // Cache-tier hit ratio objective in (0, 1): gets answered from cache.
   double hit_ratio_target = 0;
-  // p99.9 latency bound in microseconds, evaluated per roll-up window: a
-  // window whose observed p99.9 exceeds the bound is one "bad" window.
+  // p99.9 latency bound in microseconds, evaluated per sampler tick: a
+  // tick whose interval p99.9 exceeds the bound is one "bad" tick.
   double p999_target_us = 0;
-  // Power budget in watts, evaluated per roll-up window like the latency
-  // bound. This is the live Fig. 10 guardrail: a power-proportional fleet
-  // under partial load should sit well below it.
+  // Power budget in watts, evaluated per tick like the latency bound. This
+  // is the live Fig. 10 guardrail: a power-proportional fleet under partial
+  // load should sit well below it.
   double power_budget_watts = 0;
   SloWindows windows;
-  // Fraction of windows allowed over the latency / power bound (their
-  // implicit availability target). 0.1 = one in ten windows may breach.
+  // Fraction of ticks allowed over the latency / power bound (their
+  // implicit availability target). 0.1 = one in ten ticks may breach.
   double window_budget = 0.1;
 };
 
-// The engine: one tracker per enabled objective, a roll-up entry point,
-// and render surfaces for /metrics and /health.
+// The store series the engine reads (the sampler derives them) and the
+// breach series it writes. Fixed by the embedder, not configuration.
+struct SloSeries {
+  std::string gets;       // per-tick get rate
+  std::string hits;       // per-tick hit rate
+  std::string p999_us;    // per-interval p99.9, microseconds
+  std::string watts;      // fleet draw
+  std::string p999_bad;   // written by tick(): 1 = p99.9 over the bound
+  std::string power_bad;  // written by tick(): 1 = draw over the budget
+};
+
+// The engine: burn rates per enabled objective over `store`, plus render
+// surfaces for /metrics and /health.
 class SloEngine {
  public:
-  explicit SloEngine(SloConfig config);
+  // The store must outlive the engine.
+  SloEngine(SloConfig config, TimeSeriesStore* store, SloSeries series);
 
   bool enabled() const noexcept {
     return config_.hit_ratio_target > 0 || config_.p999_target_us > 0 ||
            config_.power_budget_watts > 0;
   }
   const SloConfig& config() const noexcept { return config_; }
+  const SloSeries& series() const noexcept { return series_; }
 
-  // One roll-up window: get/hit deltas since the previous call, the window's
-  // observed p99.9 (microseconds; <= 0 skips the latency objective this
-  // window), and the window's mean fleet draw in watts (<= 0 skips).
-  void observe(SimTime now, double gets_delta, double hits_delta,
-               double p999_us, double watts);
+  // Per sampler tick, after the tick's values are in the store: appends the
+  // latency / power breach samples judged from the p99.9 and watts values
+  // appended at `now` (a series with no value at `now`, or a value <= 0,
+  // is skipped this tick).
+  void tick(SimTime now);
 
   struct Status {
     std::string name;       // "hit_ratio" | "p999_latency" | "power_budget"
     SloState state = SloState::kOk;
     double target = 0;      // objective (ratio, us, or watts)
-    double observed = 0;    // last window's observation
+    // The fast window's hit ratio; the newest p99.9 (us) or watts sample.
+    double observed = 0;
     double burn_fast = 0;
     double burn_slow = 0;
   };
@@ -131,17 +133,21 @@ class SloEngine {
   void register_metrics(MetricsRegistry& registry,
                         std::function<SimTime()> clock);
 
-  void clear();
-
  private:
+  enum Objective { kHitRatio, kP999, kPower };
+
+  double target(Objective objective) const noexcept;  // 0 = disabled
+  // Share of the objective's events since `since` that were bad (missed
+  // gets, or breaching ticks); nullopt when there were none.
+  std::optional<double> bad_fraction(Objective objective,
+                                     SimTime since) const;
+  // Burn over [now - window, now].
+  double burn(Objective objective, SimTime now, SimTime window) const;
+  Status evaluate(Objective objective, SimTime now) const;
+
   SloConfig config_;
-  mutable std::mutex mu_;
-  BurnRateTracker hit_ratio_;
-  BurnRateTracker p999_;
-  BurnRateTracker power_;
-  double last_hit_ratio_ = 0;
-  double last_p999_us_ = 0;
-  double last_watts_ = 0;
+  TimeSeriesStore* store_;
+  SloSeries series_;
 };
 
 // Renders the GET /health contract (docs/OPERATIONS.md §12): HTTP 200 with

@@ -76,27 +76,32 @@ void MetricsSampler::sample_once(SimTime now) {
         emit(m.name, {}, m.value);
         break;
       case MetricType::kHistogram: {
-        const double count = static_cast<double>(m.hist.count);
-        const auto it = prev_.find(m.name);
-        if (it != prev_.end() && dt > 0 && count >= it->second) {
-          emit(m.name, "_rate", (count - it->second) / dt);
+        const LatencyHistogram& h = *m.hist;
+        auto it = prev_hist_.find(m.name);
+        const bool baselined = it != prev_hist_.end();
+        if (!baselined) {
+          it = prev_hist_.emplace(std::string(m.name), LatencyHistogram{})
+                   .first;
         }
-        remember(m.name, count);
-        if (m.hist.count > 0) {
-          emit(m.name, "_p50", m.hist.p50_us);
-          emit(m.name, "_p99", m.hist.p99_us);
-          emit(m.name, "_p999", m.hist.p999_us);
+        LatencyHistogram& base = it->second;
+        // A histogram that shrank was reset: the interval starts empty.
+        if (h.count() < base.count()) base.clear();
+        const auto delta = static_cast<double>(h.count() - base.count());
+        if (baselined && dt > 0) emit(m.name, "_rate", delta / dt);
+        // Quantiles of this interval only (the first pass: since the
+        // histogram began), so a recent tail shows however long the
+        // process has been up.
+        if (delta > 0) {
+          emit(m.name, "_p50", h.quantile_since(base, 0.5));
+          emit(m.name, "_p99", h.quantile_since(base, 0.99));
+          emit(m.name, "_p999", h.quantile_since(base, 0.999));
         }
+        base = h;  // same-size vector copy: reuses the baseline's buffer
         break;
       }
     }
   };
-  const auto do_visit = [this, &visitor] { registry_->visit(visitor); };
-  if (config_.guard) {
-    config_.guard(do_visit);
-  } else {
-    do_visit();
-  }
+  registry_->visit(visitor);
   for (std::size_t i = 0; i < scratch_used_; ++i) {
     const auto& [name, value] = scratch_[i];
     store_->append(now, name, value);
@@ -109,16 +114,15 @@ void MetricsSampler::sample_once(SimTime now) {
           std::chrono::steady_clock::now() - wall_start)
           .count(),
       std::memory_order_relaxed);
+  if (config_.on_tick) config_.on_tick(now);
 }
 
-void MetricsSampler::start(std::function<SimTime()> clock,
-                           std::function<void(SimTime)> post_tick) {
+void MetricsSampler::start(std::function<SimTime()> clock) {
   const std::lock_guard<std::mutex> lock(thread_mu_);
   if (thread_.joinable()) return;
   stopping_ = false;
   enabled_.store(true, std::memory_order_relaxed);
-  thread_ = std::thread(&MetricsSampler::run_loop, this, std::move(clock),
-                        std::move(post_tick));
+  thread_ = std::thread(&MetricsSampler::run_loop, this, std::move(clock));
 }
 
 void MetricsSampler::stop() {
@@ -136,16 +140,13 @@ void MetricsSampler::stop() {
   }
 }
 
-void MetricsSampler::run_loop(std::function<SimTime()> clock,
-                              std::function<void(SimTime)> post_tick) {
+void MetricsSampler::run_loop(std::function<SimTime()> clock) {
   const auto interval =
       std::chrono::microseconds(static_cast<std::int64_t>(config_.interval));
   std::unique_lock<std::mutex> lock(thread_mu_);
   while (!stopping_) {
     lock.unlock();
-    const SimTime now = clock();
-    sample_once(now);
-    if (post_tick) post_tick(now);
+    sample_once(clock());
     lock.lock();
     cv_.wait_for(lock, interval, [this] { return stopping_; });
   }

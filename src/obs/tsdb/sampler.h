@@ -10,11 +10,14 @@
 //                           negative rate)
 //   gauge   `bar`        -> series `bar`        (verbatim)
 //   histogram `baz`      -> series `baz_p50` / `baz_p99` / `baz_p999`
-//                           (microseconds) and `baz_rate` (count delta)
+//                           (microseconds, of the values recorded since
+//                           the previous pass) and `baz_rate`
 //
 // Every derived value is appended to the store and offered to the anomaly
-// detector. `sample_once(now)` is the testable core (fake clocks welcome);
-// start()/stop() wrap it in a named thread for the daemon. A stopped or
+// detector; then the configured per-tick consumer runs. `sample_once(now)`
+// is the testable core (fake clocks welcome) and the ONLY tick path:
+// start()/stop() wrap it in a named thread for the daemon, so hand-driven
+// and threaded ticks run the same code. A stopped or
 // never-started sampler costs one relaxed atomic load on the hot path
 // (`enabled()`, benched at ≤ 5 ns in bench/micro_tsdb).
 #pragma once
@@ -29,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/time.h"
 
 namespace proteus::obs {
@@ -39,12 +43,12 @@ class TimeSeriesStore;
 
 struct SamplerConfig {
   SimTime interval = kSecond;  // wall cadence of the background thread
-  // Optional wrapper around the registry visit for embedders whose
-  // callbacks need an external lock. Null = visit directly; the daemon
-  // leaves it null since its cache-reading callbacks lock their shard
-  // internally (obs/metrics.h) — the sampler thread never serializes the
-  // whole cache.
-  std::function<void(const std::function<void()>&)> guard;
+  // Runs at the end of every sample_once pass, after its values are in the
+  // store (optional). It runs under the pass lock so consumers see ticks
+  // one at a time and in order. The daemon hangs its per-tick work here:
+  // SLO breach series, the power auditor's feed and the flight recorder's
+  // checkpoint cadence.
+  std::function<void(SimTime)> on_tick;
 };
 
 class MetricsSampler {
@@ -58,15 +62,13 @@ class MetricsSampler {
   MetricsSampler(const MetricsSampler&) = delete;
   MetricsSampler& operator=(const MetricsSampler&) = delete;
 
-  // One sampling pass at time `now`. Thread-safe; usable directly with a
-  // fake clock in tests without start().
+  // One sampling pass at time `now`, then config().on_tick(now).
+  // Thread-safe; usable directly with a fake clock in tests without
+  // start().
   void sample_once(SimTime now);
 
-  // Spawns the background thread. `clock` supplies `now` for each tick;
-  // `post_tick` (optional) runs on the sampler thread after each pass —
-  // the daemon hangs the flight recorder's checkpoint cadence here.
-  void start(std::function<SimTime()> clock,
-             std::function<void(SimTime)> post_tick = nullptr);
+  // Spawns the background thread. `clock` supplies `now` for each tick.
+  void start(std::function<SimTime()> clock);
   void stop();
 
   bool enabled() const noexcept {
@@ -76,7 +78,8 @@ class MetricsSampler {
   std::uint64_t ticks() const noexcept {
     return ticks_.load(std::memory_order_relaxed);
   }
-  // Wall-clock cost of the most recent pass, microseconds.
+  // Wall-clock cost of the most recent pass (excluding on_tick),
+  // microseconds.
   double last_tick_us() const noexcept { return last_tick_us_.load(); }
 
   // proteus_tsdb_* self-observability (series count, memory, appends,
@@ -86,8 +89,7 @@ class MetricsSampler {
   const SamplerConfig& config() const noexcept { return config_; }
 
  private:
-  void run_loop(std::function<SimTime()> clock,
-                std::function<void(SimTime)> post_tick);
+  void run_loop(std::function<SimTime()> clock);
 
   SamplerConfig config_;
   const MetricsRegistry* registry_;
@@ -95,10 +97,12 @@ class MetricsSampler {
   AnomalyDetector* detector_;
 
   std::mutex sample_mu_;  // serializes sample_once passes
-  // Counter / histogram-count baselines from the previous pass, keyed by
-  // source metric name. Transparent comparator: the visitor probes with a
-  // string_view per metric per tick, which must not allocate.
+  // Baselines from the previous pass, keyed by source metric name: counter
+  // values and a copy of each histogram. Transparent comparators: the
+  // visitor probes with a string_view per metric per tick, which must not
+  // allocate.
   std::map<std::string, double, std::less<>> prev_;
+  std::map<std::string, LatencyHistogram, std::less<>> prev_hist_;
   SimTime prev_time_ = -1;
   // Derived (series name, value) pairs for the current pass. Entries (and
   // their string capacity) are reused across ticks — the registry's visit

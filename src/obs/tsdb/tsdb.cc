@@ -191,9 +191,11 @@ std::optional<TimeSeriesStore::QueryResult> TimeSeriesStore::query(
       break;
     }
   }
-  // Escalate when the window starts before this tier's retention but a
-  // coarser tier still remembers it.
+  // Escalate when the window starts before this tier's retention, the
+  // tier has wrapped (so it really lost that history — a young series'
+  // finer tier still holds all of it), and a coarser tier remembers it.
   while (tier < 2 && s.tiers[tier].oldest() > since &&
+         s.tiers[tier].size == s.tiers[tier].ring.size() &&
          s.tiers[tier + 1].oldest() >= 0 &&
          s.tiers[tier + 1].oldest() < s.tiers[tier].oldest()) {
     ++tier;

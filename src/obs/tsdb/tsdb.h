@@ -94,7 +94,8 @@ class TimeSeriesStore {
   };
 
   // Picks the finest tier whose step covers `step` (0 = finest), escalating
-  // to a coarser tier when `since` predates the finer tier's retention.
+  // to a coarser tier when `since` predates the finer tier's retention and
+  // the finer tier has wrapped.
   // Points with bucket end <= since are dropped. nullopt = unknown metric.
   std::optional<QueryResult> query(std::string_view metric, SimTime since,
                                    SimTime step) const;

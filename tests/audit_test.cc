@@ -2,9 +2,11 @@
 // energy accounting against hand-computed schedules, PPI on an ideally
 // proportional fleet, model-drift detection (Theorem 1 share, Eq. 5
 // false-negative bound) with kModelDrift trace events, burn-rate state
-// transitions, the daemon's /health answer flipping 503 and recovering,
-// exemplar survival across merges, and thread-safety of the roll-up paths
-// (run under TSan via scripts/check.sh thread).
+// transitions over a time-series store, the daemon's /health answer
+// flipping 503 and recovering under hand-driven sampler ticks, the sampler
+// tick as the audit feed, exemplar survival across merges, and
+// thread-safety of the tick/read paths (run under TSan via
+// scripts/check.sh thread).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
+#include "obs/tsdb/tsdb.h"
 
 namespace proteus::obs {
 namespace {
@@ -286,31 +289,57 @@ TEST(ModelDrift, WrappingDigestViolatesEq5BoundThroughFacade) {
 
 // --- SLO burn rates ----------------------------------------------------------
 
+// The store series the SLO engine reads and writes in these tests.
+SloSeries test_series() {
+  return {"gets_rate", "hits_rate", "p999_us",
+          "watts",     "p999_bad",  "power_bad"};
+}
+
+// One sampler tick's SLO inputs appended at `now`, then the engine's
+// per-tick breach judgement — what the daemon's sampler tick does.
+// p999_us <= 0 appends no latency sample (an idle interval).
+void feed(TimeSeriesStore& store, SloEngine& engine, SimTime now,
+          double gets, double hits, double p999_us, double watts) {
+  const SloSeries& s = engine.series();
+  store.append(now, s.gets, gets);
+  store.append(now, s.hits, hits);
+  if (p999_us > 0) store.append(now, s.p999_us, p999_us);
+  store.append(now, s.watts, watts);
+  engine.tick(now);
+}
+
 TEST(BurnRate, TrackerStateTransitions) {
-  SloWindows w;  // fast 60 s, slow 10 min, warn 2x, page 10x
-  BurnRateTracker ok_tracker(0.9, w);
-  ok_tracker.record(kSecond, /*good=*/100, /*bad=*/1);
-  EXPECT_EQ(ok_tracker.state(kSecond), SloState::kOk);
+  SloConfig cfg;  // fast 60 s, slow 10 min, warn 2x, page 10x
+  cfg.hit_ratio_target = 0.9;
+  const SloWindows& w = cfg.windows;
+  TimeSeriesStore ok_store;
+  SloEngine ok_engine(cfg, &ok_store, test_series());
+  feed(ok_store, ok_engine, kSecond, /*gets=*/101, /*hits=*/100, 0, 0);
+  EXPECT_EQ(ok_engine.overall(kSecond), SloState::kOk);
 
   // Mixed traffic: 100 bad out of 200 = 50% errors against a 10% budget ->
   // burn 5x on the fast window: warn, but the page bar (10x) is not met.
-  BurnRateTracker warn_tracker(0.9, w);
-  warn_tracker.record(kSecond, 100, 0);
-  warn_tracker.record(2 * kSecond, 0, 100);
-  EXPECT_NEAR(warn_tracker.burn(2 * kSecond, w.fast_window), 5.0, 1e-9);
-  EXPECT_EQ(warn_tracker.state(2 * kSecond), SloState::kWarn);
+  TimeSeriesStore warn_store;
+  SloEngine warn_engine(cfg, &warn_store, test_series());
+  feed(warn_store, warn_engine, kSecond, 100, 100, 0, 0);
+  feed(warn_store, warn_engine, 2 * kSecond, 100, 0, 0, 0);
+  EXPECT_NEAR(warn_engine.status(2 * kSecond)[0].burn_fast, 5.0, 1e-9);
+  EXPECT_EQ(warn_engine.overall(2 * kSecond), SloState::kWarn);
 
   // Total failure from the start: burn = 10x on both windows -> page;
   // then a full fast window of clean traffic drains the fast burn to zero
   // and the state recovers all the way to ok (slow window still remembers,
   // but paging requires BOTH windows hot).
-  BurnRateTracker page_tracker(0.9, w);
-  page_tracker.record(kSecond, 0, 100);
-  EXPECT_NEAR(page_tracker.burn(kSecond, w.fast_window), 10.0, 1e-9);
-  EXPECT_EQ(page_tracker.state(kSecond), SloState::kPage);
+  TimeSeriesStore page_store;
+  SloEngine page_engine(cfg, &page_store, test_series());
+  feed(page_store, page_engine, kSecond, 100, 0, 0, 0);
+  const SloEngine::Status paged = page_engine.status(kSecond)[0];
+  EXPECT_NEAR(paged.burn_fast, 10.0, 1e-9);
+  EXPECT_NEAR(paged.burn_slow, 10.0, 1e-9);
+  EXPECT_EQ(paged.state, SloState::kPage);
   const SimTime later = kSecond + w.fast_window + 5 * kSecond;
-  page_tracker.record(later, 1000, 0);
-  EXPECT_EQ(page_tracker.state(later), SloState::kOk);
+  feed(page_store, page_engine, later, 1000, 1000, 0, 0);
+  EXPECT_EQ(page_engine.overall(later), SloState::kOk);
 }
 
 TEST(BurnRate, EngineTracksAllThreeObjectives) {
@@ -318,12 +347,13 @@ TEST(BurnRate, EngineTracksAllThreeObjectives) {
   cfg.hit_ratio_target = 0.9;
   cfg.p999_target_us = 5000;
   cfg.power_budget_watts = 200;
-  SloEngine engine(cfg);
+  TimeSeriesStore store;
+  SloEngine engine(cfg, &store, test_series());
   ASSERT_TRUE(engine.enabled());
 
   // Everything healthy: hits at 99%, p99.9 and watts under their bounds.
-  engine.observe(kSecond, /*gets=*/100, /*hits=*/99, /*p999_us=*/1000,
-                 /*watts=*/120);
+  feed(store, engine, kSecond, /*gets=*/100, /*hits=*/99, /*p999_us=*/1000,
+       /*watts=*/120);
   EXPECT_EQ(engine.overall(kSecond), SloState::kOk);
   auto status = engine.status(kSecond);
   ASSERT_EQ(status.size(), 3u);
@@ -331,14 +361,15 @@ TEST(BurnRate, EngineTracksAllThreeObjectives) {
   EXPECT_EQ(status[1].name, "p999_latency");
   EXPECT_EQ(status[2].name, "power_budget");
 
-  // Latency blows through the bound every window: each roll-up is one bad
-  // window against a 10% window budget -> burn 10x -> page, while the other
+  // Latency blows through the bound every tick: each tick is one bad
+  // sample against a 10% budget -> burn 10x -> page, while the other
   // objectives stay ok.
   SloConfig lat;
   lat.p999_target_us = 5000;
-  SloEngine lat_engine(lat);
-  lat_engine.observe(kSecond, 100, 100, /*p999_us=*/50000, /*watts=*/0);
-  lat_engine.observe(2 * kSecond, 100, 100, /*p999_us=*/60000, /*watts=*/0);
+  TimeSeriesStore lat_store;
+  SloEngine lat_engine(lat, &lat_store, test_series());
+  feed(lat_store, lat_engine, kSecond, 100, 100, /*p999_us=*/50000, 0);
+  feed(lat_store, lat_engine, 2 * kSecond, 100, 100, /*p999_us=*/60000, 0);
   EXPECT_EQ(lat_engine.overall(2 * kSecond), SloState::kPage);
   status = lat_engine.status(2 * kSecond);
   ASSERT_EQ(status.size(), 1u);
@@ -346,9 +377,9 @@ TEST(BurnRate, EngineTracksAllThreeObjectives) {
   EXPECT_EQ(status[0].state, SloState::kPage);
   EXPECT_NEAR(status[0].observed, 60000.0, 1e-9);
 
-  // Recovery: a fast window of in-bound latency windows drains the burn.
+  // Recovery: a fast window of in-bound latency ticks drains the burn.
   const SimTime later = 2 * kSecond + lat.windows.fast_window + 5 * kSecond;
-  lat_engine.observe(later, 100, 100, /*p999_us=*/1000, /*watts=*/0);
+  feed(lat_store, lat_engine, later, 100, 100, /*p999_us=*/1000, 0);
   EXPECT_EQ(lat_engine.overall(later), SloState::kOk);
 }
 
@@ -371,7 +402,8 @@ TEST(BurnRate, RenderHealthContract) {
 // --- the daemon's /health surface, end to end --------------------------------
 
 TEST(DaemonHealth, FlipsTo503UnderBreachAndRecovers) {
-  // Fake clock so SLO windows move at test speed, not wall-clock speed.
+  // Fake clock and hand-driven sampler ticks so SLO windows move at test
+  // speed, not wall-clock speed.
   static std::atomic<SimTime> fake_now{kSecond};
   cache::CacheConfig cfg;
   cfg.memory_budget_bytes = 4 << 20;
@@ -382,12 +414,19 @@ TEST(DaemonHealth, FlipsTo503UnderBreachAndRecovers) {
                              net::TcpServer::Limits{}, net::AdmissionOptions{},
                              audit);
   ASSERT_TRUE(daemon.ok());
+  // Auditing brings up the sampler even with TsdbOptions left off.
+  ASSERT_NE(daemon.sampler(), nullptr);
+  daemon.sampler()->stop();
+  const auto tick = [&daemon] {
+    daemon.sampler()->sample_once(fake_now.load());
+  };
   std::thread runner([&daemon] { daemon.run(); });
   {
     client::MemcacheConnection conn(daemon.port());
     ASSERT_TRUE(conn.ok());
 
-    // Prime the audit baseline before any traffic.
+    // Prime the counter baseline before any traffic.
+    tick();
     auto [code0, body0] = daemon.health();
     EXPECT_EQ(code0, 200);
 
@@ -397,6 +436,7 @@ TEST(DaemonHealth, FlipsTo503UnderBreachAndRecovers) {
       (void)conn.get("absent:" + std::to_string(i));
     }
     fake_now += 2 * kSecond;
+    tick();
     auto [code1, body1] = daemon.health();
     EXPECT_EQ(code1, 503);
     EXPECT_NE(body1.find("\"status\":\"unhealthy\""), std::string::npos);
@@ -409,6 +449,7 @@ TEST(DaemonHealth, FlipsTo503UnderBreachAndRecovers) {
     fake_now += audit.slo.windows.fast_window + 5 * kSecond;
     for (int i = 0; i < 1000; ++i) (void)conn.get("k");
     fake_now += 2 * kSecond;
+    tick();
     auto [code2, body2] = daemon.health();
     EXPECT_EQ(code2, 200);
     EXPECT_NE(body2.find("\"status\":\"ok\""), std::string::npos);
@@ -420,6 +461,36 @@ TEST(DaemonHealth, FlipsTo503UnderBreachAndRecovers) {
   }
   daemon.stop();
   runner.join();
+}
+
+// The sampler tick is the audit feed: a daemon nobody scrapes (neither
+// metrics_text() nor health() is ever called) still integrates energy and
+// rolls drift windows.
+TEST(DaemonHealth, UnscrapedDaemonStillAudits) {
+  SimTime now = 0;
+  net::AuditOptions audit;
+  audit.enabled = true;
+  audit.audit.window = 2 * kSecond;
+  net::TsdbOptions tsdb;
+  tsdb.enabled = true;
+  cache::CacheConfig cfg;
+  cfg.memory_budget_bytes = 1 << 20;
+  net::MemcacheDaemon daemon(cfg, /*port=*/0, [&now] { return now; },
+                             /*threads=*/1, {}, {}, audit, tsdb);
+  ASSERT_TRUE(daemon.ok());
+  ASSERT_NE(daemon.sampler(), nullptr);
+  daemon.sampler()->stop();
+
+  daemon.cache().set("k", "v", now);
+  for (int s = 0; s < 5; ++s) {
+    now += kSecond;
+    for (int i = 0; i < 100; ++i) daemon.cache().get("k", now);
+    daemon.sampler()->sample_once(now);
+  }
+  ASSERT_NE(daemon.auditor(), nullptr);
+  const AuditSnapshot a = daemon.auditor()->snapshot();
+  EXPECT_GT(a.fleet_joules, 0.0);
+  EXPECT_GT(a.windows, 0u);
 }
 
 // --- exemplars ---------------------------------------------------------------
@@ -478,7 +549,9 @@ TEST(AuditThreads, ConcurrentObserveSnapshotAndGauges) {
   PowerAuditor auditor(cfg);
   SloConfig scfg;
   scfg.hit_ratio_target = 0.9;
-  SloEngine slo(scfg);
+  scfg.p999_target_us = 5000;
+  TimeSeriesStore store;
+  SloEngine slo(scfg, &store, test_series());
   MetricsRegistry registry;
   auditor.register_metrics(registry);
   static std::atomic<SimTime> now{0};
@@ -494,7 +567,7 @@ TEST(AuditThreads, ConcurrentObserveSnapshotAndGauges) {
         s.hits_total += 90;
       }
       auditor.observe(t, fleet, 1, 100);
-      slo.observe(t, 100, 90, 1000, 100);
+      feed(store, slo, t, 100, 90, 1000, 100);
     }
   });
   std::thread reader([&] {

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -254,6 +255,29 @@ TEST(MetricsSampler, CounterResetRebaselinesInsteadOfNegativeRate) {
   const auto r2 = store.query("proteus_ops_rate", 0, kSecond);
   ASSERT_TRUE(r2.has_value());
   EXPECT_DOUBLE_EQ(r2->points.back().sum, 10.0);
+}
+
+// Histogram series are per-interval quantiles: a tail that appears after a
+// long quiet history shows in the very next point instead of drowning in
+// the lifetime distribution.
+TEST(MetricsSampler, HistogramQuantilesArePerInterval) {
+  MetricsRegistry registry;
+  Histogram* h = registry.histogram("proteus_lat_us", "latency");
+  TimeSeriesStore store;
+  MetricsSampler sampler({}, &registry, &store, nullptr);
+
+  for (int i = 0; i < 100000; ++i) h->record(100.0);
+  sampler.sample_once(kSecond);
+  for (int i = 0; i < 50; ++i) h->record(50000.0);
+  sampler.sample_once(2 * kSecond);
+
+  const auto r = store.query("proteus_lat_us_p999", kSecond, kSecond);
+  ASSERT_TRUE(r.has_value());
+  ASSERT_EQ(r->points.size(), 2u);
+  EXPECT_NEAR(r->points[0].mean(), 100.0, 1.0);
+  // 50 ms within the histogram's bucket error (<= 0.8%); the lifetime
+  // p99.9 over all 100 050 values would still read ~100 us.
+  EXPECT_GE(r->points[1].mean(), 50000.0 * (1 - 0.008));
 }
 
 // --- AnomalyDetector ---------------------------------------------------------
@@ -520,6 +544,53 @@ TEST(DaemonDrill, MissStormRaisesAnomalyBeforeSloPages) {
   // index + unknown-metric 404 semantics through the daemon facade.
   EXPECT_FALSE(daemon.timeseries_json({}, 0, 0).empty());
   EXPECT_TRUE(daemon.timeseries_json("no_such_series", 0, 0).empty());
+}
+
+// /health and /timeseries read the same points: after a miss storm, the
+// hit-ratio burn_fast in the /health body is exactly the burn recomputed
+// from the store's get/hit rate series over the fast window.
+TEST(DaemonDrill, HealthBurnMatchesTimeseries) {
+  SimTime now = 0;
+  net::AuditOptions audit;
+  audit.enabled = true;
+  audit.slo.hit_ratio_target = 0.9;
+  net::TsdbOptions tsdb;
+  tsdb.enabled = true;
+  cache::CacheConfig cfg;
+  cfg.memory_budget_bytes = 1 << 20;
+  net::MemcacheDaemon daemon(cfg, /*port=*/0, [&now] { return now; },
+                             /*threads=*/1, {}, {}, audit, tsdb);
+  ASSERT_TRUE(daemon.ok());
+  daemon.sampler()->stop();
+
+  daemon.cache().set("hot", "v", now);
+  for (int s = 0; s < 20; ++s) {
+    now += kSecond;
+    const char* key = s < 15 ? "hot" : "cold";  // the last 5 s all miss
+    for (int i = 0; i < 50; ++i) daemon.cache().get(key, now);
+    daemon.sampler()->sample_once(now);
+  }
+
+  const std::string body = daemon.health().second;
+  const std::size_t at = body.find("\"burn_fast\":");
+  ASSERT_NE(at, std::string::npos) << body;
+  const double reported = std::strtod(body.c_str() + at + 12, nullptr);
+
+  const SimTime since = now - audit.slo.windows.fast_window;
+  const auto window_sum = [&](const char* series) {
+    const auto r = daemon.tsdb()->query(series, since, 0);
+    double sum = 0;
+    for (const TsPoint& p : r->points) sum += p.sum;
+    return sum;
+  };
+  const double gets = window_sum("proteus_cache_cmd_get_rate");
+  const double hits = window_sum("proteus_cache_get_hits_rate");
+  ASSERT_GT(gets, 0.0);
+  const double recomputed =
+      (1.0 - hits / gets) / (1.0 - audit.slo.hit_ratio_target);
+  EXPECT_GT(recomputed, 0.0);
+  // /health prints 6 significant digits.
+  EXPECT_NEAR(reported, recomputed, recomputed * 1e-5);
 }
 
 // The ?name= prefix filter on the registry snapshot (the /metrics?name=P

@@ -17,7 +17,8 @@
 // event ring as JSONL incrementally; GET /spans streams the server-side
 // per-request span records — see obs/span.h and tools/proteus-spans; GET
 // /health answers 200/503 from the SLO burn-rate engine when auditing is
-// enabled). The same registry is reachable in-band via the `stats proteus`
+// enabled; the engine reads the sampler's retained history, so auditing
+// requires the sampler). The same registry is reachable in-band via the `stats proteus`
 // protocol extension. --server-id=N stamps that fleet index on every span.
 #include <csignal>
 #include <cstdio>
@@ -114,11 +115,12 @@ void print_help(std::FILE* out) {
       "  --slo-hit-ratio=R    hit-ratio SLO target in [0,1]; burn-rate\n"
       "                       breaches flip GET /health to 503.\n"
       "  --slo-p999-ms=L      p99.9 latency SLO target in milliseconds\n"
-      "                       (per audit window).\n"
+      "                       (judged per sampler tick).\n"
       "  --audit-window-s=S   model-drift / energy audit window (default "
       "15)\n"
-      "  --slo-fast-window-s=S  burn-rate fast window (default 60; the slow\n"
-      "                       window stays at least 10x the fast one).\n"
+      "  --slo-fast-window-s=S  burn-rate fast window, > 0 (default 60;\n"
+      "                       the slow window stays at least 10x the fast\n"
+      "                       one).\n"
       "                       Short windows make smoke tests react in\n"
       "                       seconds; production wants the default.\n"
       "  --peak-ops=N         ops/s treated as 100%% utilisation for the\n"
@@ -129,7 +131,8 @@ void print_help(std::FILE* out) {
       "                       feeding the in-process time-series store and\n"
       "                       the diurnal anomaly detector (default 1000;\n"
       "                       0 disables the sampler, the store, and\n"
-      "                       GET /timeseries entirely)\n"
+      "                       GET /timeseries entirely; the audit flags\n"
+      "                       need the sampler and refuse 0)\n"
       "  --dump-dir=DIR       write flight-recorder artifacts here:\n"
       "                       flight.jsonl (periodic atomic checkpoint,\n"
       "                       survives kill -9) and flight-crash.jsonl\n"
@@ -254,6 +257,16 @@ int main(int argc, char** argv) {
   }
   if (audit.slo.hit_ratio_target < 0.0 || audit.slo.hit_ratio_target > 1.0) {
     std::fprintf(stderr, "--slo-hit-ratio must be in [0, 1]\n");
+    return 2;
+  }
+  if (audit.slo.windows.fast_window <= 0) {
+    std::fprintf(stderr, "--slo-fast-window-s must be > 0\n");
+    return 2;
+  }
+  if (audit_requested && !tsdb.enabled) {
+    std::fprintf(stderr,
+                 "the audit flags read the sampler's history: "
+                 "--sample-interval-ms=0 cannot be combined with them\n");
     return 2;
   }
   audit.enabled = audit_requested;

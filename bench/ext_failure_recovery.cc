@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/proteus.h"
-#include "core/replicated_proteus.h"
 #include "workload/trace.h"
 
 namespace {
@@ -46,36 +45,23 @@ std::vector<double> backend_rate_per_window(
     }
   };
 
-  if (replicas <= 1) {
-    ProteusOptions opt;
-    opt.max_servers = 10;
-    opt.per_server.memory_budget_bytes = 64 << 20;
-    Proteus cluster(opt, miss_path);
-    for (const auto& ev : trace) {
-      flush_windows(static_cast<std::size_t>(ev.time / window));
-      if (!crashed && ev.time >= crash_at) {
-        // No replication: emulate the crash by flushing the server (the
-        // single-ring facade has no failover; routing is unchanged, the
-        // data is simply gone — §III-A).
-        const_cast<cache::CacheServer&>(cluster.server(4)).flush();
-        crashed = true;
-      }
-      cluster.get(ev.key, ev.time);
+  ProteusOptions opt;
+  opt.max_servers = 10;
+  opt.replicas = replicas;
+  opt.per_server.memory_budget_bytes = 64 << 20;
+  Proteus cluster(opt, miss_path);
+  for (const auto& ev : trace) {
+    flush_windows(static_cast<std::size_t>(ev.time / window));
+    if (!crashed && ev.time >= crash_at) {
+      // The crash loses server 4's memory (§III-A). With one ring there is
+      // no replica to fail over to, so it is a cold restart: the server
+      // rejoins empty and refills from the backend. With r >= 2 it stays
+      // down and the surviving replicas serve its keys.
+      cluster.fail_server(4);
+      if (replicas == 1) cluster.recover_server(4);
+      crashed = true;
     }
-  } else {
-    ReplicatedOptions opt;
-    opt.max_servers = 10;
-    opt.replicas = replicas;
-    opt.per_server.memory_budget_bytes = 64 << 20;
-    ReplicatedProteus cluster(opt, miss_path);
-    for (const auto& ev : trace) {
-      flush_windows(static_cast<std::size_t>(ev.time / window));
-      if (!crashed && ev.time >= crash_at) {
-        cluster.fail_server(4);
-        crashed = true;
-      }
-      cluster.get(ev.key, ev.time);
-    }
+    cluster.get(ev.key, ev.time);
   }
   flush_windows(static_cast<std::size_t>(trace.back().time / window) + 1);
   return rates;

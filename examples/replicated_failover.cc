@@ -7,19 +7,19 @@
 #include <cstdio>
 #include <string>
 
-#include "core/replicated_proteus.h"
+#include "core/proteus.h"
 
 int main() {
   using namespace proteus;
 
-  ReplicatedOptions opt;
+  ProteusOptions opt;
   opt.max_servers = 10;
   opt.replicas = 2;
   opt.per_server.memory_budget_bytes = 16 << 20;
   opt.ttl = 10 * kSecond;
 
   std::uint64_t db_calls = 0;
-  ReplicatedProteus cluster(opt, [&](std::string_view key) {
+  Proteus cluster(opt, [&](std::string_view key) {
     ++db_calls;
     return "row:" + std::string(key);
   });

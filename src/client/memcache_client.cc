@@ -632,14 +632,6 @@ ProteusClient::ProteusClient(Options options, Backend backend)
   PROTEUS_CHECK(!options_.endpoints.empty());
   PROTEUS_CHECK(options_.max_attempts >= 1);
   PROTEUS_CHECK(options_.replicas >= 1);
-  // The historical breaker knobs stay authoritative for the fail-stop path
-  // of the phi-accrual detector: consecutive-error threshold and the
-  // quarantine dwell schedule map one-to-one.
-  core::EndpointHealth::Policy hp = options_.health;
-  hp.error_threshold = options_.breaker.failure_threshold;
-  hp.quarantine_base = options_.breaker.backoff.base_delay;
-  hp.quarantine_cap =
-      std::max(options_.breaker.backoff.max_delay, hp.quarantine_base);
   endpoints_.reserve(options_.endpoints.size());
   for (std::size_t i = 0; i < options_.endpoints.size(); ++i) {
     Endpoint ep;
@@ -647,7 +639,7 @@ ProteusClient::ProteusClient(Options options, Backend backend)
                   ? options_.hosts[i]
                   : "127.0.0.1";
     ep.port = options_.endpoints[i];
-    ep.health = core::EndpointHealth(hp);
+    ep.health = core::EndpointHealth(options_.health);
     endpoints_.push_back(std::move(ep));
   }
 }
@@ -702,14 +694,14 @@ MemcacheConnection* ProteusClient::acquire(int server, SimTime now) {
 void ProteusClient::record_failure(int server, net::NetError error,
                                    SimTime now) {
   if (error == net::NetError::kOverloaded) {
-    // A shed is a healthy server protecting itself — no breaker penalty
-    // (opening the breaker would shift load onto its equally loaded peers).
+    // A shed is a healthy server protecting itself — no health penalty
+    // (quarantining it would shift load onto its equally loaded peers).
     ++stats_.server_sheds;
     return;
   }
   if (error == net::NetError::kStaleEpoch) {
     // A fencing refusal is correctness, not ill health: the daemon is alive
-    // and protecting the cluster from our outdated view. No breaker
+    // and protecting the cluster from our outdated view. No health
     // penalty, no retry — the caller refreshes the view instead.
     ++stats_.stale_epoch_rejects;
     return;
@@ -1217,11 +1209,7 @@ void ProteusClient::tick(SimTime now) {
     }
   }
   if (router_.in_transition() && now >= router_.transition_end()) {
-    // Real deployments would power the drained daemons off here; that is
-    // an operator action outside this client's authority.
-    router_.finalize_transition();
-    obs::emit(options_.trace, now, obs::TraceEventKind::kResizeEnd,
-              router_.active());
+    finalize_transition(now);
   }
   // Audit feed: the client's own per-endpoint counters, with power states
   // derived from routing (this client decided which daemons are active /
@@ -1458,13 +1446,21 @@ void ProteusClient::put(std::string_view key, std::string_view value,
   }
 }
 
+void ProteusClient::finalize_transition(SimTime now) {
+  // Real deployments would power the drained daemons off here; that is an
+  // operator action outside this client's authority.
+  router_.finalize_transition();
+  obs::emit(options_.trace, now, obs::TraceEventKind::kResizeEnd,
+            router_.active());
+}
+
 bool ProteusClient::resize(int n_active, SimTime now) {
   tick(now);
   PROTEUS_CHECK(n_active >= 1 &&
                 n_active <= static_cast<int>(options_.endpoints.size()));
   const int n_old = router_.active();
   if (n_active == n_old) return true;
-  if (router_.in_transition()) router_.finalize_transition();
+  if (router_.in_transition()) finalize_transition(now);
 
   // Fencing: advance the cluster epoch and teach it to every daemon the
   // transition touches BEFORE any routing changes. From this point a
@@ -1543,7 +1539,7 @@ void ProteusClient::register_metrics(obs::MetricsRegistry& registry) const {
   stat("proteus_client_reconnects_total", "fresh connection attempts",
        [](const Stats& s) { return s.reconnects; });
   stat("proteus_client_breaker_open_skips_total",
-       "ops skipped with the breaker open",
+       "ops skipped: endpoint quarantined",
        [](const Stats& s) { return s.breaker_open_skips; });
   stat("proteus_client_failover_hits_total", "served by a SS III-E replica",
        [](const Stats& s) { return s.failover_hits; });
@@ -1611,12 +1607,6 @@ void ProteusClient::register_metrics(obs::MetricsRegistry& registry) const {
                     "hedge budget tokens currently available",
                     [this] { return hedge_budget_.tokens(); });
   for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-    registry.gauge_fn(
-        "proteus_client_endpoint_" + std::to_string(i) + "_breaker_state",
-        "0=closed 1=open 2=half-open (health-machine compat view)",
-        [this, i] {
-          return static_cast<double>(breaker_state(static_cast<int>(i)));
-        });
     registry.gauge_fn(
         "proteus_client_endpoint_" + std::to_string(i) + "_health_state",
         "0=healthy 1=suspect 2=quarantined 3=probation",

@@ -224,14 +224,11 @@ class ProteusClient {
     // Total attempts per wire op (1 = no retry). Retries reconnect first,
     // spaced by decorrelated jitter drawn from `jitter_seed`.
     int max_attempts = 2;
-    // Fail-stop knobs, kept under the historical name: consecutive hard
-    // failures before an endpoint is quarantined, and the base/cap of its
-    // decorrelated-jitter re-probe dwell. These override the matching
-    // fields of `health` (they are the same dials, pre-gray-failure).
-    core::CircuitBreaker::Policy breaker;
-    // Gray-failure detection policy (phi thresholds, latency EWMA gains,
-    // hedge-delay shaping) — see core::EndpointHealth::Policy. The
-    // error-threshold and quarantine-dwell fields are taken from `breaker`.
+    // Endpoint health policy (core::EndpointHealth::Policy): the fail-stop
+    // dials (`error_threshold` consecutive hard errors quarantine an
+    // endpoint; `quarantine_base`/`quarantine_cap` bound its re-probe
+    // dwell) plus the gray-failure ones (phi thresholds, latency EWMA
+    // gains, hedge-delay shaping).
     core::EndpointHealth::Policy health;
     std::uint64_t jitter_seed = 0x9e3779b97f4a7c15ULL;
     // Hedged reads: after the primary's adaptive delay, race a backup GET
@@ -280,7 +277,7 @@ class ProteusClient {
   ProteusClient(Options options, Backend backend);
 
   // Algorithm 2 over the wire. `now` is any monotonic microsecond clock
-  // (it also drives breaker/backoff scheduling). Never blocks longer than
+  // (it also drives quarantine/retry scheduling). Never blocks longer than
   // max_attempts * (connect_timeout + op_timeout) per consulted server.
   std::string get(std::string_view key, SimTime now);
   void put(std::string_view key, std::string_view value, SimTime now);
@@ -351,19 +348,6 @@ class ProteusClient {
   // Direct view of the phi-accrual detector gating `server`.
   const core::EndpointHealth& endpoint_health(int server) const {
     return endpoints_.at(static_cast<std::size_t>(server)).health;
-  }
-  // Compatibility view of the health machine in the old breaker vocabulary:
-  // healthy/suspect -> closed (traffic flows), quarantined -> open
-  // (skipped), probation -> half-open (proving itself).
-  core::CircuitBreaker::State breaker_state(int server) const {
-    switch (endpoint_health(server).state()) {
-      case core::EndpointHealth::State::kQuarantined:
-        return core::CircuitBreaker::State::kOpen;
-      case core::EndpointHealth::State::kProbation:
-        return core::CircuitBreaker::State::kHalfOpen;
-      default:
-        return core::CircuitBreaker::State::kClosed;
-    }
   }
 
  private:
@@ -443,6 +427,9 @@ class ProteusClient {
   // After a stale-epoch fence: re-read the daemon's (epoch, incarnation)
   // and adopt the higher epoch so the next mutation passes.
   void refresh_view(int server, SimTime now);
+  // Ends the in-flight transition at `now` (drain window over, or overtaken
+  // by the next resize) and emits its one resize_end.
+  void finalize_transition(SimTime now);
 
   // Distinct §III-E replica locations of `key` under the current mapping,
   // primary (ring 0) first.

@@ -1,6 +1,4 @@
-// Per-endpoint health gating: capped exponential backoff with deterministic
-// jitter, a closed/open/half-open circuit breaker, and the gray-failure
-// layer built on top of it — a phi-accrual-style EWMA latency/error
+// Per-endpoint health gating: a phi-accrual-style EWMA latency/error
 // detector (EndpointHealth) with a healthy/suspect/quarantined/probation
 // state machine, decorrelated-jitter retry scheduling (DecorrelatedJitter)
 // and a hedged-request token budget (HedgeBudget).
@@ -9,7 +7,8 @@
 // monotonic wall clock) and jitter comes from the seeded common/rng.h
 // generator, so failure-path tests replay exactly. Used by the live
 // ProteusClient (src/client) to decide when a cache server is worth another
-// connection attempt; reusable by anything that talks to flaky peers.
+// connection attempt, and by the in-process Proteus facade to gate routing
+// around crashed servers; reusable by anything that talks to flaky peers.
 #pragma once
 
 #include <algorithm>
@@ -21,89 +20,6 @@
 #include "common/time.h"
 
 namespace proteus::core {
-
-// Capped exponential backoff: delay doubles per consecutive failure, capped
-// at `max_delay`, with +/-25% deterministic jitter so a fleet of clients
-// seeded differently does not reconnect in lockstep (thundering herd).
-struct BackoffPolicy {
-  SimTime base_delay = 100 * kMillisecond;
-  SimTime max_delay = 5 * kSecond;
-
-  // Delay before attempt `failures` (1 = first retry). Jitter drawn from
-  // `rng`, so identical seeds give identical schedules.
-  SimTime delay(int failures, Rng& rng) const noexcept {
-    const int shift = std::min(failures > 0 ? failures - 1 : 0, 20);
-    SimTime d = base_delay << shift;
-    if (d > max_delay || d <= 0) d = max_delay;
-    // Jitter in [0.75 * d, 1.25 * d].
-    const SimTime quarter = d / 4;
-    const SimTime jitter =
-        quarter > 0
-            ? static_cast<SimTime>(rng.next_below(
-                  static_cast<std::uint64_t>(2 * quarter + 1)))
-            : 0;
-    return d - quarter + jitter;
-  }
-};
-
-// Circuit breaker (closed -> open -> half-open -> closed). Closed passes
-// every attempt through; after `failure_threshold` consecutive failures the
-// circuit opens and attempts are rejected without touching the network
-// until a backoff-scheduled probe time. The first attempt after that probes
-// half-open: success closes the circuit, failure re-opens it with a longer
-// (capped, jittered) delay.
-class CircuitBreaker {
- public:
-  enum class State { kClosed, kOpen, kHalfOpen };
-
-  struct Policy {
-    int failure_threshold = 3;
-    BackoffPolicy backoff{/*base_delay=*/500 * kMillisecond,
-                          /*max_delay=*/10 * kSecond};
-  };
-
-  CircuitBreaker() : CircuitBreaker(Policy{}) {}
-  explicit CircuitBreaker(Policy policy) : policy_(policy) {
-    PROTEUS_CHECK(policy_.failure_threshold >= 1);
-  }
-
-  // May the caller attempt an operation now? Transitions open -> half-open
-  // when the probe time arrives (so at most one caller probes per window).
-  bool allow(SimTime now) noexcept {
-    if (state_ == State::kOpen) {
-      if (now < open_until_) return false;
-      state_ = State::kHalfOpen;
-    }
-    return true;
-  }
-
-  void record_success() noexcept {
-    state_ = State::kClosed;
-    consecutive_failures_ = 0;
-    open_count_ = 0;
-  }
-
-  void record_failure(SimTime now, Rng& rng) noexcept {
-    ++consecutive_failures_;
-    if (state_ == State::kHalfOpen ||
-        consecutive_failures_ >= policy_.failure_threshold) {
-      ++open_count_;
-      state_ = State::kOpen;
-      open_until_ = now + policy_.backoff.delay(open_count_, rng);
-    }
-  }
-
-  State state() const noexcept { return state_; }
-  SimTime open_until() const noexcept { return open_until_; }
-  int consecutive_failures() const noexcept { return consecutive_failures_; }
-
- private:
-  Policy policy_;
-  State state_ = State::kClosed;
-  int consecutive_failures_ = 0;
-  int open_count_ = 0;  // consecutive opens; scales the re-probe delay
-  SimTime open_until_ = 0;
-};
 
 // Decorrelated jitter (the AWS "decorrelated" variant): each delay is drawn
 // uniformly from [base, 3 * previous], capped. Successive draws wander the
@@ -172,7 +88,7 @@ class HedgeBudget {
 // baseline (0 when on-baseline, large when the endpoint turns
 // slow-but-alive), hard errors contribute the cap. Suspicion is an EWMA of
 // those samples, so gray failure accrues continuously instead of tripping a
-// binary breaker.
+// binary on/off switch.
 //
 // State machine: healthy -> suspect (suspicion >= phi_suspect) ->
 // quarantined (suspicion >= phi_quarantine, or `error_threshold`
@@ -199,7 +115,7 @@ class EndpointHealth {
     double phi_quarantine = 6.0;  // suspicion >= this -> quarantined
     double phi_cap = 12.0;        // per-sample cap; hard errors score this
     double suspicion_gain = 0.25;  // EWMA gain folding samples into suspicion
-    // Fail-stop fast path (mirrors the circuit breaker).
+    // Fail-stop fast path.
     int error_threshold = 3;  // consecutive hard errors -> quarantined
     // Re-admission.
     int probation_successes = 3;  // clean responses that close probation

@@ -1,25 +1,36 @@
 #include "core/proteus.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "hashring/replicated_ring.h"
 
 namespace proteus {
 
 Proteus::Proteus(ProteusOptions options, Backend backend)
-    : options_(options),
+    : options_(std::move(options)),
       backend_(std::move(backend)),
-      placement_(std::make_shared<ring::ProteusPlacement>(options.max_servers)),
-      router_(placement_, options.initial_servers > 0 ? options.initial_servers
-                                                      : options.max_servers) {
+      placement_(
+          std::make_shared<ring::ProteusPlacement>(options_.max_servers)) {
   PROTEUS_CHECK(backend_ != nullptr);
   PROTEUS_CHECK(options_.max_servers >= 1);
-  servers_.reserve(static_cast<std::size_t>(options_.max_servers));
+  PROTEUS_CHECK(options_.replicas >= 1);
+  const int initial = options_.initial_servers > 0 ? options_.initial_servers
+                                                   : options_.max_servers;
+  routers_.reserve(static_cast<std::size_t>(options_.replicas));
+  for (int r = 0; r < options_.replicas; ++r) {
+    routers_.emplace_back(placement_, initial, r);
+  }
+  const auto n = static_cast<std::size_t>(options_.max_servers);
+  failed_.assign(n, false);
+  health_.assign(n, core::EndpointHealth{});
+  servers_.reserve(n);
   for (int i = 0; i < options_.max_servers; ++i) {
     cache::CacheConfig per_server = options_.per_server;
     per_server.trace = options_.trace;
     per_server.trace_server_id = i;
     servers_.push_back(std::make_unique<cache::CacheServer>(per_server));
-    if (i >= router_.active()) servers_.back()->power_off();
+    if (i >= initial) servers_.back()->power_off();
   }
 
   if (!options_.journal_path.empty()) {
@@ -72,13 +83,15 @@ void Proteus::resume_transition(const core::PendingTransition& t) {
     if (encoded.size() < 24 || encoded.size() % 8 != 0) continue;
     digests[static_cast<std::size_t>(server)] = cache::decode_digest(encoded);
   }
-  router_.set_active(t.n_old);
-  router_.begin_transition(t.n_new, t.drain_end, std::move(digests));
+  for (cluster::Router& router : routers_) {
+    router.set_active(t.n_old);
+    router.begin_transition(t.n_new, t.drain_end, digests);
+  }
 }
 
 void Proteus::tick(SimTime now) {
-  if (router_.in_transition() && now >= router_.transition_end()) {
-    finalize_transition();
+  if (in_transition() && now >= routers_.front().transition_end()) {
+    finalize_transition(now);
   }
   // Audit feed rides the tick, at most once per second of `now`, so the
   // per-get cost with auditing off is this one pointer test.
@@ -105,15 +118,18 @@ void Proteus::feed_auditor(SimTime now) {
       static_cast<double>(stats_.backend_fetches));
 }
 
-void Proteus::finalize_transition() {
+void Proteus::finalize_transition(SimTime now) {
+  // A resize that overtakes the drain window ends it early, at `now`; the
+  // trace must never be stamped with the deadline still in the future.
+  const SimTime at = std::min(now, routers_.front().transition_end());
   for (int i : draining_) {
-    obs::emit(options_.trace, router_.transition_end(),
-              obs::TraceEventKind::kPowerOff, i, -1,
-              mutable_server(i).item_count());
+    if (server(i).power_state() == cache::PowerState::kOff) continue;  // crashed
+    obs::emit(options_.trace, at, obs::TraceEventKind::kPowerOff, i, -1,
+              server(i).item_count());
     mutable_server(i).power_off();
   }
   draining_.clear();
-  router_.finalize_transition();
+  for (cluster::Router& router : routers_) router.finalize_transition();
   if (journal_.is_open()) {
     core::JournalRecord fin;
     fin.kind = core::JournalRecordKind::kFinalize;
@@ -123,8 +139,8 @@ void Proteus::finalize_transition() {
     // the log stays bounded while the epoch survives the next restart.
     journal_.compact({fin});
   }
-  obs::emit(options_.trace, router_.transition_end(),
-            obs::TraceEventKind::kResizeEnd, router_.active());
+  obs::emit(options_.trace, at, obs::TraceEventKind::kResizeEnd,
+            active_servers());
 }
 
 std::string Proteus::get(std::string_view key, SimTime now) {
@@ -141,136 +157,193 @@ std::string Proteus::get(std::string_view key, SimTime now) {
 std::string Proteus::get_inner(std::string_view key, SimTime now,
                                obs::TraceContext& ctx) {
   tick(now);
+  last_now_ = now;
   ++stats_.gets;
+  const bool transition = in_transition();
   if (ctx.active()) {
-    ctx.in_transition = router_.in_transition();
+    ctx.in_transition = transition;
     ctx.child(obs::span_clock_now(), obs::SpanKind::kRoute);
-  }
-  const cluster::Router::Decision d = router_.decide(key);
-  if (ctx.active() && ctx.in_transition) {
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kDigestConsult, d.primary,
-              d.fallback >= 0 ? obs::SpanCause::kDigestHot
-                              : obs::SpanCause::kDigestCold);
   }
   const std::string k(key);
 
-  // Algorithm 2 line 2: try the new (current) location.
-  if (auto value = mutable_server(d.primary).get(k, now)) {
-    ++stats_.new_server_hits;
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kCacheGet, d.primary,
-                obs::SpanCause::kHit, key);
-      ctx.root_cause = obs::SpanCause::kHit;
+  // Walk the rings in order: ring 0 is the base design's only location,
+  // the others are §III-E failover. Live locations that answered a miss go
+  // into repair_ so whatever is served can be written back to them.
+  repair_.clear();
+  std::optional<std::string> value;
+  int source = -1;  // the server that served `value`
+  for (int r = 0; r < replicas() && !value; ++r) {
+    const cluster::Router::Decision d =
+        routers_[static_cast<std::size_t>(r)].decide(key);
+    const obs::SpanKind fetch =
+        r == 0 ? obs::SpanKind::kCacheGet : obs::SpanKind::kFailover;
+    if (ctx.active() && transition) {
+      ctx.child(obs::span_clock_now(), obs::SpanKind::kDigestConsult,
+                d.primary,
+                d.fallback >= 0 ? obs::SpanCause::kDigestHot
+                                : obs::SpanCause::kDigestCold);
     }
-    return *value;
-  }
-  if (ctx.active()) {
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kCacheGet, d.primary,
-              obs::SpanCause::kMiss, key);
-  }
-
-  // Lines 6-8: the digest marked the data hot on its old location.
-  if (d.fallback >= 0) {
-    if (auto value = mutable_server(d.fallback).get(k, now)) {
-      ++stats_.old_server_hits;
-      obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationHit,
-                d.fallback, d.primary, value->size(), key);
+    if (!admit(d.primary, now)) {
+      // Crashed, powered off, or health-quarantined: skipped either way.
+      ++stats_.failed_server_skips;
       if (ctx.active()) {
-        ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationFetch,
-                  d.fallback, obs::SpanCause::kHit, key);
+        ctx.child(obs::span_clock_now(), fetch, d.primary,
+                  obs::SpanCause::kQuarantined, key);
       }
-      // Line 12: on-demand migration; subsequent requests hit the primary.
-      // Under overload the throttle defers the write-back — the hit is
-      // still served from the old location, but migration stops competing
-      // with foreground traffic until the pressure clears.
-      if (options_.migration_throttle != nullptr &&
-          !options_.migration_throttle->allow(now)) {
-        ++stats_.migrations_deferred;
-        obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationDeferred,
-                  d.fallback, d.primary, value->size(), key);
-        if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
-                    d.primary, obs::SpanCause::kThrottled, key);
-          ctx.root_cause = obs::SpanCause::kOldHit;
+      continue;
+    }
+
+    // Algorithm 2 line 2: try the ring's new (current) location.
+    value = mutable_server(d.primary).get(k, now);
+    // A clean miss is a healthy answer too.
+    health_[static_cast<std::size_t>(d.primary)].record_success(now, 0, rng_);
+    if (value) {
+      ++(r == 0 ? stats_.new_server_hits : stats_.replica_ring_hits);
+      source = d.primary;
+      if (ctx.active()) {
+        ctx.child(obs::span_clock_now(), fetch, d.primary,
+                  obs::SpanCause::kHit, key);
+        ctx.root_cause =
+            r == 0 ? obs::SpanCause::kHit : obs::SpanCause::kFailoverHit;
+      }
+      break;
+    }
+    if (ctx.active()) {
+      ctx.child(obs::span_clock_now(), fetch, d.primary,
+                obs::SpanCause::kMiss, key);
+    }
+
+    if (d.fallback >= 0) {
+      // Lines 6-8: the digest marked the data hot on its old location.
+      if (usable(d.fallback)) {
+        value = mutable_server(d.fallback).get(k, now);
+        if (value) {
+          ++stats_.old_server_hits;
+          source = d.fallback;
+          obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationHit,
+                    d.fallback, d.primary, value->size(), key);
+        } else {
+          ++stats_.digest_false_positives;
+          obs::emit(options_.trace, now,
+                    obs::TraceEventKind::kDigestFalsePositive, d.fallback,
+                    d.primary, 0, key);
         }
-        return *value;
+        if (ctx.active()) {
+          ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationFetch,
+                    d.fallback,
+                    value ? obs::SpanCause::kHit : obs::SpanCause::kMiss, key);
+          if (value) ctx.root_cause = obs::SpanCause::kOldHit;
+        }
       }
-      mutable_server(d.primary).set(k, *value, now, charge_for(*value));
-      if (ctx.active()) {
-        ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
-                  d.primary, obs::SpanCause::kStored, key);
-        ctx.root_cause = obs::SpanCause::kOldHit;
+    } else if (transition) {
+      // §IV-B false-negative check: the digest reported the key cold, but
+      // is it actually resident on its old-mapping server? Cheap in-process
+      // (one hash + index probe), and it makes the paper's FN bound a
+      // measured quantity instead of a modeled one.
+      const int old_server = placement_->server_for(
+          ring::replica_ring_hash(hash_bytes(key), r),
+          routers_[static_cast<std::size_t>(r)].old_active());
+      if (old_server != d.primary && usable(old_server) &&
+          server(old_server).contains(k, now)) {
+        ++stats_.digest_false_negatives;
+        obs::emit(options_.trace, now,
+                  obs::TraceEventKind::kDigestFalseNegative, old_server,
+                  d.primary, 0, key);
       }
-      return *value;
     }
-    ++stats_.digest_false_positives;
-    obs::emit(options_.trace, now, obs::TraceEventKind::kDigestFalsePositive,
-              d.fallback, d.primary, 0, key);
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationFetch,
-                d.fallback, obs::SpanCause::kMiss, key);
-    }
-  } else if (router_.in_transition()) {
-    // §IV-B false-negative check: the digest reported the key cold, but is
-    // it actually resident on its old-mapping server? Cheap in-process
-    // (one hash + index probe), and it makes the paper's FN bound a
-    // measured quantity instead of a modeled one.
-    const int old_server = placement_->server_for(
-        ring::replica_ring_hash(hash_bytes(key), 0), router_.old_active());
-    if (old_server != d.primary &&
-        servers_[static_cast<std::size_t>(old_server)]->power_state() !=
-            cache::PowerState::kOff &&
-        servers_[static_cast<std::size_t>(old_server)]->contains(k, now)) {
-      ++stats_.digest_false_negatives;
-      obs::emit(options_.trace, now, obs::TraceEventKind::kDigestFalseNegative,
-                old_server, d.primary, 0, key);
-    }
+    repair_.push_back(d.primary);
   }
 
-  // Line 10: false positive or cold data — the backend is authoritative.
-  ++stats_.backend_fetches;
-  std::string value = backend_(key);
-  if (ctx.active()) {
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kBackendFetch, -1,
-              obs::SpanCause::kBackendFill, key);
+  if (!value) {
+    // Line 10: false positive or cold data — the backend is authoritative,
+    // and its answer fills every live location that missed.
+    ++stats_.backend_fetches;
+    value = backend_(key);
+    if (ctx.active()) {
+      ctx.child(obs::span_clock_now(), obs::SpanKind::kBackendFetch, -1,
+                obs::SpanCause::kBackendFill, key);
+      ctx.root_cause = obs::SpanCause::kBackendFill;
+    }
+    store_repairs(k, *value, now, ctx, obs::SpanKind::kFill);
+    return std::move(*value);
   }
-  mutable_server(d.primary).set(k, value, now, charge_for(value));
-  if (ctx.active()) {
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kFill, d.primary,
-              obs::SpanCause::kStored, key);
-    ctx.root_cause = obs::SpanCause::kBackendFill;
+  if (repair_.empty()) return std::move(*value);
+
+  // Line 12: on-demand migration (and §III-E read-repair); subsequent
+  // requests hit the ring's primary. Under overload the throttle defers
+  // the whole write-back — the value is still served, but repair stops
+  // competing with foreground traffic until the pressure clears.
+  if (options_.migration_throttle != nullptr &&
+      !options_.migration_throttle->allow(now)) {
+    ++stats_.migrations_deferred;
+    for (int target : repair_) {
+      obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationDeferred,
+                source, target, value->size(), key);
+    }
+    if (ctx.active()) {
+      ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
+                repair_.front(), obs::SpanCause::kThrottled, key);
+    }
+    return std::move(*value);
   }
-  return value;
+  store_repairs(k, *value, now, ctx, obs::SpanKind::kMigrationStore);
+  return std::move(*value);
+}
+
+void Proteus::store_repairs(const std::string& key, const std::string& value,
+                            SimTime now, obs::TraceContext& ctx,
+                            obs::SpanKind kind) {
+  for (int target : repair_) {
+    // contains() also skips a server listed twice (an Eq. 3 conflict).
+    if (!usable(target) || server(target).contains(key, now)) continue;
+    mutable_server(target).set(key, value, now, charge_for(value));
+    if (ctx.active()) {
+      ctx.child(obs::span_clock_now(), kind, target, obs::SpanCause::kStored,
+                key);
+    }
+  }
+}
+
+std::vector<int> Proteus::replica_servers(std::string_view key) const {
+  std::vector<int> out;
+  out.reserve(routers_.size());
+  for (const cluster::Router& router : routers_) {
+    out.push_back(router.decide(key).primary);
+  }
+  return out;
 }
 
 void Proteus::put(std::string_view key, std::string value, SimTime now) {
   tick(now);
   ++stats_.puts;
-  const cluster::Router::Decision d = router_.decide(key);
   const std::string k(key);
   const std::size_t charge = charge_for(value);
+  repair_.clear();
+  for (const cluster::Router& router : routers_) {
+    repair_.push_back(router.decide(key).primary);
+  }
   // Invalidate every other powered location first. Besides the in-flight
-  // transition's old location, copies abandoned by EARLIER mapping epochs
+  // transition's old locations, copies abandoned by EARLIER mapping epochs
   // may still sit on servers that stayed powered (a scale-up moves keys off
   // a server without deleting them); if the mapping later returns there,
-  // such a copy would resurrect a stale value. Write-through with global
+  // such a copy would resurrect a stale value. Write-all with global
   // invalidation keeps reads exactly as fresh as the backend.
   for (int i = 0; i < options_.max_servers; ++i) {
-    if (i != d.primary &&
-        servers_[static_cast<std::size_t>(i)]->power_state() !=
-            cache::PowerState::kOff) {
+    if (server(i).power_state() != cache::PowerState::kOff &&
+        std::find(repair_.begin(), repair_.end(), i) == repair_.end()) {
       mutable_server(i).erase(k);
     }
   }
-  mutable_server(d.primary).set(k, std::move(value), now, charge);
+  for (int target : repair_) {
+    if (usable(target)) mutable_server(target).set(k, value, now, charge);
+  }
 }
 
 void Proteus::erase(std::string_view key, SimTime now) {
   tick(now);
   const std::string k(key);
   for (int i = 0; i < options_.max_servers; ++i) {
-    if (servers_[static_cast<std::size_t>(i)]->power_state() !=
-        cache::PowerState::kOff) {
+    if (server(i).power_state() != cache::PowerState::kOff) {
       mutable_server(i).erase(k);
     }
   }
@@ -279,13 +352,13 @@ void Proteus::erase(std::string_view key, SimTime now) {
 void Proteus::resize(int n_active, SimTime now) {
   tick(now);
   PROTEUS_CHECK(n_active >= 1 && n_active <= options_.max_servers);
-  const int n_old = router_.active();
+  const int n_old = active_servers();
   if (n_active == n_old) return;
   ++stats_.resizes;
 
   // Overlapping transitions: finalize the pending one first (§IV assumes
   // the provisioning period is much longer than TTL).
-  if (router_.in_transition()) finalize_transition();
+  if (in_transition()) finalize_transition(now);
 
   // Bump the fencing epoch and write the plan ahead of acting on it: after
   // a crash anywhere past this append, replay reconstructs the transition.
@@ -307,11 +380,14 @@ void Proteus::resize(int n_active, SimTime now) {
   obs::emit(options_.trace, now, obs::TraceEventKind::kEpochBump, -1, -1,
             epoch_);
 
-  // Broadcast digests of every old-mapping server (§IV-A).
+  // Broadcast digests of every live old-mapping server (§IV-A). One
+  // snapshot per server serves every ring: it covers the server's whole
+  // content, whichever ring put each key there.
   std::vector<std::optional<bloom::BloomFilter>> digests(
       static_cast<std::size_t>(options_.max_servers));
   for (int i = 0; i < n_old; ++i) {
-    auto snapshot = servers_[static_cast<std::size_t>(i)]->snapshot_digest();
+    if (!usable(i)) continue;
+    auto snapshot = server(i).snapshot_digest();
     obs::emit(options_.trace, now, obs::TraceEventKind::kDigestSnapshot, i,
               -1, snapshot.words().size() * sizeof(std::uint64_t));
     if (journal_.is_open()) {
@@ -324,11 +400,15 @@ void Proteus::resize(int n_active, SimTime now) {
     digests[static_cast<std::size_t>(i)] = std::move(snapshot);
   }
 
+  // A crashed server stays off through the resize; recover_server brings
+  // it back if it is still in the active set by then.
   for (int i = n_old; i < n_active; ++i) {
+    if (failed_[static_cast<std::size_t>(i)]) continue;
     mutable_server(i).power_on();
     obs::emit(options_.trace, now, obs::TraceEventKind::kPowerOn, i);
   }
   for (int i = n_active; i < n_old; ++i) {
+    if (failed_[static_cast<std::size_t>(i)]) continue;
     mutable_server(i).begin_draining();
     draining_.push_back(i);
     if (journal_.is_open()) {
@@ -340,7 +420,32 @@ void Proteus::resize(int n_active, SimTime now) {
     obs::emit(options_.trace, now, obs::TraceEventKind::kDrainBegin, i);
   }
 
-  router_.begin_transition(n_active, drain_end, std::move(digests));
+  for (cluster::Router& router : routers_) {
+    router.begin_transition(n_active, drain_end, digests);
+  }
+}
+
+void Proteus::fail_server(int i) {
+  PROTEUS_CHECK(i >= 0 && i < options_.max_servers);
+  if (failed_[static_cast<std::size_t>(i)]) return;
+  failed_[static_cast<std::size_t>(i)] = true;
+  // The membership layer declared the server dead: quarantine the routing
+  // detector immediately rather than waiting for errors to accrue.
+  health_[static_cast<std::size_t>(i)].force_quarantine(last_now_, rng_);
+  // A crash loses the in-memory cache (§III-A).
+  if (server(i).power_state() != cache::PowerState::kOff) {
+    mutable_server(i).power_off();
+  }
+}
+
+void Proteus::recover_server(int i) {
+  PROTEUS_CHECK(i >= 0 && i < options_.max_servers);
+  if (!failed_[static_cast<std::size_t>(i)]) return;
+  failed_[static_cast<std::size_t>(i)] = false;
+  // Operator re-admission: skip the probe dwell, prove health in probation.
+  health_[static_cast<std::size_t>(i)].begin_probation();
+  // Rejoin cold if the server is inside the active set.
+  if (i < active_servers()) mutable_server(i).power_on();
 }
 
 int Proteus::powered_servers() const noexcept {
@@ -352,7 +457,7 @@ int Proteus::powered_servers() const noexcept {
 }
 
 ring::TransitionPlan Proteus::plan_resize(int n_active) const {
-  return ring::plan_transition(*placement_, router_.active(), n_active,
+  return ring::plan_transition(*placement_, active_servers(), n_active,
                                bytes_cached());
 }
 
@@ -368,6 +473,12 @@ void Proteus::register_metrics(obs::MetricsRegistry& registry) const {
        [](const ProteusStats& s) { return s.gets; });
   stat("proteus_new_server_hits_total", "hits on the current mapping",
        [](const ProteusStats& s) { return s.new_server_hits; });
+  stat("proteus_replica_ring_hits_total",
+       "hits served by a SS III-E replica ring (failover)",
+       [](const ProteusStats& s) { return s.replica_ring_hits; });
+  stat("proteus_failed_server_skips_total",
+       "locations skipped: crashed, powered off or quarantined",
+       [](const ProteusStats& s) { return s.failed_server_skips; });
   stat("proteus_old_server_hits_total",
        "on-demand migrations (Algorithm 2 line 12)",
        [](const ProteusStats& s) { return s.old_server_hits; });

@@ -8,6 +8,13 @@
 //   * Algorithm 2 smooth transitions (counting-Bloom digests + on-demand
 //     hot-data migration; shrunk servers drain for TTL, then power off).
 //
+// With `replicas` = r > 1 it is the §III-E fault-tolerant form: r hash
+// rings share the one placement but hash keys with r different functions
+// (one cluster::Router per ring, as in cluster::WebTier). Writes go to the
+// key's server on every ring; reads walk the rings in order, skip crashed
+// or quarantined servers, and read-repair the live locations that missed.
+// One ring is exactly the paper's base design.
+//
 // Typical use (see examples/quickstart.cc):
 //
 //   proteus::ProteusOptions opt;
@@ -32,7 +39,9 @@
 
 #include "cache/cache_server.h"
 #include "cluster/router.h"
+#include "common/rng.h"
 #include "common/time.h"
+#include "core/endpoint_health.h"
 #include "core/overload.h"
 #include "core/transition_journal.h"
 #include "hashring/migration_plan.h"
@@ -47,6 +56,9 @@ namespace proteus {
 struct ProteusOptions {
   int max_servers = 10;
   int initial_servers = 0;  // 0 -> max_servers
+  // r of §III-E: copies kept of every key, one per hash ring. 1 = the base
+  // design (no replication).
+  int replicas = 1;
   cache::CacheConfig per_server;
   SimTime ttl = 60 * kSecond;  // hotness window / drain duration
   // Accounting charge for values written through the miss path; 0 charges
@@ -86,7 +98,8 @@ struct ProteusOptions {
 
 struct ProteusStats {
   std::uint64_t gets = 0;
-  std::uint64_t new_server_hits = 0;
+  std::uint64_t new_server_hits = 0;   // served by ring 0's current location
+  std::uint64_t replica_ring_hits = 0; // served by ring >= 1 (failover)
   std::uint64_t old_server_hits = 0;   // on-demand migrations (Algorithm 2)
   std::uint64_t backend_fetches = 0;
   std::uint64_t digest_false_positives = 0;
@@ -94,6 +107,7 @@ struct ProteusStats {
   // a transition although it was resident on its old server (detected by a
   // direct check on the backend-fetch path, so the bound is measurable).
   std::uint64_t digest_false_negatives = 0;
+  std::uint64_t failed_server_skips = 0;  // crashed/quarantined location skipped
   std::uint64_t puts = 0;
   std::uint64_t resizes = 0;
   // Old-location hits whose write-back to the new primary was deferred by
@@ -106,7 +120,8 @@ struct ProteusStats {
   std::uint64_t journal_transitions_resumed = 0;
 
   double hit_ratio() const noexcept {
-    return gets ? static_cast<double>(new_server_hits + old_server_hits) /
+    return gets ? static_cast<double>(new_server_hits + replica_ring_hits +
+                                      old_server_hits) /
                       static_cast<double>(gets)
                 : 0.0;
   }
@@ -121,12 +136,14 @@ class Proteus {
   Proteus(ProteusOptions options, Backend backend);
 
   // Algorithm 2 data retrieval. Never returns stale data; reaches the
-  // backend only when the key is neither on its new nor old cache server.
+  // backend only when the key is on none of its live replica locations,
+  // new or old. Whatever is served is written back to the live locations
+  // that missed (line-12 migration, §III-E read-repair, the miss fill).
   std::string get(std::string_view key, SimTime now);
 
-  // Explicit write: stores on the key's current primary and, during a
-  // transition, invalidates the old location so readers cannot see the
-  // overwritten value there.
+  // Explicit write: stores on the key's location on every ring (write-all)
+  // after invalidating every other powered server, so readers cannot see
+  // the overwritten value anywhere.
   void put(std::string_view key, std::string value, SimTime now);
 
   // Remove a key from wherever it may live.
@@ -140,10 +157,25 @@ class Proteus {
   // get/put/resize call this implicitly with their `now`.
   void tick(SimTime now);
 
-  int active_servers() const noexcept { return router_.active(); }
+  // Crash / recovery injection. fail_server emulates a crash: the server's
+  // memory (and digest) is lost, its phi-accrual detector (the one the live
+  // client routes by, core/endpoint_health.h) is force-quarantined, and
+  // routing skips it. recover_server re-admits it cold through probation.
+  void fail_server(int server);
+  void recover_server(int server);
+  bool is_failed(int server) const { return failed_.at(static_cast<std::size_t>(server)); }
+  const core::EndpointHealth& health(int server) const {
+    return health_.at(static_cast<std::size_t>(server));
+  }
+  // The key's location on every ring under the current mapping (may repeat
+  // a server — the Eq. 3 conflict case).
+  std::vector<int> replica_servers(std::string_view key) const;
+
+  int active_servers() const noexcept { return routers_.front().active(); }
   int powered_servers() const noexcept;
   int max_servers() const noexcept { return options_.max_servers; }
-  bool in_transition() const noexcept { return router_.in_transition(); }
+  int replicas() const noexcept { return options_.replicas; }
+  bool in_transition() const noexcept { return routers_.front().in_transition(); }
 
   // Fencing epoch: bumped on every resize (and restored from the journal on
   // restart). Web tiers stamp it on wire mutations; see docs/PROTOCOL.md.
@@ -172,10 +204,23 @@ class Proteus {
 
  private:
   cache::CacheServer& mutable_server(int i) { return *servers_[static_cast<std::size_t>(i)]; }
+  bool usable(int i) const {
+    return !failed_[static_cast<std::size_t>(i)] &&
+           server(i).power_state() != cache::PowerState::kOff;
+  }
+  // The read path's routing gate: power/crash state AND the health machine
+  // (a quarantined server is skipped until its probe dwell elapses).
+  bool admit(int i, SimTime now) {
+    return usable(i) && health_[static_cast<std::size_t>(i)].allow(now);
+  }
   // get() minus the trace envelope.
   std::string get_inner(std::string_view key, SimTime now,
                         obs::TraceContext& ctx);
-  void finalize_transition();
+  // Writes `value` to every location in repair_ still missing it.
+  void store_repairs(const std::string& key, const std::string& value,
+                     SimTime now, obs::TraceContext& ctx, obs::SpanKind kind);
+  // Ends the transition at `now`, or at its drain deadline if that passed.
+  void finalize_transition(SimTime now);
   // Feeds per-server counters into ProteusOptions::auditor (tick-gated).
   void feed_auditor(SimTime now);
   // Journal replay: re-enters the interrupted transition recorded in `t`
@@ -188,9 +233,14 @@ class Proteus {
   ProteusOptions options_;
   Backend backend_;
   std::shared_ptr<const ring::ProteusPlacement> placement_;
-  cluster::Router router_;
+  std::vector<cluster::Router> routers_;  // one per ring
   std::vector<std::unique_ptr<cache::CacheServer>> servers_;
+  std::vector<bool> failed_;
+  std::vector<core::EndpointHealth> health_;  // routing gate per server
+  Rng rng_{0x9e3779b97f4a7c15ULL};  // probe-dwell jitter, deterministic
+  SimTime last_now_ = 0;  // latest caller clock, for clock-less injections
   std::vector<int> draining_;
+  std::vector<int> repair_;  // get/put scratch: live locations to write
   ProteusStats stats_;
   core::TransitionJournal journal_;
   std::uint64_t epoch_ = 0;

@@ -11,7 +11,7 @@
 //   drain_begin(server)                       [one per leaving server]
 //   finalize(epoch)
 //
-// On construction, Proteus/ReplicatedProteus replay the journal: a
+// On construction, the Proteus facade (any `replicas`) replays the journal: a
 // transition with no finalize record is resumed (drain deadline still
 // ahead) or rolled forward (deadline passed — the crash outlived the drain
 // window, so finalization is completed immediately). Records are fsync'd at

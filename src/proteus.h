@@ -2,8 +2,8 @@
 //
 //   #include "proteus.h"
 //
-// pulls in everything a typical embedder needs: the Proteus facade, the
-// replicated variant, the cache server with its memcached protocols, the
+// pulls in everything a typical embedder needs: the Proteus facade (its
+// `replicas` option is the §III-E replicated form), the cache server with its memcached protocols, the
 // placement algorithms, the Bloom digest machinery, and the experiment
 // driver. Individual headers remain includable for finer-grained builds.
 #pragma once
@@ -19,7 +19,6 @@
 #include "cluster/report.h"                // IWYU pragma: export
 #include "cluster/scenario.h"              // IWYU pragma: export
 #include "core/proteus.h"                  // IWYU pragma: export
-#include "core/replicated_proteus.h"       // IWYU pragma: export
 #include "hashring/migration_plan.h"       // IWYU pragma: export
 #include "hashring/proteus_placement.h"    // IWYU pragma: export
 #include "hashring/routing_table.h"        // IWYU pragma: export

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "net/memcache_daemon.h"
+#include "obs/trace.h"
 
 namespace proteus::client {
 namespace {
@@ -137,6 +138,33 @@ TEST_F(Fleet, SmoothShrinkOverRealSockets) {
   }
   EXPECT_FALSE(client.in_transition());
   EXPECT_EQ(backend, 120u);
+}
+
+TEST_F(Fleet, OverlappingResizeEmitsOneResizeEndPerBegin) {
+  obs::TraceRing ring(1 << 12);
+  ProteusClient::Options opt = client_options();
+  opt.trace = &ring;
+  ProteusClient client(opt, [](std::string_view key) {
+    return "db:" + std::string(key);
+  });
+  for (int i = 0; i < 30; ++i) client.get("page:" + std::to_string(i), 0);
+
+  ASSERT_TRUE(client.resize(2, kSecond));      // drains until 61 s
+  ASSERT_TRUE(client.resize(1, 2 * kSecond));  // overtakes it at 2 s
+  client.tick(100 * kSecond);                  // past the second window
+
+  std::vector<obs::TraceEvent> begins, ends;
+  for (const obs::TraceEvent& e : ring.snapshot()) {
+    if (e.kind == obs::TraceEventKind::kResizeBegin) begins.push_back(e);
+    if (e.kind == obs::TraceEventKind::kResizeEnd) ends.push_back(e);
+  }
+  ASSERT_EQ(begins.size(), 2u);
+  ASSERT_EQ(ends.size(), 2u) << "an overtaken transition never ended";
+  EXPECT_EQ(ends[0].t, 2 * kSecond);
+  EXPECT_EQ(ends[0].server, 2);
+  EXPECT_LT(ends[0].seq, begins[1].seq);
+  EXPECT_EQ(ends[1].t, 100 * kSecond);
+  EXPECT_EQ(ends[1].server, 1);
 }
 
 TEST_F(Fleet, PutInvalidatesOldLocationDuringTransition) {

@@ -22,7 +22,6 @@
 #include "client/memcache_client.h"
 #include "common/hash.h"
 #include "core/proteus.h"
-#include "core/replicated_proteus.h"
 #include "core/transition_journal.h"
 #include "hashring/proteus_placement.h"
 #include "net/memcache_daemon.h"
@@ -122,7 +121,7 @@ TEST(TransitionJournalTest, RollsForwardWhenCrashOutlivedDrainWindow) {
 
 TEST(TransitionJournalTest, ReplicatedFacadeResumesFromJournal) {
   const std::string path = journal_path_for("ReplicatedFacadeResumes");
-  ReplicatedOptions opt;
+  ProteusOptions opt;
   opt.max_servers = 4;
   opt.replicas = 2;
   opt.per_server.memory_budget_bytes = 4 << 20;
@@ -130,13 +129,13 @@ TEST(TransitionJournalTest, ReplicatedFacadeResumesFromJournal) {
   opt.journal_path = path;
 
   {
-    ReplicatedProteus a(opt, backend_of);
+    Proteus a(opt, backend_of);
     for (int i = 0; i < 50; ++i) a.get("key:" + std::to_string(i), 0);
     a.resize(2, kSecond);
     ASSERT_TRUE(a.in_transition());
   }
 
-  ReplicatedProteus b(opt, backend_of);
+  Proteus b(opt, backend_of);
   EXPECT_TRUE(b.in_transition());
   EXPECT_EQ(b.cluster_epoch(), 1u);
   for (int i = 0; i < 50; ++i) {
@@ -318,9 +317,9 @@ class LiveFleet : public ::testing::Test {
     opt.connect_timeout = 200 * kMillisecond;
     opt.op_timeout = 200 * kMillisecond;
     opt.max_attempts = 2;
-    opt.breaker.failure_threshold = 3;
-    opt.breaker.backoff.base_delay = 500 * kMillisecond;
-    opt.breaker.backoff.max_delay = 5 * kSecond;
+    opt.health.error_threshold = 3;
+    opt.health.quarantine_base = 500 * kMillisecond;
+    opt.health.quarantine_cap = 5 * kSecond;
     // Error-driven health only: exact hit/miss assertions must not move
     // with wall-clock scheduling jitter on a loaded CI core.
     opt.health.min_deviation_usec = 1e9;
@@ -413,7 +412,7 @@ TEST_F(LiveFleet, StaleEpochMutationsAreFencedWithZeroAcks) {
             std::optional<std::string>("fresh-write"));
 
   // Fencing is no-retry and no-penalty: the rejected mutation must not
-  // have tripped breakers or burned retry attempts.
+  // have quarantined endpoints or burned retry attempts.
   EXPECT_EQ(b.stats().retries, 0u);
   EXPECT_EQ(b.stats().breaker_open_skips, 0u);
 }

@@ -69,9 +69,9 @@ class LiveFleet : public ::testing::Test {
     opt.connect_timeout = 200 * kMillisecond;
     opt.op_timeout = 200 * kMillisecond;
     opt.max_attempts = 2;
-    opt.breaker.failure_threshold = 3;
-    opt.breaker.backoff.base_delay = 500 * kMillisecond;
-    opt.breaker.backoff.max_delay = 5 * kSecond;
+    opt.health.error_threshold = 3;
+    opt.health.quarantine_base = 500 * kMillisecond;
+    opt.health.quarantine_cap = 5 * kSecond;
     // Exact backend-count assertions below must not wobble with wall-clock
     // scheduling jitter: keep the health machine error-driven only (the
     // latency-accrual paths are covered by gray_failure_test).
@@ -188,24 +188,28 @@ TEST_F(LiveFleet, BreakerOpensOnRepeatedFailureAndRecoversOnRestart) {
   for (int i = 0; i < 30; ++i) web.get("page:" + std::to_string(i), 0);
 
   kill(1);
-  // Repeated ops against the dead endpoint trip the breaker...
+  // Repeated ops against the dead endpoint quarantine it...
   for (int i = 0; i < 30; ++i) web.get("page:" + std::to_string(i), kSecond);
-  EXPECT_EQ(web.breaker_state(1), core::CircuitBreaker::State::kOpen);
+  EXPECT_EQ(web.endpoint_health(1).state(),
+            core::EndpointHealth::State::kQuarantined);
   const std::uint64_t reconnects_when_open = web.stats().reconnects;
-  // ...and while open, the endpoint is skipped without touching the
+  // ...and while quarantined, the endpoint is skipped without touching the
   // network (same `now`, so the probe window has not arrived).
   for (int i = 0; i < 30; ++i) web.get("page:" + std::to_string(i), kSecond);
   EXPECT_GT(web.stats().breaker_open_skips, 0u);
   EXPECT_EQ(web.stats().reconnects, reconnects_when_open);
 
-  // The daemon comes back on the same port; past the backoff window the
-  // half-open probe reconnects and the breaker closes.
+  // The daemon comes back on the same port; past the quarantine dwell the
+  // probation probe reconnects and the endpoint is routable again.
   restart(1);
   for (int i = 0; i < 30; ++i) {
     EXPECT_EQ(web.get("page:" + std::to_string(i), 30 * kSecond),
               "db:page:" + std::to_string(i));
   }
-  EXPECT_EQ(web.breaker_state(1), core::CircuitBreaker::State::kClosed);
+  const auto state = web.endpoint_health(1).state();
+  EXPECT_TRUE(state == core::EndpointHealth::State::kHealthy ||
+              state == core::EndpointHealth::State::kSuspect)
+      << static_cast<int>(state);
   EXPECT_GT(web.stats().reconnects, reconnects_when_open);
 }
 

@@ -119,9 +119,9 @@ TEST_F(GrayFleet, LatencyRampHedgingCutsTheTailWithinBudget) {
   // right). A huge dwell keeps probation probes out of the measurement.
   ProteusClient::Options on_opt = base_options();
   on_opt.replicas = 2;  // every key also lives on server 1
-  on_opt.breaker.failure_threshold = 1;
-  on_opt.breaker.backoff.base_delay = 300 * kSecond;
-  on_opt.breaker.backoff.max_delay = 600 * kSecond;
+  on_opt.health.error_threshold = 1;
+  on_opt.health.quarantine_base = 300 * kSecond;
+  on_opt.health.quarantine_cap = 600 * kSecond;
   ProteusClient web_on(on_opt, [](std::string_view key) {
     return "v:" + std::string(key);
   });
@@ -132,7 +132,7 @@ TEST_F(GrayFleet, LatencyRampHedgingCutsTheTailWithinBudget) {
   off_opt.replicas = 2;
   off_opt.hedging = false;
   off_opt.health.min_deviation_usec = 1e9;
-  off_opt.breaker.failure_threshold = 1000;
+  off_opt.health.error_threshold = 1000;
   ProteusClient web_off(off_opt, [](std::string_view key) {
     return "v:" + std::string(key);
   });
@@ -264,9 +264,9 @@ TEST_F(GrayFleet, BitFlippedRepliesAreNeverServedAndAreReadRepaired) {
 TEST_F(GrayFleet, QuarantinedEndpointReadmitsThroughProbationProbes) {
   ProteusClient::Options opt = base_options();
   opt.hedging = false;  // keep the failure accounting on the classic path
-  opt.breaker.failure_threshold = 3;
-  opt.breaker.backoff.base_delay = 500 * kMillisecond;
-  opt.breaker.backoff.max_delay = 2 * kSecond;
+  opt.health.error_threshold = 3;
+  opt.health.quarantine_base = 500 * kMillisecond;
+  opt.health.quarantine_cap = 2 * kSecond;
   std::uint64_t backend = 0;
   ProteusClient web(opt, [&](std::string_view key) {
     ++backend;

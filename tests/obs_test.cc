@@ -361,6 +361,41 @@ TEST_F(TimelineTest, GrowEmitsPowerOnAndExpiryEmitsTtl) {
   EXPECT_EQ(expiries, 50u);
 }
 
+TEST_F(TimelineTest, OverlappingResizeEndsEachTransitionOnceAtItsTime) {
+  TraceRing ring(1 << 14);
+  Proteus cluster(options(&ring), [](std::string_view key) {
+    return "v-" + std::string(key);
+  });
+  for (int i = 0; i < 50; ++i) cluster.get("k:" + std::to_string(i), 0);
+  ring.clear();
+
+  cluster.resize(2, kSecond);      // drain window would end at 11 s
+  cluster.resize(1, 2 * kSecond);  // overtakes it: the first ends at 2 s
+  cluster.tick(20 * kSecond);      // the second ends at its 12 s deadline
+
+  std::vector<TraceEvent> begins, ends, power_offs;
+  SimTime last = 0;
+  for (const TraceEvent& e : ring.snapshot()) {
+    EXPECT_GE(e.t, last) << "trace time ran backwards at seq " << e.seq;
+    last = e.t;
+    if (e.kind == TraceEventKind::kResizeBegin) begins.push_back(e);
+    if (e.kind == TraceEventKind::kResizeEnd) ends.push_back(e);
+    if (e.kind == TraceEventKind::kPowerOff) power_offs.push_back(e);
+  }
+  ASSERT_EQ(begins.size(), 2u);
+  ASSERT_EQ(ends.size(), 2u);
+  EXPECT_EQ(ends[0].t, 2 * kSecond);
+  EXPECT_EQ(ends[0].server, 2);
+  EXPECT_LT(ends[0].seq, begins[1].seq);
+  EXPECT_EQ(ends[1].t, 12 * kSecond);
+  EXPECT_EQ(ends[1].server, 1);
+  ASSERT_EQ(power_offs.size(), 2u);
+  EXPECT_EQ(power_offs[0].server, 2);
+  EXPECT_EQ(power_offs[0].t, 2 * kSecond);
+  EXPECT_EQ(power_offs[1].server, 1);
+  EXPECT_EQ(power_offs[1].t, 12 * kSecond);
+}
+
 TEST_F(TimelineTest, DigestFalseNegativesAreDetectedAndTraced) {
   // Force genuine §IV-B false negatives with the paper's wrapping counters
   // (Eq. 5 / Fig. 8): two keys sharing a 1-bit counter wrap it to zero, so

@@ -1,15 +1,20 @@
-#include "core/replicated_proteus.h"
+#include "core/proteus.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace proteus {
 namespace {
 
-ReplicatedOptions small_options(int replicas = 2) {
-  ReplicatedOptions opt;
+ProteusOptions small_options(int replicas = 2) {
+  ProteusOptions opt;
   opt.max_servers = 10;
   opt.replicas = replicas;
   opt.per_server.memory_budget_bytes = 8 << 20;
@@ -29,9 +34,9 @@ struct CountingBackend {
   }
 };
 
-TEST(ReplicatedProteus, MissPathPopulatesAllReplicaLocations) {
+TEST(ReplicatedFacade, MissPathPopulatesAllReplicaLocations) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(3), std::ref(backend));
+  Proteus cluster(small_options(3), std::ref(backend));
   EXPECT_EQ(cluster.get("page:1", 0), "v:page:1");
   EXPECT_EQ(backend.calls, 1u);
   for (int server : cluster.replica_servers("page:1")) {
@@ -39,18 +44,18 @@ TEST(ReplicatedProteus, MissPathPopulatesAllReplicaLocations) {
   }
 }
 
-TEST(ReplicatedProteus, SecondGetHitsPrimaryRing) {
+TEST(ReplicatedFacade, SecondGetHitsPrimaryRing) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(), std::ref(backend));
+  Proteus cluster(small_options(), std::ref(backend));
   cluster.get("k", 0);
   cluster.get("k", 1);
-  EXPECT_EQ(cluster.stats().primary_ring_hits, 1u);
+  EXPECT_EQ(cluster.stats().new_server_hits, 1u);
   EXPECT_EQ(backend.calls, 1u);
 }
 
-TEST(ReplicatedProteus, SingleFailureServedByReplica) {
+TEST(ReplicatedFacade, SingleFailureServedByReplica) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(2), std::ref(backend));
+  Proteus cluster(small_options(2), std::ref(backend));
   for (int i = 0; i < 400; ++i) cluster.get("page:" + std::to_string(i), 0);
   ASSERT_EQ(backend.calls, 400u);
 
@@ -65,9 +70,9 @@ TEST(ReplicatedProteus, SingleFailureServedByReplica) {
   EXPECT_LE(backend.calls - before, 10u);  // conflicts only (~1/10 of 1/10)
 }
 
-TEST(ReplicatedProteus, ReadRepairAfterFailover) {
+TEST(ReplicatedFacade, ReadRepairAfterFailover) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(2), std::ref(backend));
+  Proteus cluster(small_options(2), std::ref(backend));
   // Find a key whose two replicas live on different servers.
   std::string key;
   for (int i = 0; i < 200; ++i) {
@@ -91,9 +96,9 @@ TEST(ReplicatedProteus, ReadRepairAfterFailover) {
   EXPECT_TRUE(cluster.server(ring0_server).contains(key, 2 * kSecond));
 }
 
-TEST(ReplicatedProteus, AllReplicasFailedFallsToBackend) {
+TEST(ReplicatedFacade, AllReplicasFailedFallsToBackend) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(2), std::ref(backend));
+  Proteus cluster(small_options(2), std::ref(backend));
   cluster.get("k", 0);
   const auto servers = cluster.replica_servers("k");
   for (int s : servers) cluster.fail_server(s);
@@ -103,8 +108,8 @@ TEST(ReplicatedProteus, AllReplicasFailedFallsToBackend) {
   EXPECT_GT(cluster.stats().failed_server_skips, 0u);
 }
 
-TEST(ReplicatedProteus, PutWritesAllReplicas) {
-  ReplicatedProteus cluster(small_options(3),
+TEST(ReplicatedFacade, PutWritesAllReplicas) {
+  Proteus cluster(small_options(3),
                             [](std::string_view) { return std::string("db"); });
   cluster.put("k", "fresh", 0);
   std::set<int> distinct;
@@ -117,9 +122,9 @@ TEST(ReplicatedProteus, PutWritesAllReplicas) {
   EXPECT_GE(distinct.size(), 2u);
 }
 
-TEST(ReplicatedProteus, SmoothResizePreservesHotDataPerRing) {
+TEST(ReplicatedFacade, SmoothResizePreservesHotDataPerRing) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(2), std::ref(backend));
+  Proteus cluster(small_options(2), std::ref(backend));
   for (int i = 0; i < 300; ++i) cluster.get("page:" + std::to_string(i), 0);
   const auto before = backend.calls;
   cluster.resize(5, kSecond);
@@ -130,9 +135,9 @@ TEST(ReplicatedProteus, SmoothResizePreservesHotDataPerRing) {
   EXPECT_EQ(backend.calls, before) << "replicated shrink caused a miss storm";
 }
 
-TEST(ReplicatedProteus, ResizePlusFailureStillNoBackendStorm) {
+TEST(ReplicatedFacade, ResizePlusFailureStillNoBackendStorm) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(2), std::ref(backend));
+  Proteus cluster(small_options(2), std::ref(backend));
   for (int i = 0; i < 300; ++i) cluster.get("page:" + std::to_string(i), 0);
   cluster.resize(6, kSecond);
   cluster.fail_server(2);
@@ -143,8 +148,8 @@ TEST(ReplicatedProteus, ResizePlusFailureStillNoBackendStorm) {
   EXPECT_LT(backend.calls - before, 40u);
 }
 
-TEST(ReplicatedProteus, TransitionFinalizesAfterTtl) {
-  ReplicatedProteus cluster(small_options(2),
+TEST(ReplicatedFacade, TransitionFinalizesAfterTtl) {
+  Proteus cluster(small_options(2),
                             [](std::string_view) { return std::string("v"); });
   cluster.resize(4, 0);
   EXPECT_TRUE(cluster.in_transition());
@@ -155,8 +160,8 @@ TEST(ReplicatedProteus, TransitionFinalizesAfterTtl) {
   }
 }
 
-TEST(ReplicatedProteus, FailedServerExcludedFromResizePowerOn) {
-  ReplicatedProteus cluster(small_options(2),
+TEST(ReplicatedFacade, FailedServerExcludedFromResizePowerOn) {
+  Proteus cluster(small_options(2),
                             [](std::string_view) { return std::string("v"); });
   cluster.resize(4, 0);
   cluster.tick(11 * kSecond);
@@ -168,9 +173,9 @@ TEST(ReplicatedProteus, FailedServerExcludedFromResizePowerOn) {
   for (int i = 0; i < 100; ++i) cluster.get("k" + std::to_string(i), 13 * kSecond);
 }
 
-TEST(ReplicatedProteus, EraseRemovesEveryCopy) {
+TEST(ReplicatedFacade, EraseRemovesEveryCopy) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(3), std::ref(backend));
+  Proteus cluster(small_options(3), std::ref(backend));
   cluster.get("k", 0);
   cluster.erase("k", 1);
   for (int s : cluster.replica_servers("k")) {
@@ -181,8 +186,8 @@ TEST(ReplicatedProteus, EraseRemovesEveryCopy) {
   EXPECT_EQ(backend.calls, before + 1);
 }
 
-TEST(ReplicatedProteus, ConflictRateMatchesEq3) {
-  ReplicatedProteus cluster(small_options(2),
+TEST(ReplicatedFacade, ConflictRateMatchesEq3) {
+  Proteus cluster(small_options(2),
                             [](std::string_view) { return std::string("v"); });
   int conflicts = 0;
   constexpr int kKeys = 5000;
@@ -194,15 +199,114 @@ TEST(ReplicatedProteus, ConflictRateMatchesEq3) {
   EXPECT_NEAR(static_cast<double>(conflicts) / kKeys, 0.1, 0.02);
 }
 
-TEST(ReplicatedProteus, SingleReplicaDegeneratesToPlainProteus) {
+TEST(ReplicatedFacade, SingleReplicaDegeneratesToPlainProteus) {
   CountingBackend backend;
-  ReplicatedProteus cluster(small_options(1), std::ref(backend));
+  Proteus cluster(small_options(1), std::ref(backend));
   for (int i = 0; i < 100; ++i) cluster.get("k" + std::to_string(i), 0);
   EXPECT_EQ(backend.calls, 100u);
   for (int i = 0; i < 100; ++i) cluster.get("k" + std::to_string(i), 1);
   EXPECT_EQ(backend.calls, 100u);
-  EXPECT_EQ(cluster.stats().primary_ring_hits, 100u);
+  EXPECT_EQ(cluster.stats().new_server_hits, 100u);
   EXPECT_EQ(cluster.stats().replica_ring_hits, 0u);
+}
+
+TEST(ReplicatedFacade, ReplicatedResizeEmitsFullTraceLifecycle) {
+  obs::TraceRing ring(1 << 14);
+  ProteusOptions opt = small_options(2);
+  opt.trace = &ring;
+  Proteus cluster(opt, [](std::string_view k) { return "v:" + std::string(k); });
+  for (int i = 0; i < 200; ++i) cluster.get("page:" + std::to_string(i), 0);
+  ring.clear();
+
+  cluster.resize(8, kSecond);
+  cluster.tick(kSecond + opt.ttl);
+
+  std::map<obs::TraceEventKind, std::vector<obs::TraceEvent>> by_kind;
+  for (const obs::TraceEvent& e : ring.snapshot()) by_kind[e.kind].push_back(e);
+  ASSERT_EQ(by_kind[obs::TraceEventKind::kResizeBegin].size(), 1u);
+  std::set<int> digested;
+  for (const auto& e : by_kind[obs::TraceEventKind::kDigestSnapshot]) {
+    digested.insert(e.server);
+  }
+  EXPECT_EQ(digested.size(), 10u);  // one per old server, shared by rings
+  EXPECT_EQ(by_kind[obs::TraceEventKind::kDigestSnapshot].size(), 10u);
+  ASSERT_EQ(by_kind[obs::TraceEventKind::kDrainBegin].size(), 2u);
+  EXPECT_EQ(by_kind[obs::TraceEventKind::kDrainBegin][0].server, 8);
+  EXPECT_EQ(by_kind[obs::TraceEventKind::kDrainBegin][1].server, 9);
+  ASSERT_EQ(by_kind[obs::TraceEventKind::kResizeEnd].size(), 1u);
+  EXPECT_EQ(by_kind[obs::TraceEventKind::kResizeEnd][0].server, 8);
+  EXPECT_LT(by_kind[obs::TraceEventKind::kResizeBegin][0].seq,
+            by_kind[obs::TraceEventKind::kDigestSnapshot][0].seq);
+  EXPECT_LT(by_kind[obs::TraceEventKind::kDigestSnapshot][9].seq,
+            by_kind[obs::TraceEventKind::kDrainBegin][0].seq);
+  EXPECT_LT(by_kind[obs::TraceEventKind::kDrainBegin][1].seq,
+            by_kind[obs::TraceEventKind::kResizeEnd][0].seq);
+}
+
+TEST(ReplicatedFacade, RegisterMetricsExportsReplicaCounters) {
+  Proteus cluster(small_options(2),
+                  [](std::string_view) { return std::string("v"); });
+  obs::MetricsRegistry registry;
+  cluster.register_metrics(registry);
+  for (int i = 0; i < 200; ++i) cluster.get("page:" + std::to_string(i), 0);
+  cluster.fail_server(3);
+  for (int i = 0; i < 200; ++i) cluster.get("page:" + std::to_string(i), 1);
+
+  std::map<std::string, double> values;
+  for (const obs::MetricSample& m : registry.snapshot()) {
+    values[m.name] = m.value;
+  }
+  ASSERT_GT(cluster.stats().replica_ring_hits, 0u);
+  ASSERT_GT(cluster.stats().failed_server_skips, 0u);
+  EXPECT_EQ(values.at("proteus_replica_ring_hits_total"),
+            static_cast<double>(cluster.stats().replica_ring_hits));
+  EXPECT_EQ(values.at("proteus_failed_server_skips_total"),
+            static_cast<double>(cluster.stats().failed_server_skips));
+  EXPECT_DOUBLE_EQ(values.at("proteus_hit_ratio"), cluster.stats().hit_ratio());
+}
+
+TEST(ReplicatedFacade, SingleRingCrashGoesToBackendUntilRecovered) {
+  CountingBackend backend;
+  Proteus cluster(small_options(1), std::ref(backend));
+  std::vector<std::string> on_crashed;
+  for (int i = 0; i < 300; ++i) {
+    const std::string key = "page:" + std::to_string(i);
+    cluster.get(key, 0);
+    if (cluster.replica_servers(key)[0] == 3) on_crashed.push_back(key);
+  }
+  ASSERT_FALSE(on_crashed.empty());
+
+  // Down, not restarted: every read of its keys is a skip and a backend
+  // fetch, and nothing is filled anywhere.
+  cluster.fail_server(3);
+  EXPECT_TRUE(cluster.is_failed(3));
+  EXPECT_EQ(cluster.health(3).state(),
+            core::EndpointHealth::State::kQuarantined);
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto before = backend.calls;
+    for (const std::string& key : on_crashed) cluster.get(key, kSecond);
+    EXPECT_EQ(backend.calls - before, on_crashed.size());
+  }
+  EXPECT_EQ(cluster.stats().failed_server_skips, 2 * on_crashed.size());
+  EXPECT_EQ(cluster.server(3).item_count(), 0u);
+  for (int s = 0; s < cluster.max_servers(); ++s) {
+    for (const std::string& key : on_crashed) {
+      EXPECT_FALSE(cluster.server(s).contains(key, kSecond)) << s;
+    }
+  }
+
+  // Cold restart: one refill from the backend, then hits.
+  cluster.recover_server(3);
+  EXPECT_FALSE(cluster.is_failed(3));
+  auto before = backend.calls;
+  for (const std::string& key : on_crashed) cluster.get(key, 2 * kSecond);
+  EXPECT_EQ(backend.calls - before, on_crashed.size());
+  const auto hits = cluster.stats().new_server_hits;
+  before = backend.calls;
+  for (const std::string& key : on_crashed) cluster.get(key, 3 * kSecond);
+  EXPECT_EQ(backend.calls, before);
+  EXPECT_EQ(cluster.stats().new_server_hits - hits, on_crashed.size());
+  EXPECT_EQ(cluster.health(3).state(), core::EndpointHealth::State::kHealthy);
 }
 
 }  // namespace

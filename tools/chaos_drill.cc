@@ -124,9 +124,9 @@ int main(int argc, char** argv) {
   opt.max_attempts = 2;
   // Under a sustained ramp one hard timeout is conviction enough, and a
   // huge dwell keeps probation probes out of the drill.
-  opt.breaker.failure_threshold = 1;
-  opt.breaker.backoff.base_delay = 300 * kSecond;
-  opt.breaker.backoff.max_delay = 600 * kSecond;
+  opt.health.error_threshold = 1;
+  opt.health.quarantine_base = 300 * kSecond;
+  opt.health.quarantine_cap = 600 * kSecond;
   ProteusClient web(opt, [&backend](std::string_view key) {
     ++backend;
     return "db:" + std::string(key);

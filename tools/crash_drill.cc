@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
   opt.connect_timeout = 300 * kMillisecond;
   opt.op_timeout = 300 * kMillisecond;
   opt.max_attempts = 2;
-  opt.breaker.failure_threshold = 3;
+  opt.health.error_threshold = 3;
   ProteusClient web(opt, [&backend](std::string_view key) {
     ++backend;
     return "db:" + std::string(key);

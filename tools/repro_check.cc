@@ -10,7 +10,7 @@
 
 #include "bloom/config.h"
 #include "cluster/scenario.h"
-#include "core/replicated_proteus.h"
+#include "core/proteus.h"
 #include "hashring/proteus_placement.h"
 #include "hashring/random_vn_placement.h"
 #include "hashring/weighted_placement.h"
@@ -62,12 +62,12 @@ int main() {
           "Weighted extension: capacity-proportional BC at every prefix");
   }
   {
-    ReplicatedOptions opt;
+    ProteusOptions opt;
     opt.max_servers = 10;
     opt.replicas = 2;
     opt.per_server.memory_budget_bytes = 32 << 20;
     std::uint64_t backend = 0;
-    ReplicatedProteus cluster(opt, [&](std::string_view k) {
+    Proteus cluster(opt, [&](std::string_view k) {
       ++backend;
       return std::string(k);
     });

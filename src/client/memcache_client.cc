@@ -622,9 +622,6 @@ ProteusClient::ProteusClient(Options options, Backend backend)
       backend_(std::move(backend)),
       placement_(std::make_shared<ring::ProteusPlacement>(
           static_cast<int>(options_.endpoints.size()))),
-      router_(placement_, options_.initial_active > 0
-                              ? options_.initial_active
-                              : static_cast<int>(options_.endpoints.size())),
       rng_(options_.jitter_seed),
       retry_jitter_(/*base=*/kMillisecond, /*cap=*/20 * kMillisecond),
       hedge_budget_(options_.hedge_rate, options_.hedge_burst) {
@@ -632,6 +629,28 @@ ProteusClient::ProteusClient(Options options, Backend backend)
   PROTEUS_CHECK(!options_.endpoints.empty());
   PROTEUS_CHECK(options_.max_attempts >= 1);
   PROTEUS_CHECK(options_.replicas >= 1);
+  retrieval_options_.counters = {
+      .primary_hits = &stats_.new_server_hits,
+      .replica_hits = &stats_.failover_hits,
+      .old_server_hits = &stats_.old_server_hits,
+      .skips = &stats_.degraded_misses,
+      .false_positives = &stats_.digest_false_positives,
+      .backend_fetches = &stats_.backend_fetches,
+      .coalesced_fetches = &stats_.coalesced_fetches,
+      .load_sheds = &stats_.load_sheds,
+      .migrations_deferred = &stats_.migrations_deferred,
+      .read_repairs = &stats_.read_repairs};
+  retrieval_options_.trace = options_.trace;
+  retrieval_options_.throttle = options_.migration_throttle;
+  retrieval_options_.throttle_signal = options_.limiter;
+  retrieval_options_.span_gets = false;
+  const int initial = options_.initial_active > 0
+                          ? options_.initial_active
+                          : static_cast<int>(options_.endpoints.size());
+  routers_.reserve(static_cast<std::size_t>(options_.replicas));
+  for (int r = 0; r < options_.replicas; ++r) {
+    routers_.emplace_back(placement_, initial, r);
+  }
   endpoints_.reserve(options_.endpoints.size());
   for (std::size_t i = 0; i < options_.endpoints.size(); ++i) {
     Endpoint ep;
@@ -671,7 +690,7 @@ MemcacheConnection* ProteusClient::acquire(int server, SimTime now) {
     if (const auto h = ep.conn->hello()) {
       if (ep.incarnation != 0 && h->second != ep.incarnation) {
         ++stats_.incarnation_changes;
-        router_.drop_old_digest(server);
+        for (cluster::Router& router : routers_) router.drop_old_digest(server);
         obs::emit(options_.trace, now,
                   obs::TraceEventKind::kIncarnationChange, server, -1,
                   h->second);
@@ -772,18 +791,7 @@ ProteusClient::FetchResult ProteusClient::cache_get(int server,
     const obs::SpanKind child_kind =
         attempt == 0 ? kind : obs::SpanKind::kRetry;
     MemcacheConnection* c = acquire(server, now);
-    if (c == nullptr) {  // quarantined or reconnect failed
-      if (ctx.active()) {
-        const bool quarantined =
-            endpoints_[static_cast<std::size_t>(server)].health.state() ==
-            core::EndpointHealth::State::kQuarantined;
-        ctx.child(obs::span_clock_now(), child_kind, server,
-                  quarantined ? obs::SpanCause::kQuarantined
-                              : obs::SpanCause::kDown,
-                  key);
-      }
-      break;
-    }
+    if (c == nullptr) return skipped(server, key, ctx, child_kind);
     // Migration fetches are maintenance traffic: tag them `bg` so the
     // daemon's two-priority admission sheds them before foreground gets.
     const bool background = kind == obs::SpanKind::kMigrationFetch;
@@ -793,63 +801,72 @@ ProteusClient::FetchResult ProteusClient::cache_get(int server,
     const SimTime t0 = mono_usec();
     auto value = c->get(key, ctx.trace_id, background, epoch_,
                         /*want_checksum=*/true);
-    const SimTime latency = mono_usec() - t0;
-    if (value.has_value()) {
-      if (value_corrupt(server, *c, key, *value, now)) {
-        // The transport did its job — the payload did not. Feed the health
-        // baseline, serve a miss, let the backend read-repair.
-        record_success(server, now, latency);
-        if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), child_kind, server,
-                    obs::SpanCause::kCorrupt, key);
-        }
-        return {FetchStatus::kCorrupt, {}};
-      }
-      record_success(server, now, latency);
-      ++endpoints_[static_cast<std::size_t>(server)].hits;
-      if (ctx.active()) {
-        ctx.child(obs::span_clock_now(), child_kind, server,
-                  obs::SpanCause::kHit, key);
-      }
-      return {FetchStatus::kHit, std::move(*value)};
-    }
-    if (c->last_error() == net::NetError::kNone) {
-      record_success(server, now, latency);
-      if (ctx.active()) {
-        ctx.child(obs::span_clock_now(), child_kind, server,
-                  obs::SpanCause::kMiss, key);
-      }
-      return {FetchStatus::kMiss, {}};  // clean miss
-    }
-    record_failure(server, c->last_error(), now);
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), child_kind, server,
-                cause_of(c->last_error()), key);
-    }
-    if (c->last_error() == net::NetError::kOverloaded) {
-      // Never retry into an overload — that feeds the very queue being
-      // shed. The caller degrades instead.
-      return {FetchStatus::kShed, {}};
-    }
-    if (c->last_error() == net::NetError::kStaleEpoch) {
-      // Reads are not fenced by our daemons, but a fencing reply is still
-      // well-formed: refresh the view and degrade to a miss — never retry.
-      refresh_view(server, now);
-      return {FetchStatus::kMiss, {}};
-    }
+    FetchResult r = read_reply(server, *c, value, mono_usec() - t0, key, now,
+                               ctx, child_kind);
+    if (r.status != FetchStatus::kDown) return r;
   }
   return {FetchStatus::kDown, {}};
 }
 
-int ProteusClient::pick_backup(std::string_view key, int primary) const {
-  if (options_.replicas <= 1) return -1;
-  for (int server : replica_locations(key)) {
-    if (server == primary) continue;
-    if (endpoints_[static_cast<std::size_t>(server)].health.state() ==
-        core::EndpointHealth::State::kQuarantined) {
-      continue;
+ProteusClient::FetchResult ProteusClient::read_reply(
+    int server, MemcacheConnection& c, std::optional<std::string>& value,
+    SimTime latency, std::string_view key, SimTime now, obs::TraceContext& ctx,
+    obs::SpanKind kind) {
+  const net::NetError err = c.last_error();
+  FetchResult r{FetchStatus::kDown, {}};
+  obs::SpanCause cause = cause_of(err);
+  if (err == net::NetError::kNone) {
+    // A corrupt payload still came over a clean wire: it feeds the health
+    // baseline, and is served as a miss so the repair replaces it.
+    record_success(server, now, latency);
+    if (!value.has_value()) {
+      r.status = FetchStatus::kMiss;
+      cause = obs::SpanCause::kMiss;
+    } else if (value_corrupt(server, c, key, *value, now)) {
+      r.status = FetchStatus::kCorrupt;
+      cause = obs::SpanCause::kCorrupt;
+    } else {
+      ++endpoints_[static_cast<std::size_t>(server)].hits;
+      r = {FetchStatus::kHit, std::move(*value)};
+      cause = obs::SpanCause::kHit;
     }
-    return server;
+  } else {
+    record_failure(server, err, now);
+    // Never retry into an overload: that feeds the very queue being shed.
+    if (err == net::NetError::kOverloaded) r.status = FetchStatus::kShed;
+    if (err == net::NetError::kStaleEpoch) {
+      // Reads are not fenced by our daemons, but a fencing reply is still
+      // well-formed: refresh the view and read a miss — never retry.
+      refresh_view(server, now);
+      r.status = FetchStatus::kMiss;
+    }
+  }
+  if (ctx.active()) ctx.child(obs::span_clock_now(), kind, server, cause, key);
+  return r;
+}
+
+bool ProteusClient::quarantined(int server) const {
+  return endpoints_[static_cast<std::size_t>(server)].health.state() ==
+         core::EndpointHealth::State::kQuarantined;
+}
+
+ProteusClient::FetchResult ProteusClient::skipped(int server,
+                                                  std::string_view key,
+                                                  obs::TraceContext& ctx,
+                                                  obs::SpanKind kind) {
+  const bool gated = quarantined(server);
+  if (ctx.active()) {
+    ctx.child(obs::span_clock_now(), kind, server,
+              gated ? obs::SpanCause::kQuarantined : obs::SpanCause::kDown,
+              key);
+  }
+  return {gated ? FetchStatus::kQuarantined : FetchStatus::kDown, {}};
+}
+
+int ProteusClient::pick_backup(std::string_view key, int primary) const {
+  for (std::size_t r = 1; r < routers_.size(); ++r) {
+    const int server = routers_[r].decide(key).primary;
+    if (server != primary && !quarantined(server)) return server;
   }
   return -1;
 }
@@ -862,23 +879,16 @@ ProteusClient::FetchResult ProteusClient::hedged_get(int primary, int backup,
   ++pep.gets;
   hedge_budget_.on_request();
 
-  const auto skip_cause = [this](int server) {
-    return endpoints_[static_cast<std::size_t>(server)].health.state() ==
-                   core::EndpointHealth::State::kQuarantined
-               ? obs::SpanCause::kQuarantined
-               : obs::SpanCause::kDown;
-  };
-
   MemcacheConnection* pc = acquire(primary, now);
-  if (pc == nullptr ||
-      !pc->begin_get(key, ctx.trace_id, false, epoch_,
+  if (pc == nullptr) {
+    return skipped(primary, key, ctx, obs::SpanKind::kCacheGet);
+  }
+  if (!pc->begin_get(key, ctx.trace_id, false, epoch_,
                      /*want_checksum=*/true)) {
-    if (pc != nullptr) record_failure(primary, pc->last_error(), now);
+    record_failure(primary, pc->last_error(), now);
     if (ctx.active()) {
       ctx.child(obs::span_clock_now(), obs::SpanKind::kCacheGet, primary,
-                pc == nullptr ? skip_cause(primary)
-                              : cause_of(pc->last_error()),
-                key);
+                cause_of(pc->last_error()), key);
     }
     return {FetchStatus::kDown, {}};
   }
@@ -900,57 +910,20 @@ ProteusClient::FetchResult ProteusClient::hedged_get(int primary, int backup,
   for (;;) {
     if (primary_alive && pc->poll_get(pvalue) ==
                              MemcacheConnection::GetProgress::kDone) {
-      const SimTime latency = mono_usec() - t0;
-      const net::NetError err = pc->last_error();
-      if (err == net::NetError::kNone) {
-        const obs::SpanKind kind =
-            attempt == 0 ? obs::SpanKind::kCacheGet : obs::SpanKind::kRetry;
-        if (pvalue.has_value() &&
-            value_corrupt(primary, *pc, key, *pvalue, now)) {
-          record_success(primary, now, latency);  // transport was clean
-          if (bc != nullptr) bc->abandon();
-          if (ctx.active()) {
-            ctx.child(obs::span_clock_now(), kind, primary,
-                      obs::SpanCause::kCorrupt, key);
-          }
-          return {FetchStatus::kCorrupt, {}};
-        }
-        record_success(primary, now, latency);
+      const bool clean = pc->last_error() == net::NetError::kNone;
+      FetchResult r = read_reply(
+          primary, *pc, pvalue, mono_usec() - t0, key, now, ctx,
+          attempt == 0 ? obs::SpanKind::kCacheGet : obs::SpanKind::kRetry);
+      if (r.status != FetchStatus::kDown) {
         if (bc != nullptr) {
-          ++stats_.hedge_losses;
           bc->abandon();
-          obs::emit(options_.trace, now, obs::TraceEventKind::kHedge, primary,
-                    backup, /*primary won*/ 0, key);
-        }
-        if (pvalue.has_value()) {
-          ++pep.hits;
-          if (ctx.active()) {
-            ctx.child(obs::span_clock_now(), kind, primary,
-                      obs::SpanCause::kHit, key);
+          if (clean && r.status != FetchStatus::kCorrupt) {
+            ++stats_.hedge_losses;
+            obs::emit(options_.trace, now, obs::TraceEventKind::kHedge,
+                      primary, backup, /*primary won*/ 0, key);
           }
-          return {FetchStatus::kHit, std::move(*pvalue)};
         }
-        if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), kind, primary,
-                    obs::SpanCause::kMiss, key);
-        }
-        return {FetchStatus::kMiss, {}};
-      }
-      record_failure(primary, err, now);
-      if (ctx.active()) {
-        ctx.child(obs::span_clock_now(),
-                  attempt == 0 ? obs::SpanKind::kCacheGet
-                               : obs::SpanKind::kRetry,
-                  primary, cause_of(err), key);
-      }
-      if (err == net::NetError::kOverloaded) {
-        if (bc != nullptr) bc->abandon();
-        return {FetchStatus::kShed, {}};
-      }
-      if (err == net::NetError::kStaleEpoch) {
-        refresh_view(primary, now);
-        if (bc != nullptr) bc->abandon();
-        return {FetchStatus::kMiss, {}};
+        return r;
       }
       // Transport death. With no hedge in flight, fall back to the classic
       // bounded retry (reconnect + resend, decorrelated-jitter spacing);
@@ -1096,31 +1069,27 @@ bool ProteusClient::cache_set(int server, std::string_view key,
   // and read-side verification.
   const bool stored = c->set(key, value, 0, trace_id, background, epoch_,
                              /*with_checksum=*/true);
-  if (c->last_error() == net::NetError::kNone) {
-    record_success(server, now, mono_usec() - t0);
-  } else {
-    record_failure(server, c->last_error(), now);
-    if (c->last_error() == net::NetError::kStaleEpoch) {
-      refresh_view(server, now);
-    }
-  }
+  settle(server, *c, t0, now);
   return stored;
 }
 
 void ProteusClient::cache_erase(int server, std::string_view key,
                                 SimTime now) {
-  MemcacheConnection* c = acquire(server, now);
-  if (c == nullptr) return;
-  const SimTime t0 = mono_usec();
-  c->erase(key, epoch_);
-  if (c->last_error() == net::NetError::kNone) {
-    record_success(server, now, mono_usec() - t0);
-  } else {
-    record_failure(server, c->last_error(), now);
-    if (c->last_error() == net::NetError::kStaleEpoch) {
-      refresh_view(server, now);
-    }
+  if (MemcacheConnection* c = acquire(server, now)) {
+    const SimTime t0 = mono_usec();
+    c->erase(key, epoch_);
+    settle(server, *c, t0, now);
   }
+}
+
+void ProteusClient::settle(int server, const MemcacheConnection& c,
+                           SimTime t0, SimTime now) {
+  if (c.last_error() == net::NetError::kNone) {
+    record_success(server, now, mono_usec() - t0);
+    return;
+  }
+  record_failure(server, c.last_error(), now);
+  if (c.last_error() == net::NetError::kStaleEpoch) refresh_view(server, now);
 }
 
 void ProteusClient::refresh_view(int server, SimTime now) {
@@ -1130,7 +1099,7 @@ void ProteusClient::refresh_view(int server, SimTime now) {
     if (h->first > epoch_) epoch_ = h->first;
     if (ep.incarnation != 0 && h->second != ep.incarnation) {
       ++stats_.incarnation_changes;
-      router_.drop_old_digest(server);
+      for (cluster::Router& router : routers_) router.drop_old_digest(server);
       obs::emit(options_.trace, now, obs::TraceEventKind::kIncarnationChange,
                 server, -1, h->second);
     }
@@ -1165,21 +1134,6 @@ std::optional<bloom::BloomFilter> ProteusClient::fetch_digest(int server,
   return std::nullopt;
 }
 
-std::vector<int> ProteusClient::replica_locations(std::string_view key) const {
-  const std::uint64_t h = hash_bytes(key);
-  const int active = router_.active();
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(options_.replicas));
-  for (int r = 0; r < options_.replicas; ++r) {
-    const int server =
-        placement_->server_for(ring::replica_ring_hash(h, r), active);
-    if (std::find(out.begin(), out.end(), server) == out.end()) {
-      out.push_back(server);
-    }
-  }
-  return out;
-}
-
 void ProteusClient::tick(SimTime now) {
   // Background probe traffic: quarantined endpoints whose dwell elapsed are
   // pinged with a cheap `version` even if routing sends them nothing, so
@@ -1208,7 +1162,7 @@ void ProteusClient::tick(SimTime now) {
       }
     }
   }
-  if (router_.in_transition() && now >= router_.transition_end()) {
+  if (in_transition() && now >= routers_.front().transition_end()) {
     finalize_transition(now);
   }
   // Audit feed: the client's own per-endpoint counters, with power states
@@ -1217,9 +1171,9 @@ void ProteusClient::tick(SimTime now) {
   // `now`; disabled-path cost is one pointer test.
   if (options_.auditor != nullptr && now - last_audit_feed_ >= kSecond) {
     last_audit_feed_ = now;
-    const int active = router_.active();
-    const int old_active = router_.old_active();
-    const bool transition = router_.in_transition();
+    const int active = active_servers();
+    const int old_active = routers_.front().old_active();
+    const bool transition = in_transition();
     std::vector<obs::ServerAuditSample> fleet(endpoints_.size());
     for (std::size_t i = 0; i < endpoints_.size(); ++i) {
       const int idx = static_cast<int>(i);
@@ -1250,158 +1204,52 @@ std::string ProteusClient::get(std::string_view key, SimTime now) {
 
 std::string ProteusClient::get_inner(std::string_view key, SimTime now,
                                      obs::TraceContext& ctx) {
+  using Step = core::Retrieval::Step;
   tick(now);
   ++stats_.gets;
-  if (ctx.active()) {
-    ctx.in_transition = router_.in_transition();
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kRoute);
-  }
-  const cluster::Router::Decision d = router_.decide(key);
-  if (ctx.active() && ctx.in_transition) {
-    // decide() consulted the old mapping's digest (§IV-A); surface that
-    // step and its verdict as its own child.
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kDigestConsult, d.primary,
-              d.fallback >= 0 ? obs::SpanCause::kDigestHot
-                              : obs::SpanCause::kDigestCold);
-  }
-
-  // The foreground fetch is hedged: past the primary's adaptive delay a
-  // budgeted backup GET races it on the key's replica location (or, with no
-  // replica, the slow primary is abandoned in favor of the database).
-  const int backup = options_.hedging ? pick_backup(key, d.primary) : -1;
-  FetchResult primary =
-      options_.hedging
-          ? hedged_get(d.primary, backup, key, now, ctx)
-          : cache_get(d.primary, key, now, ctx, obs::SpanKind::kCacheGet);
-  if (primary.status == FetchStatus::kHit) {
-    ++stats_.new_server_hits;
-    ctx.root_cause = obs::SpanCause::kHit;
-    return primary.value;
-  }
-  // A corrupt hit is served as a miss from here on: the refill below is the
-  // read repair that replaces the damaged copy.
-  bool corrupt_seen = primary.status == FetchStatus::kCorrupt;
-  if (primary.status == FetchStatus::kShed) {
-    // The primary refused the work to protect itself. Going to the backend
-    // instead would convert a cache overload into a database overload, so
-    // answer degraded — the explicit, bounded failure mode.
-    ctx.root_cause = obs::SpanCause::kShed;
-    return options_.degraded_response;
-  }
-  const bool primary_down = primary.status == FetchStatus::kDown;
-  if (primary_down) {
-    // §III-E failover: the same data lives on the other rings' locations.
-    if (options_.replicas > 1) {
-      for (int server : replica_locations(key)) {
-        if (server == d.primary) continue;
-        const FetchResult r =
-            cache_get(server, key, now, ctx, obs::SpanKind::kFailover);
-        if (r.status == FetchStatus::kHit) {
-          ++stats_.failover_hits;
-          ctx.root_cause = obs::SpanCause::kFailoverHit;
-          return r.value;
-        }
-        if (r.status == FetchStatus::kCorrupt) corrupt_seen = true;
+  if (ctx.active()) ctx.in_transition = in_transition();
+  // core::Retrieval runs Algorithm 2; this is its wire transport. The
+  // machine is per call, so a backend that reads through this client works.
+  core::Retrieval retrieval(retrieval_options_);
+  for (auto a = retrieval.start(key, options_.replicas, now, &ctx);;) {
+    switch (a.step) {
+      case Step::kRoute:
+        a = retrieval.routed(routers_[static_cast<std::size_t>(a.ring)]
+                                 .decide(key));
+        break;
+      case Step::kGet: {
+        // The foreground fetch is hedged: past the primary's adaptive delay
+        // a budgeted backup GET races it on the key's replica location (or,
+        // with no replica, the slow primary is abandoned for the database).
+        FetchResult r =
+            options_.hedging && a.kind == obs::SpanKind::kCacheGet
+                ? hedged_get(a.server, pick_backup(key, a.server), key, now,
+                             ctx)
+                : cache_get(a.server, key, now, ctx, a.kind);
+        a = retrieval.got(r.status, std::move(r.value));
+        break;
       }
-    }
-    // No replica answered: the down server degrades to a plain miss (the
-    // paper's web tier falls back to the database).
-    ++stats_.degraded_misses;
-  }
-  if (d.fallback >= 0) {
-    const FetchResult old =
-        cache_get(d.fallback, key, now, ctx, obs::SpanKind::kMigrationFetch);
-    if (old.status == FetchStatus::kHit) {
-      ++stats_.old_server_hits;
-      obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationHit,
-                d.fallback, d.primary, old.value.size(), key);
-      // Algorithm 2 line 12: migrate to the new location(s) — unless the
-      // overload throttle says the fleet cannot afford write-backs right
-      // now. Deferring is safe: the key stays resident on its draining old
-      // server, and the next allowed hit migrates it.
-      bool migrate = true;
-      if (options_.migration_throttle != nullptr) {
-        if (options_.limiter != nullptr) {
-          options_.migration_throttle->set_overloaded(
-              options_.limiter->overloaded());
-        }
-        migrate = options_.migration_throttle->allow(now);
-      }
-      if (migrate) {
-        if (corrupt_seen) ++stats_.read_repairs;
-        for (int server : replica_locations(key)) {
-          cache_set(server, key, old.value, now, ctx.trace_id,
-                    /*background=*/true);
-        }
-        if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
-                    d.primary, obs::SpanCause::kStored, key);
-        }
-      } else {
-        ++stats_.migrations_deferred;
-        obs::emit(options_.trace, now,
-                  obs::TraceEventKind::kMigrationDeferred, d.fallback,
-                  d.primary, old.value.size(), key);
-        if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
-                    d.primary, obs::SpanCause::kThrottled, key);
-        }
-      }
-      ctx.root_cause = obs::SpanCause::kOldHit;
-      return old.value;
-    }
-    if (old.status == FetchStatus::kCorrupt) corrupt_seen = true;
-    if (old.status == FetchStatus::kMiss) {
-      // A clean miss under a digest hit is a §IV-B false positive; a down,
-      // shedding, or corrupt-serving server proves nothing about the digest.
-      ++stats_.digest_false_positives;
-      obs::emit(options_.trace, now,
-                obs::TraceEventKind::kDigestFalsePositive, d.fallback,
-                d.primary, 0, key);
+      case Step::kProbe:  // never asked: no false_negatives counter, as a
+                          // probe would cost a round trip
+        a = retrieval.probed(false);
+        break;
+      case Step::kBackend:
+        a = fetch_backend(key, retrieval);
+        break;
+      case Step::kStore:  // migration write-backs are `bg` maintenance
+        a = retrieval.stored(cache_set(
+            a.server, key, retrieval.value(), now, ctx.trace_id,
+            /*background=*/a.kind == obs::SpanKind::kMigrationStore));
+        break;
+      case Step::kDone:
+        return retrieval.degraded() ? options_.degraded_response
+                                    : std::move(retrieval.value());
     }
   }
-  bool coalesced = false;
-  std::optional<std::string> fetched = fetch_backend(key, coalesced);
-  if (!fetched.has_value()) {
-    // The AIMD limiter shed this fetch (directly, or via a shed
-    // singleflight leader whose verdict we share): the backend is
-    // saturating, so excess misses become explicit degraded responses
-    // instead of queue build-up.
-    ++stats_.load_sheds;
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kBackendFetch, -1,
-                obs::SpanCause::kShed, key);
-    }
-    ctx.root_cause = obs::SpanCause::kShed;
-    return options_.degraded_response;
-  }
-  std::string value = std::move(*fetched);
-  if (ctx.active()) {
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kBackendFetch, -1,
-              coalesced ? obs::SpanCause::kCoalesced
-                        : obs::SpanCause::kBackendFill,
-              key);
-  }
-  if (!coalesced) {
-    // The singleflight leader fills the cache for everyone; followers
-    // skipping the writes is the point of collapsing the fetch. When a
-    // corrupt copy triggered this path, the fill IS the read repair.
-    if (corrupt_seen) ++stats_.read_repairs;
-    for (int server : replica_locations(key)) {
-      cache_set(server, key, value, now, ctx.trace_id);
-    }
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kFill, d.primary,
-                obs::SpanCause::kStored, key);
-    }
-  }
-  ctx.root_cause = obs::SpanCause::kBackendFill;
-  return value;
 }
 
-std::optional<std::string> ProteusClient::fetch_backend(std::string_view key,
-                                                        bool& coalesced) {
-  coalesced = false;
+core::Retrieval::Action ProteusClient::fetch_backend(
+    std::string_view key, core::Retrieval& retrieval) {
   const auto guarded_fetch = [this, key]() -> std::optional<std::string> {
     if (options_.limiter != nullptr && !options_.limiter->try_begin()) {
       return std::nullopt;  // over the adaptive limit: shed
@@ -1411,37 +1259,40 @@ std::optional<std::string> ProteusClient::fetch_backend(std::string_view key,
     if (options_.limiter != nullptr) {
       options_.limiter->end(mono_usec() - t0);
     }
-    ++stats_.backend_fetches;
     return value;
   };
-  if (options_.singleflight == nullptr) return guarded_fetch();
   core::SingleflightGroup::Result r =
-      options_.singleflight->run(std::string(key), guarded_fetch);
-  if (!r.leader && r.value.has_value()) {
-    ++stats_.coalesced_fetches;
-    coalesced = true;
-  }
-  return std::move(r.value);
+      options_.singleflight == nullptr
+          ? core::SingleflightGroup::Result{guarded_fetch(), true}
+          : options_.singleflight->run(std::string(key), guarded_fetch);
+  using Fetch = core::Retrieval::Fetch;
+  if (!r.value.has_value()) return retrieval.fetched(Fetch::kShed);
+  return retrieval.fetched(r.leader ? Fetch::kValue : Fetch::kCoalesced,
+                            std::move(*r.value));
 }
 
 void ProteusClient::put(std::string_view key, std::string_view value,
                         SimTime now) {
   tick(now);
-  const std::vector<int> locations = replica_locations(key);
+  std::vector<int> locations;
+  std::vector<int> old_locations;
+  for (const cluster::Router& router : routers_) {
+    const cluster::Router::Decision d = router.decide(key);
+    if (std::find(locations.begin(), locations.end(), d.primary) ==
+        locations.end()) {
+      locations.push_back(d.primary);
+    }
+    if (d.old >= 0) old_locations.push_back(d.old);
+  }
   for (int server : locations) cache_set(server, key, value, now);
   // Invalidate the transition's old location(s) so the fallback path cannot
   // resurrect the stale value. (Unlike the in-process facade, a network
   // round trip per server makes global invalidation unreasonable here;
   // bound staleness instead with the daemon's --ttl-s item expiry.)
-  if (router_.in_transition()) {
-    const std::uint64_t h = hash_bytes(key);
-    for (int r = 0; r < options_.replicas; ++r) {
-      const int old_server = placement_->server_for(
-          ring::replica_ring_hash(h, r), router_.old_active());
-      if (std::find(locations.begin(), locations.end(), old_server) ==
-          locations.end()) {
-        cache_erase(old_server, key, now);
-      }
+  for (int old_server : old_locations) {
+    if (std::find(locations.begin(), locations.end(), old_server) ==
+        locations.end()) {
+      cache_erase(old_server, key, now);
     }
   }
 }
@@ -1449,18 +1300,18 @@ void ProteusClient::put(std::string_view key, std::string_view value,
 void ProteusClient::finalize_transition(SimTime now) {
   // Real deployments would power the drained daemons off here; that is an
   // operator action outside this client's authority.
-  router_.finalize_transition();
+  for (cluster::Router& router : routers_) router.finalize_transition();
   obs::emit(options_.trace, now, obs::TraceEventKind::kResizeEnd,
-            router_.active());
+            active_servers());
 }
 
 bool ProteusClient::resize(int n_active, SimTime now) {
   tick(now);
   PROTEUS_CHECK(n_active >= 1 &&
                 n_active <= static_cast<int>(options_.endpoints.size()));
-  const int n_old = router_.active();
+  const int n_old = active_servers();
   if (n_active == n_old) return true;
-  if (router_.in_transition()) finalize_transition(now);
+  if (in_transition()) finalize_transition(now);
 
   // Fencing: advance the cluster epoch and teach it to every daemon the
   // transition touches BEFORE any routing changes. From this point a
@@ -1504,96 +1355,97 @@ bool ProteusClient::resize(int n_active, SimTime now) {
       obs::emit(options_.trace, now, obs::TraceEventKind::kDigestSkip, i);
     }
   }
-  router_.begin_transition(n_active, now + options_.ttl, std::move(digests));
+  // One snapshot per server serves every ring: it covers the server's
+  // whole content, whichever ring put each key there.
+  for (cluster::Router& router : routers_) {
+    router.begin_transition(n_active, now + options_.ttl, digests);
+  }
   return all_ok;
 }
 
 void ProteusClient::register_metrics(obs::MetricsRegistry& registry) const {
   const auto stat = [this, &registry](std::string name, std::string help,
-                                      auto getter) {
-    registry.counter_fn(std::move(name), std::move(help),
-                        [this, getter]() -> double {
-                          return static_cast<double>(getter(stats_));
-                        });
+                                      std::uint64_t Stats::*field) {
+    registry.counter_fn(std::move(name), std::move(help), [this, field] {
+      return static_cast<double>(stats_.*field);
+    });
   };
   stat("proteus_client_gets_total", "Algorithm 2 retrievals over the wire",
-       [](const Stats& s) { return s.gets; });
+       &Stats::gets);
   stat("proteus_client_new_server_hits_total", "hits on the current mapping",
-       [](const Stats& s) { return s.new_server_hits; });
-  stat("proteus_client_old_server_hits_total",
-       "on-demand migrations over TCP",
-       [](const Stats& s) { return s.old_server_hits; });
+       &Stats::new_server_hits);
+  stat("proteus_client_old_server_hits_total", "on-demand migrations over TCP",
+       &Stats::old_server_hits);
   stat("proteus_client_backend_fetches_total", "database fetches",
-       [](const Stats& s) { return s.backend_fetches; });
+       &Stats::backend_fetches);
   stat("proteus_client_digest_false_positives_total",
        "fallback consulted, clean miss (SS IV-B p_p)",
-       [](const Stats& s) { return s.digest_false_positives; });
+       &Stats::digest_false_positives);
   stat("proteus_client_timeouts_total", "wire ops past their deadline",
-       [](const Stats& s) { return s.timeouts; });
+       &Stats::timeouts);
   stat("proteus_client_resets_total", "connection reset / EOF mid-op",
-       [](const Stats& s) { return s.resets; });
+       &Stats::resets);
   stat("proteus_client_protocol_errors_total", "desynced replies",
-       [](const Stats& s) { return s.protocol_errors; });
+       &Stats::protocol_errors);
   stat("proteus_client_retries_total", "extra attempts after a failure",
-       [](const Stats& s) { return s.retries; });
+       &Stats::retries);
   stat("proteus_client_reconnects_total", "fresh connection attempts",
-       [](const Stats& s) { return s.reconnects; });
+       &Stats::reconnects);
   stat("proteus_client_breaker_open_skips_total",
        "ops skipped: endpoint quarantined",
-       [](const Stats& s) { return s.breaker_open_skips; });
+       &Stats::breaker_open_skips);
   stat("proteus_client_failover_hits_total", "served by a SS III-E replica",
-       [](const Stats& s) { return s.failover_hits; });
+       &Stats::failover_hits);
   stat("proteus_client_degraded_misses_total", "down server treated as miss",
-       [](const Stats& s) { return s.degraded_misses; });
+       &Stats::degraded_misses);
   stat("proteus_client_digest_skips_total", "resize() digests not fetched",
-       [](const Stats& s) { return s.digest_skips; });
+       &Stats::digest_skips);
   stat("proteus_client_server_sheds_total",
        "requests the daemon refused with overloaded/EBUSY",
-       [](const Stats& s) { return s.server_sheds; });
+       &Stats::server_sheds);
   stat("proteus_client_load_sheds_total",
        "backend fetches shed by the adaptive limiter",
-       [](const Stats& s) { return s.load_sheds; });
+       &Stats::load_sheds);
   stat("proteus_client_coalesced_fetches_total",
        "misses that piggybacked on a singleflight leader",
-       [](const Stats& s) { return s.coalesced_fetches; });
+       &Stats::coalesced_fetches);
   stat("proteus_client_migrations_deferred_total",
        "Algorithm 2 write-backs paced off under overload",
-       [](const Stats& s) { return s.migrations_deferred; });
+       &Stats::migrations_deferred);
   stat("proteus_client_stale_epoch_rejects_total",
        "mutations a daemon fenced off with stale-epoch",
-       [](const Stats& s) { return s.stale_epoch_rejects; });
+       &Stats::stale_epoch_rejects);
   stat("proteus_client_incarnation_changes_total",
        "cold daemon restarts detected on reconnect (digest dropped)",
-       [](const Stats& s) { return s.incarnation_changes; });
-  stat("proteus_client_epoch_pushes_total",
-       "cluster epochs taught to daemons",
-       [](const Stats& s) { return s.epoch_pushes; });
+       &Stats::incarnation_changes);
+  stat("proteus_client_epoch_pushes_total", "cluster epochs taught to daemons",
+       &Stats::epoch_pushes);
   stat("proteus_client_hedges_fired_total", "backup GETs actually sent",
-       [](const Stats& s) { return s.hedges_fired; });
+       &Stats::hedges_fired);
   stat("proteus_client_hedge_wins_total",
        "hedged backups that answered before the primary",
-       [](const Stats& s) { return s.hedge_wins; });
+       &Stats::hedge_wins);
   stat("proteus_client_hedge_losses_total",
        "hedges outrun by the primary after all",
-       [](const Stats& s) { return s.hedge_losses; });
+       &Stats::hedge_losses);
   stat("proteus_client_hedges_suppressed_total",
        "hedge delay hit but the extra-load budget refused",
-       [](const Stats& s) { return s.hedges_suppressed; });
+       &Stats::hedges_suppressed);
   stat("proteus_client_hedges_to_backend_total",
        "slow primaries abandoned for the database (no replica)",
-       [](const Stats& s) { return s.hedges_to_backend; });
+       &Stats::hedges_to_backend);
   stat("proteus_client_quarantine_enters_total",
        "endpoints taken out of rotation by the health detector",
-       [](const Stats& s) { return s.quarantine_enters; });
+       &Stats::quarantine_enters);
   stat("proteus_client_quarantine_exits_total",
        "quarantined endpoints re-admitted to probation",
-       [](const Stats& s) { return s.quarantine_exits; });
+       &Stats::quarantine_exits);
   stat("proteus_client_corrupt_values_total",
        "payload CRC32C mismatches caught at the client",
-       [](const Stats& s) { return s.corrupt_values; });
+       &Stats::corrupt_values);
   stat("proteus_client_read_repairs_total",
        "corrupt hits refilled from the database",
-       [](const Stats& s) { return s.read_repairs; });
+       &Stats::read_repairs);
   registry.gauge_fn("proteus_client_active_servers",
                     "endpoints in the current mapping",
                     [this] { return static_cast<double>(active_servers()); });

@@ -51,6 +51,7 @@
 #include "common/time.h"
 #include "core/endpoint_health.h"
 #include "core/overload.h"
+#include "core/retrieval.h"
 #include "hashring/proteus_placement.h"
 #include "net/net_error.h"
 #include "obs/audit.h"
@@ -275,6 +276,9 @@ class ProteusClient {
   };
 
   ProteusClient(Options options, Backend backend);
+  // Algorithm 2 counts into this object's stats.
+  ProteusClient(const ProteusClient&) = delete;
+  ProteusClient& operator=(const ProteusClient&) = delete;
 
   // Algorithm 2 over the wire. `now` is any monotonic microsecond clock
   // (it also drives quarantine/retry scheduling). Never blocks longer than
@@ -290,8 +294,8 @@ class ProteusClient {
   bool resize(int n_active, SimTime now);
   void tick(SimTime now);
 
-  int active_servers() const noexcept { return router_.active(); }
-  bool in_transition() const noexcept { return router_.in_transition(); }
+  int active_servers() const noexcept { return routers_[0].active(); }
+  bool in_transition() const noexcept { return routers_[0].in_transition(); }
   // Fencing epoch: bumped on every resize, taught to daemons, stamped on
   // every wire mutation, and refreshed whenever a daemon fences us off.
   std::uint64_t cluster_epoch() const noexcept { return epoch_; }
@@ -374,8 +378,8 @@ class ProteusClient {
   // never count as digest false positives, and from kDown so the health
   // detector takes no penalty and no retry feeds the overload. kCorrupt: a
   // hit whose payload failed its CRC32C — served as a miss so the caller
-  // read-repairs it from the database.
-  enum class FetchStatus { kHit, kMiss, kDown, kShed, kCorrupt };
+  // read-repairs it.
+  using FetchStatus = core::Retrieval::Reply;
   struct FetchResult {
     FetchStatus status;
     std::string value;
@@ -404,6 +408,13 @@ class ProteusClient {
   // and the trace id rides the wire to the daemon.
   FetchResult cache_get(int server, std::string_view key, SimTime now,
                         obs::TraceContext& ctx, obs::SpanKind kind);
+  // Books one completed GET reply from `server` (health, hit count,
+  // CRC32C verify, one `kind` span) and classifies it; a transport failure
+  // comes back kDown for the caller to retry or give up on.
+  FetchResult read_reply(int server, MemcacheConnection& c,
+                         std::optional<std::string>& value, SimTime latency,
+                         std::string_view key, SimTime now,
+                         obs::TraceContext& ctx, obs::SpanKind kind);
   // The hedged foreground fetch: race the primary against `backup` (fired
   // after the primary's adaptive hedge delay, spending the hedge budget);
   // first well-formed answer wins, the loser's connection is abandoned.
@@ -412,17 +423,27 @@ class ProteusClient {
   // database. Single attempt by design — the hedge IS the retry.
   FetchResult hedged_get(int primary, int backup, std::string_view key,
                          SimTime now, obs::TraceContext& ctx);
-  // The healthiest non-primary replica location of `key`, or -1.
+  // The first non-quarantined ring >= 1 location of `key` other than
+  // `primary`, or -1.
   int pick_backup(std::string_view key, int primary) const;
+  bool quarantined(int server) const;
+  // A read acquire() refused: kQuarantined by the health gate, else kDown
+  // (reconnect failed), spanned as such.
+  FetchResult skipped(int server, std::string_view key,
+                      obs::TraceContext& ctx, obs::SpanKind kind);
   bool cache_set(int server, std::string_view key, std::string_view value,
                  SimTime now, std::uint64_t trace_id = 0,
                  bool background = false);
-  // The guarded miss path: backend_ wrapped in the optional singleflight
-  // group and AIMD limiter. nullopt = shed (serve the degraded response);
-  // `coalesced` reports whether this call piggybacked on another fetch.
-  std::optional<std::string> fetch_backend(std::string_view key,
-                                           bool& coalesced);
+  // The guarded miss path: backend_ behind the optional singleflight group
+  // and AIMD limiter, its answer (value, coalesced, or shed) fed to the
+  // retrieval.
+  core::Retrieval::Action fetch_backend(std::string_view key,
+                                        core::Retrieval& retrieval);
   void cache_erase(int server, std::string_view key, SimTime now);
+  // Health bookkeeping for a finished mutation started at `t0`; a
+  // stale-epoch fence refreshes the view.
+  void settle(int server, const MemcacheConnection& c, SimTime t0,
+              SimTime now);
   std::optional<bloom::BloomFilter> fetch_digest(int server, SimTime now);
   // After a stale-epoch fence: re-read the daemon's (epoch, incarnation)
   // and adopt the higher epoch so the next mutation passes.
@@ -431,14 +452,10 @@ class ProteusClient {
   // by the next resize) and emits its one resize_end.
   void finalize_transition(SimTime now);
 
-  // Distinct §III-E replica locations of `key` under the current mapping,
-  // primary (ring 0) first.
-  std::vector<int> replica_locations(std::string_view key) const;
-
   Options options_;
   Backend backend_;
   std::shared_ptr<const ring::ProteusPlacement> placement_;
-  cluster::Router router_;
+  std::vector<cluster::Router> routers_;  // one per §III-E ring
   std::vector<Endpoint> endpoints_;
   Rng rng_;  // deterministic jitter for backoff/probe schedules
   core::DecorrelatedJitter retry_jitter_;  // spacing between wire retries
@@ -448,6 +465,7 @@ class ProteusClient {
   std::uint64_t epoch_ = 0;  // fencing epoch (docs/PROTOCOL.md)
   SimTime last_audit_feed_ = 0;
   SimTime last_probe_sweep_ = 0;  // tick()'s background-probe rate gate
+  core::Retrieval::Options retrieval_options_;
 };
 
 }  // namespace proteus::client

@@ -41,18 +41,21 @@ class Router {
   struct Decision {
     int primary;        // server under the NEW (current) mapping
     int fallback = -1;  // old location to consult on miss; -1 = none
+    // Server under the OLD mapping during a transition, whatever its digest
+    // says (may equal `primary`); -1 outside transitions.
+    int old = -1;
   };
 
   Decision decide(std::string_view key) const {
     const std::uint64_t h = ring::replica_ring_hash(hash_bytes(key), ring_);
-    Decision d{placement_->server_for(h, active_), -1};
+    Decision d{placement_->server_for(h, active_)};
     if (in_transition_) {
-      const int old_server = placement_->server_for(h, old_active_);
-      if (old_server != d.primary &&
-          static_cast<std::size_t>(old_server) < old_digests_.size() &&
-          old_digests_[static_cast<std::size_t>(old_server)].has_value() &&
-          old_digests_[static_cast<std::size_t>(old_server)]->maybe_contains(key)) {
-        d.fallback = old_server;  // data is "hot" on the old server
+      d.old = placement_->server_for(h, old_active_);
+      if (d.old != d.primary &&
+          static_cast<std::size_t>(d.old) < old_digests_.size() &&
+          old_digests_[static_cast<std::size_t>(d.old)].has_value() &&
+          old_digests_[static_cast<std::size_t>(d.old)]->maybe_contains(key)) {
+        d.fallback = d.old;  // data is "hot" on the old server
       }
     }
     return d;

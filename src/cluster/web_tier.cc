@@ -1,7 +1,5 @@
 #include "cluster/web_tier.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "obs/metrics.h"
 
@@ -15,7 +13,18 @@ WebTier::WebTier(sim::Simulation& sim, WebTierConfig config,
       routers_(std::move(routers)),
       cache_(cache),
       db_(db),
-      migration_throttle_(config.migration_throttle) {
+      retrieval_options_{
+          .counters = {.primary_hits = &stats_.new_server_hits,
+                       .replica_hits = &stats_.replica_hits,
+                       .old_server_hits = &stats_.old_server_hits,
+                       .skips = &stats_.failed_server_skips,
+                       .false_positives = &stats_.digest_false_positives,
+                       .backend_fetches = &stats_.db_fetches,
+                       .coalesced_fetches = &stats_.coalesced_fetches},
+          // Routing, digest consults and fire-and-forget stores take no sim
+          // time, so they get no spans of their own.
+          .span_bookkeeping = false,
+          .span_clock = [this] { return sim_.now(); }} {
   PROTEUS_CHECK(!routers_.empty());
   for (const auto& router : routers_) PROTEUS_CHECK(router != nullptr);
   PROTEUS_CHECK(config_.num_servers >= 1);
@@ -30,218 +39,122 @@ bool WebTier::server_alive(int server) const {
   return cache_.server(server).power_state() != cache::PowerState::kOff;
 }
 
-bool WebTier::migration_allowed() {
-  if (config_.overload_db_queue_depth <= 0) return true;
-  std::size_t depth = 0;
-  for (int i = 0; i < db_.num_shards(); ++i) {
-    depth = std::max(depth, db_.shard(i).queue_depth());
+WebTier::Request* WebTier::acquire_request() {
+  if (free_requests_.empty()) {
+    requests_.push_back(std::make_unique<Request>(retrieval_options_));
+    return requests_.back().get();
   }
-  migration_throttle_.set_overloaded(
-      depth >= static_cast<std::size_t>(config_.overload_db_queue_depth));
-  return migration_throttle_.allow(sim_.now());
-}
-
-void WebTier::trace_child(const Trace& trace, obs::SpanKind kind, int server,
-                          obs::SpanCause cause, std::string_view key) {
-  if (trace != nullptr && trace->active()) {
-    trace->child(sim_.now(), kind, server, cause, key);
-  }
+  Request* req = free_requests_.back();
+  free_requests_.pop_back();
+  return req;
 }
 
 void WebTier::handle(const std::string& key, std::function<void()> done) {
   ++stats_.requests;
-  const std::size_t web = next_server_++ % queues_.size();
-  Trace trace;
-  if (config_.spans != nullptr) {
-    obs::TraceContext ctx = obs::TraceContext::begin(config_.spans, sim_.now());
-    if (ctx.active()) {
-      ctx.in_transition = routers_.front()->in_transition();
-      trace = std::make_shared<obs::TraceContext>(ctx);
-      // Close the trace when the response reaches the client: the final
-      // reply hop lands in the closing kRespond child.
-      done = [this, trace, start = sim_.now(), key,
-              done = std::move(done)]() mutable {
-        trace->finish(sim_.now(), start, key);
-        done();
-      };
-    }
-  }
+  Request* req = acquire_request();
+  req->key = key;
+  req->done = std::move(done);
+  req->web = static_cast<int>(next_server_++ % queues_.size());
+  req->start = sim_.now();
+  req->trace = obs::TraceContext::begin(config_.spans, sim_.now());
+  req->trace.in_transition = routers_.front()->in_transition();
   // RBE -> web hop, then servlet service, then the retrieval procedure.
-  sim_.schedule_after(config_.rbe_hop_latency, [this, web, key, trace,
-                                                done = std::move(done)]() mutable {
-    trace_child(trace, obs::SpanKind::kHop, static_cast<int>(web));
-    queues_[web]->submit(config_.service_time,
-                         [this, web, key, trace = std::move(trace),
-                          done = std::move(done)]() mutable {
-                           trace_child(trace, obs::SpanKind::kWebService,
-                                       static_cast<int>(web));
-                           fetch_data(key, std::move(trace), std::move(done));
-                         });
+  sim_.schedule_after(config_.rbe_hop_latency, [this, req] {
+    if (req->trace.active()) {
+      req->trace.child(sim_.now(), obs::SpanKind::kHop, req->web);
+    }
+    queues_[static_cast<std::size_t>(req->web)]->submit(
+        config_.service_time, [this, req] {
+          if (req->trace.active()) {
+            req->trace.child(sim_.now(), obs::SpanKind::kWebService, req->web);
+          }
+          advance(req, req->retrieval.start(req->key, replicas(), sim_.now(),
+                                            &req->trace));
+        });
   });
 }
 
-void WebTier::respond_after_hop(std::function<void()> done) {
-  sim_.schedule_after(config_.rbe_hop_latency, std::move(done));
-}
-
-// Algorithm 2: FETCH_DATA(key_d), generalized over the replica rings.
-void WebTier::fetch_data(const std::string& key, Trace trace,
-                         std::function<void()> done) {
-  try_ring(0, std::make_shared<std::vector<int>>(), key, std::move(trace),
-           std::move(done));
-}
-
-void WebTier::repair_and_respond(
-    const std::shared_ptr<std::vector<int>>& repair, const std::string& key,
-    const std::string& value, std::function<void()> done) {
-  // Line 12 generalized: re-populate every live replica location that
-  // missed on the way here (fire-and-forget).
-  for (int server : *repair) {
-    if (server_alive(server)) {
-      cache_.async_set(server, key, value, db_.object_size());
+void WebTier::advance(Request* req, core::Retrieval::Action a) {
+  using Step = core::Retrieval::Step;
+  using Reply = core::Retrieval::Reply;
+  for (;;) {
+    switch (a.step) {
+      case Step::kRoute:
+        a = req->retrieval.routed(
+            routers_[static_cast<std::size_t>(a.ring)]->decide(req->key));
+        break;
+      case Step::kGet:
+        if (!server_alive(a.server)) {  // crashed or powered off
+          a = req->retrieval.got(Reply::kDown);
+          break;
+        }
+        cache_.async_get(a.server, req->key,
+                         [this, req](std::optional<std::string> v) {
+          advance(req, v ? req->retrieval.got(Reply::kHit, std::move(*v))
+                         : req->retrieval.got(Reply::kMiss));
+        });
+        return;
+      case Step::kProbe:  // never asked: no false_negatives counter
+        a = req->retrieval.probed(false);
+        break;
+      case Step::kBackend:
+        fetch_from_db(req);
+        return;
+      case Step::kStore:  // fire-and-forget: the response does not wait
+        if (server_alive(a.server)) {
+          cache_.async_set(a.server, req->key, req->retrieval.value(),
+                           db_.object_size());
+        }
+        a = req->retrieval.stored(server_alive(a.server));
+        break;
+      case Step::kDone:
+        respond(req);
+        return;
     }
   }
-  respond_after_hop(std::move(done));
 }
 
-void WebTier::fetch_from_db(std::shared_ptr<std::vector<int>> repair,
-                            const std::string& key, Trace trace,
-                            std::function<void()> done) {
+void WebTier::fetch_from_db(Request* req) {
   // Dog-pile coalescing: if a query for this key is already in flight,
   // piggyback on it — the first fetch populates the caches, so this
   // request's response is complete the moment that query returns.
   if (config_.coalesce_db_fetches) {
-    auto it = inflight_db_.find(key);
-    if (it != inflight_db_.end()) {
-      ++stats_.coalesced_fetches;
-      it->second.push_back([this, trace = std::move(trace), key,
-                            done = std::move(done)]() mutable {
-        // The wait on someone else's in-flight query is still db time.
-        trace_child(trace, obs::SpanKind::kBackendFetch, -1,
-                    obs::SpanCause::kBackendFill, key);
-        if (trace != nullptr) trace->root_cause = obs::SpanCause::kBackendFill;
-        respond_after_hop(std::move(done));
-      });
+    const auto [it, leader] = inflight_db_.try_emplace(req->key);
+    if (!leader) {
+      it->second.push_back(req);
       return;
     }
-    inflight_db_.emplace(key, std::vector<std::function<void()>>{});
   }
-
-  // Line 10: false positive or "cold" data — reach the database tier. The
-  // database never notices the transition (§IV-A).
-  ++stats_.db_fetches;
-  db_.async_get(key, [this, repair = std::move(repair), key,
-                      trace = std::move(trace),
-                      done = std::move(done)](std::string db_value) mutable {
-    trace_child(trace, obs::SpanKind::kBackendFetch, -1,
-                obs::SpanCause::kBackendFill, key);
-    if (trace != nullptr) trace->root_cause = obs::SpanCause::kBackendFill;
-    // Populate the replica chain's primaries with the fetched value.
-    for (const auto& router : routers_) {
-      const int primary = router->decide(key).primary;
-      if (std::find(repair->begin(), repair->end(), primary) ==
-          repair->end()) {
-        repair->push_back(primary);
-      }
+  // Line 10: the database never notices the transition (§IV-A).
+  db_.async_get(req->key, [this, req](std::string db_value) {
+    std::vector<Request*> waiters;
+    if (const auto it = inflight_db_.find(req->key); it != inflight_db_.end()) {
+      waiters = std::move(it->second);
+      inflight_db_.erase(it);
     }
-    repair_and_respond(repair, key, db_value, std::move(done));
-    if (config_.coalesce_db_fetches) {
-      // Release the piggybacked requests.
-      auto it = inflight_db_.find(key);
-      if (it != inflight_db_.end()) {
-        auto waiters = std::move(it->second);
-        inflight_db_.erase(it);
-        for (auto& waiter : waiters) waiter();
-      }
+    // Sim time passed during the query: fill wherever the key maps now.
+    for (const auto& router : routers_) {
+      req->retrieval.add_repair(router->decide(req->key).primary);
+    }
+    advance(req, req->retrieval.fetched(
+                     core::Retrieval::Fetch::kValue,
+                     waiters.empty() ? std::move(db_value) : db_value));
+    // Release the piggybacked requests.
+    for (Request* waiter : waiters) {
+      advance(waiter, waiter->retrieval.fetched(
+                          core::Retrieval::Fetch::kCoalesced, db_value));
     }
   });
 }
 
-void WebTier::try_ring(std::size_t ring,
-                       std::shared_ptr<std::vector<int>> repair,
-                       const std::string& key, Trace trace,
-                       std::function<void()> done) {
-  if (ring >= routers_.size()) {
-    fetch_from_db(std::move(repair), key, std::move(trace), std::move(done));
-    return;
-  }
-  const Router::Decision d = routers_[ring]->decide(key);
-  // Ring 0 is the normal path; rings >= 1 are §III-E failover fetches.
-  const obs::SpanKind fetch_kind =
-      ring == 0 ? obs::SpanKind::kCacheGet : obs::SpanKind::kFailover;
-  if (!server_alive(d.primary)) {
-    // Crashed/powered-off ring: fail over to the next replica (§III-E).
-    ++stats_.failed_server_skips;
-    trace_child(trace, fetch_kind, d.primary, obs::SpanCause::kDown, key);
-    try_ring(ring + 1, std::move(repair), key, std::move(trace),
-             std::move(done));
-    return;
-  }
-
-  // Line 2: data <- s_{m_{t+1}}.get(key) on this ring.
-  cache_.async_get(d.primary, key, [this, ring, d, fetch_kind,
-                                    repair = std::move(repair), key,
-                                    trace = std::move(trace),
-                                    done = std::move(done)](
-                                       std::optional<std::string> value) mutable {
-    if (value.has_value()) {
-      trace_child(trace, fetch_kind, d.primary, obs::SpanCause::kHit, key);
-      if (trace != nullptr) {
-        trace->root_cause = ring == 0 ? obs::SpanCause::kHit
-                                      : obs::SpanCause::kFailoverHit;
-      }
-      if (ring == 0) {
-        ++stats_.new_server_hits;  // line 4: found in new server
-      } else {
-        ++stats_.replica_hits;     // served by a surviving replica
-      }
-      repair_and_respond(repair, key, *value, std::move(done));
-      return;
+void WebTier::respond(Request* req) {
+  sim_.schedule_after(config_.rbe_hop_latency, [this, req] {
+    if (req->trace.active()) {
+      req->trace.finish(sim_.now(), req->start, req->key);
     }
-    trace_child(trace, fetch_kind, d.primary, obs::SpanCause::kMiss, key);
-
-    if (d.fallback < 0 || !server_alive(d.fallback)) {
-      repair->push_back(d.primary);
-      try_ring(ring + 1, std::move(repair), key, std::move(trace),
-               std::move(done));
-      return;
-    }
-
-    // Lines 6-8: the digest said the data is "hot" on this ring's old
-    // location.
-    cache_.async_get(
-        d.fallback, key,
-        [this, ring, d, repair = std::move(repair), key,
-         trace = std::move(trace),
-         done = std::move(done)](std::optional<std::string> old_value) mutable {
-          if (old_value.has_value()) {
-            ++stats_.old_server_hits;
-            trace_child(trace, obs::SpanKind::kMigrationFetch, d.fallback,
-                        obs::SpanCause::kHit, key);
-            if (trace != nullptr) {
-              trace->root_cause = obs::SpanCause::kOldHit;
-            }
-            // Line 12: migrate on demand (the primary is in the repair
-            // set); only the FIRST request pays this hop (§IV-A prop. 1).
-            // Under overload the store is deferred — the value stays on
-            // the draining server, a later allowed hit migrates it.
-            if (migration_allowed()) {
-              repair->push_back(d.primary);
-            } else {
-              ++stats_.migrations_deferred;
-              trace_child(trace, obs::SpanKind::kMigrationStore, d.primary,
-                          obs::SpanCause::kThrottled, key);
-            }
-            repair_and_respond(repair, key, *old_value, std::move(done));
-            return;
-          }
-          ++stats_.digest_false_positives;  // line 9: Bloom false positive
-          trace_child(trace, obs::SpanKind::kMigrationFetch, d.fallback,
-                      obs::SpanCause::kMiss, key);
-          repair->push_back(d.primary);
-          try_ring(ring + 1, std::move(repair), key, std::move(trace),
-                   std::move(done));
-        });
+    std::function<void()> done = std::move(req->done);
+    free_requests_.push_back(req);  // before done(): it may issue the next
+    done();
   });
 }
 
@@ -264,37 +177,32 @@ void WebTier::audit_observe(SimTime now) {
 
 void WebTier::register_metrics(obs::MetricsRegistry& registry) const {
   const auto stat = [this, &registry](std::string name, std::string help,
-                                      auto getter) {
-    registry.counter_fn(std::move(name), std::move(help),
-                        [this, getter]() -> double {
-                          return static_cast<double>(getter(stats_));
-                        });
+                                      std::uint64_t WebTierStats::*field) {
+    registry.counter_fn(std::move(name), std::move(help), [this, field] {
+      return static_cast<double>(stats_.*field);
+    });
   };
   stat("proteus_webtier_requests_total", "user requests handled",
-       [](const WebTierStats& s) { return s.requests; });
+       &WebTierStats::requests);
   stat("proteus_webtier_new_server_hits_total",
        "Algorithm 2 line 3 hits on the current mapping",
-       [](const WebTierStats& s) { return s.new_server_hits; });
-  stat("proteus_webtier_old_server_hits_total",
-       "line 7 hot-data migrations",
-       [](const WebTierStats& s) { return s.old_server_hits; });
+       &WebTierStats::new_server_hits);
+  stat("proteus_webtier_old_server_hits_total", "line 7 hot-data migrations",
+       &WebTierStats::old_server_hits);
   stat("proteus_webtier_replica_hits_total",
        "served by a SS III-E failover ring",
-       [](const WebTierStats& s) { return s.replica_hits; });
+       &WebTierStats::replica_hits);
   stat("proteus_webtier_failed_server_skips_total",
        "rings skipped because the server was powered off",
-       [](const WebTierStats& s) { return s.failed_server_skips; });
+       &WebTierStats::failed_server_skips);
   stat("proteus_webtier_db_fetches_total", "line 10 database queries issued",
-       [](const WebTierStats& s) { return s.db_fetches; });
+       &WebTierStats::db_fetches);
   stat("proteus_webtier_coalesced_fetches_total",
        "requests piggybacked on an in-flight query (dog-pile)",
-       [](const WebTierStats& s) { return s.coalesced_fetches; });
+       &WebTierStats::coalesced_fetches);
   stat("proteus_webtier_digest_false_positives_total",
        "line 6 said hot, line 7 missed (SS IV-B p_p)",
-       [](const WebTierStats& s) { return s.digest_false_positives; });
-  stat("proteus_webtier_migrations_deferred_total",
-       "line-12 stores deferred by the overload migration throttle",
-       [](const WebTierStats& s) { return s.migrations_deferred; });
+       &WebTierStats::digest_false_positives);
   registry.gauge_fn("proteus_webtier_cache_hit_ratio",
                     "fraction of requests served from the cache tier",
                     [this] { return stats_.cache_hit_ratio(); });

@@ -5,7 +5,8 @@
 // via the shared Router (consistent across all web servers), fall back to
 // the old location when the digest marks the data hot, reach the database
 // only when both attempts miss, and repopulate the new cache server with
-// whatever was fetched (Algorithm 2 line 12).
+// whatever was fetched (Algorithm 2 line 12). The procedure itself is
+// core::Retrieval; this tier is its transport onto simulated events.
 //
 // With §III-E replication enabled the tier holds one Router per hash ring
 // and walks them in order: a ring whose server is powered off (crashed) is
@@ -24,7 +25,7 @@
 #include "cluster/cache_tier.h"
 #include "cluster/router.h"
 #include "common/time.h"
-#include "core/overload.h"
+#include "core/retrieval.h"
 #include "db/database.h"
 #include "obs/audit.h"
 #include "obs/span.h"
@@ -52,15 +53,6 @@ struct WebTierConfig {
   // fig09 can attribute response-time tails to transition mechanisms. Null
   // disables tracing.
   obs::SpanCollector* spans = nullptr;
-  // Transition-aware migration pacing: when any database shard's live queue
-  // depth reaches this threshold (the overload signal of §VI's miss storms),
-  // Algorithm 2 line-12 write-backs for old-location hits are token-bucket
-  // paced by `migration_throttle` instead of issued unconditionally. The hit
-  // is still served from the old location — only the repair store is
-  // deferred, so correctness is unchanged and the digest simply drains
-  // slower. 0 disables (the paper's unconditional behaviour).
-  int overload_db_queue_depth = 0;
-  core::MigrationThrottle::Options migration_throttle;
   // Live power/model auditing (obs/audit.h): when set, audit_observe()
   // feeds the cache tier's per-server counters into this auditor (call it
   // from the scenario driver's metric slots). Not owned.
@@ -76,7 +68,6 @@ struct WebTierStats {
   std::uint64_t db_fetches = 0;        // line 10 (queries actually issued)
   std::uint64_t coalesced_fetches = 0; // requests that piggybacked on one
   std::uint64_t digest_false_positives = 0;  // line 6 said yes, line 7 missed
-  std::uint64_t migrations_deferred = 0;  // line-12 stores paced out (overload)
 
   double cache_hit_ratio() const noexcept {
     return requests ? static_cast<double>(new_server_hits + old_server_hits +
@@ -92,6 +83,9 @@ class WebTier {
   WebTier(sim::Simulation& sim, WebTierConfig config,
           std::vector<std::shared_ptr<Router>> routers, CacheTier& cache,
           db::Database& db);
+  // In-flight requests point back at this tier and its stats.
+  WebTier(const WebTier&) = delete;
+  WebTier& operator=(const WebTier&) = delete;
 
   // Single-ring convenience (the paper's base design).
   WebTier(sim::Simulation& sim, WebTierConfig config,
@@ -125,30 +119,28 @@ class WebTier {
   int replicas() const noexcept { return static_cast<int>(routers_.size()); }
 
  private:
-  // Trace state threaded through the async retrieval chain; null whenever
-  // the request is unsampled (the common case — no allocation then).
-  using Trace = std::shared_ptr<obs::TraceContext>;
+  // One request's state, from the RBE hop to the reply hop. Pooled: the
+  // callbacks carry only (this, Request*), so they fit std::function's
+  // inline buffer and a request allocates nothing once the pool is warm.
+  struct Request {
+    explicit Request(const core::Retrieval::Options& options)
+        : retrieval(options) {}
+    std::string key;
+    std::function<void()> done;
+    int web = 0;              // the web server handling it
+    obs::TraceContext trace;  // inactive unless sampled
+    SimTime start = 0;
+    core::Retrieval retrieval;
+  };
 
   bool server_alive(int server) const;
-  // Overload-gated line-12 pacing: samples the database tier's live queue
-  // depth, feeds the signal into the throttle, and asks for a token.
-  bool migration_allowed();
-  void fetch_data(const std::string& key, Trace trace,
-                  std::function<void()> respond);
-  void try_ring(std::size_t ring, std::shared_ptr<std::vector<int>> repair,
-                const std::string& key, Trace trace,
-                std::function<void()> done);
-  void fetch_from_db(std::shared_ptr<std::vector<int>> repair,
-                     const std::string& key, Trace trace,
-                     std::function<void()> done);
-  void repair_and_respond(const std::shared_ptr<std::vector<int>>& repair,
-                          const std::string& key, const std::string& value,
-                          std::function<void()> done);
-  void respond_after_hop(std::function<void()> done);
-  // trace->child(sim_.now(), ...) guarded on a live, sampled trace.
-  void trace_child(const Trace& trace, obs::SpanKind kind, int server = -1,
-                   obs::SpanCause cause = obs::SpanCause::kNone,
-                   std::string_view key = {});
+  Request* acquire_request();
+  // Answers the machine's actions until one needs a simulated event (a
+  // cache get, a database fetch) or the request is done.
+  void advance(Request* req, core::Retrieval::Action a);
+  void fetch_from_db(Request* req);
+  // Reply hop back to the RBE, then the trace closes and `done` fires.
+  void respond(Request* req);
 
   sim::Simulation& sim_;
   WebTierConfig config_;
@@ -157,12 +149,13 @@ class WebTier {
   db::Database& db_;
   std::vector<std::unique_ptr<sim::QueueingServer>> queues_;
   std::size_t next_server_ = 0;  // user requests are spread uniformly (§VI-C)
-  // In-flight database fetches by key (dog-pile coalescing): completion
-  // callbacks of piggybacked requests.
-  std::unordered_map<std::string, std::vector<std::function<void()>>>
-      inflight_db_;
-  core::MigrationThrottle migration_throttle_;
+  // In-flight database fetches by key (dog-pile coalescing): the requests
+  // piggybacked on each.
+  std::unordered_map<std::string, std::vector<Request*>> inflight_db_;
   WebTierStats stats_;
+  core::Retrieval::Options retrieval_options_;
+  std::vector<std::unique_ptr<Request>> requests_;  // the pool
+  std::vector<Request*> free_requests_;
 };
 
 }  // namespace proteus::cluster

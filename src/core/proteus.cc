@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "hashring/replicated_ring.h"
 
 namespace proteus {
 
@@ -15,6 +14,17 @@ Proteus::Proteus(ProteusOptions options, Backend backend)
   PROTEUS_CHECK(backend_ != nullptr);
   PROTEUS_CHECK(options_.max_servers >= 1);
   PROTEUS_CHECK(options_.replicas >= 1);
+  retrieval_options_.counters = {
+      .primary_hits = &stats_.new_server_hits,
+      .replica_hits = &stats_.replica_ring_hits,
+      .old_server_hits = &stats_.old_server_hits,
+      .skips = &stats_.failed_server_skips,
+      .false_positives = &stats_.digest_false_positives,
+      .false_negatives = &stats_.digest_false_negatives,
+      .backend_fetches = &stats_.backend_fetches,
+      .migrations_deferred = &stats_.migrations_deferred};
+  retrieval_options_.trace = options_.trace;
+  retrieval_options_.throttle = options_.migration_throttle;
   const int initial = options_.initial_servers > 0 ? options_.initial_servers
                                                    : options_.max_servers;
   routers_.reserve(static_cast<std::size_t>(options_.replicas));
@@ -156,150 +166,52 @@ std::string Proteus::get(std::string_view key, SimTime now) {
 
 std::string Proteus::get_inner(std::string_view key, SimTime now,
                                obs::TraceContext& ctx) {
+  using Step = core::Retrieval::Step;
+  using Reply = core::Retrieval::Reply;
   tick(now);
   last_now_ = now;
   ++stats_.gets;
-  const bool transition = in_transition();
-  if (ctx.active()) {
-    ctx.in_transition = transition;
-    ctx.child(obs::span_clock_now(), obs::SpanKind::kRoute);
-  }
+  if (ctx.active()) ctx.in_transition = in_transition();
   const std::string k(key);
-
-  // Walk the rings in order: ring 0 is the base design's only location,
-  // the others are §III-E failover. Live locations that answered a miss go
-  // into repair_ so whatever is served can be written back to them.
-  repair_.clear();
-  std::optional<std::string> value;
-  int source = -1;  // the server that served `value`
-  for (int r = 0; r < replicas() && !value; ++r) {
-    const cluster::Router::Decision d =
-        routers_[static_cast<std::size_t>(r)].decide(key);
-    const obs::SpanKind fetch =
-        r == 0 ? obs::SpanKind::kCacheGet : obs::SpanKind::kFailover;
-    if (ctx.active() && transition) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kDigestConsult,
-                d.primary,
-                d.fallback >= 0 ? obs::SpanCause::kDigestHot
-                                : obs::SpanCause::kDigestCold);
-    }
-    if (!admit(d.primary, now)) {
-      // Crashed, powered off, or health-quarantined: skipped either way.
-      ++stats_.failed_server_skips;
-      if (ctx.active()) {
-        ctx.child(obs::span_clock_now(), fetch, d.primary,
-                  obs::SpanCause::kQuarantined, key);
-      }
-      continue;
-    }
-
-    // Algorithm 2 line 2: try the ring's new (current) location.
-    value = mutable_server(d.primary).get(k, now);
-    // A clean miss is a healthy answer too.
-    health_[static_cast<std::size_t>(d.primary)].record_success(now, 0, rng_);
-    if (value) {
-      ++(r == 0 ? stats_.new_server_hits : stats_.replica_ring_hits);
-      source = d.primary;
-      if (ctx.active()) {
-        ctx.child(obs::span_clock_now(), fetch, d.primary,
-                  obs::SpanCause::kHit, key);
-        ctx.root_cause =
-            r == 0 ? obs::SpanCause::kHit : obs::SpanCause::kFailoverHit;
-      }
-      break;
-    }
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), fetch, d.primary,
-                obs::SpanCause::kMiss, key);
-    }
-
-    if (d.fallback >= 0) {
-      // Lines 6-8: the digest marked the data hot on its old location.
-      if (usable(d.fallback)) {
-        value = mutable_server(d.fallback).get(k, now);
-        if (value) {
-          ++stats_.old_server_hits;
-          source = d.fallback;
-          obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationHit,
-                    d.fallback, d.primary, value->size(), key);
-        } else {
-          ++stats_.digest_false_positives;
-          obs::emit(options_.trace, now,
-                    obs::TraceEventKind::kDigestFalsePositive, d.fallback,
-                    d.primary, 0, key);
+  // core::Retrieval runs Algorithm 2; this is its synchronous transport.
+  core::Retrieval retrieval(retrieval_options_);
+  for (auto a = retrieval.start(key, replicas(), now, &ctx);;) {
+    switch (a.step) {
+      case Step::kRoute:
+        a = retrieval.routed(routers_[static_cast<std::size_t>(a.ring)]
+                                 .decide(key));
+        break;
+      case Step::kGet: {
+        // Crashed or powered off. Only fail_server quarantines a server's
+        // health detector, so the gate never refuses a usable one.
+        if (!usable(a.server)) {
+          a = retrieval.got(Reply::kDown);
+          break;
         }
-        if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationFetch,
-                    d.fallback,
-                    value ? obs::SpanCause::kHit : obs::SpanCause::kMiss, key);
-          if (value) ctx.root_cause = obs::SpanCause::kOldHit;
+        std::optional<std::string> value = mutable_server(a.server).get(k, now);
+        // A clean miss is healthy too.
+        health_[static_cast<std::size_t>(a.server)].record_success(now, 0,
+                                                                   rng_);
+        a = value ? retrieval.got(Reply::kHit, std::move(*value))
+                  : retrieval.got(Reply::kMiss);
+        break;
+      }
+      case Step::kProbe:  // in-process, §IV-B false negatives cost nothing
+        a = retrieval.probed(usable(a.server) &&
+                             server(a.server).contains(k, now));
+        break;
+      case Step::kBackend:
+        a = retrieval.fetched(core::Retrieval::Fetch::kValue, backend_(key));
+        break;
+      case Step::kStore:
+        if (usable(a.server)) {
+          const std::string& value = retrieval.value();
+          mutable_server(a.server).set(k, value, now, charge_for(value));
         }
-      }
-    } else if (transition) {
-      // §IV-B false-negative check: the digest reported the key cold, but
-      // is it actually resident on its old-mapping server? Cheap in-process
-      // (one hash + index probe), and it makes the paper's FN bound a
-      // measured quantity instead of a modeled one.
-      const int old_server = placement_->server_for(
-          ring::replica_ring_hash(hash_bytes(key), r),
-          routers_[static_cast<std::size_t>(r)].old_active());
-      if (old_server != d.primary && usable(old_server) &&
-          server(old_server).contains(k, now)) {
-        ++stats_.digest_false_negatives;
-        obs::emit(options_.trace, now,
-                  obs::TraceEventKind::kDigestFalseNegative, old_server,
-                  d.primary, 0, key);
-      }
-    }
-    repair_.push_back(d.primary);
-  }
-
-  if (!value) {
-    // Line 10: false positive or cold data — the backend is authoritative,
-    // and its answer fills every live location that missed.
-    ++stats_.backend_fetches;
-    value = backend_(key);
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kBackendFetch, -1,
-                obs::SpanCause::kBackendFill, key);
-      ctx.root_cause = obs::SpanCause::kBackendFill;
-    }
-    store_repairs(k, *value, now, ctx, obs::SpanKind::kFill);
-    return std::move(*value);
-  }
-  if (repair_.empty()) return std::move(*value);
-
-  // Line 12: on-demand migration (and §III-E read-repair); subsequent
-  // requests hit the ring's primary. Under overload the throttle defers
-  // the whole write-back — the value is still served, but repair stops
-  // competing with foreground traffic until the pressure clears.
-  if (options_.migration_throttle != nullptr &&
-      !options_.migration_throttle->allow(now)) {
-    ++stats_.migrations_deferred;
-    for (int target : repair_) {
-      obs::emit(options_.trace, now, obs::TraceEventKind::kMigrationDeferred,
-                source, target, value->size(), key);
-    }
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kMigrationStore,
-                repair_.front(), obs::SpanCause::kThrottled, key);
-    }
-    return std::move(*value);
-  }
-  store_repairs(k, *value, now, ctx, obs::SpanKind::kMigrationStore);
-  return std::move(*value);
-}
-
-void Proteus::store_repairs(const std::string& key, const std::string& value,
-                            SimTime now, obs::TraceContext& ctx,
-                            obs::SpanKind kind) {
-  for (int target : repair_) {
-    // contains() also skips a server listed twice (an Eq. 3 conflict).
-    if (!usable(target) || server(target).contains(key, now)) continue;
-    mutable_server(target).set(key, value, now, charge_for(value));
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), kind, target, obs::SpanCause::kStored,
-                key);
+        a = retrieval.stored(usable(a.server));
+        break;
+      case Step::kDone:
+        return std::move(retrieval.value());
     }
   }
 }
@@ -318,10 +230,7 @@ void Proteus::put(std::string_view key, std::string value, SimTime now) {
   ++stats_.puts;
   const std::string k(key);
   const std::size_t charge = charge_for(value);
-  repair_.clear();
-  for (const cluster::Router& router : routers_) {
-    repair_.push_back(router.decide(key).primary);
-  }
+  const std::vector<int> locations = replica_servers(key);
   // Invalidate every other powered location first. Besides the in-flight
   // transition's old locations, copies abandoned by EARLIER mapping epochs
   // may still sit on servers that stayed powered (a scale-up moves keys off
@@ -330,11 +239,11 @@ void Proteus::put(std::string_view key, std::string value, SimTime now) {
   // invalidation keeps reads exactly as fresh as the backend.
   for (int i = 0; i < options_.max_servers; ++i) {
     if (server(i).power_state() != cache::PowerState::kOff &&
-        std::find(repair_.begin(), repair_.end(), i) == repair_.end()) {
+        std::find(locations.begin(), locations.end(), i) == locations.end()) {
       mutable_server(i).erase(k);
     }
   }
-  for (int target : repair_) {
+  for (int target : locations) {
     if (usable(target)) mutable_server(target).set(k, value, now, charge);
   }
 }
@@ -432,10 +341,12 @@ void Proteus::fail_server(int i) {
   // The membership layer declared the server dead: quarantine the routing
   // detector immediately rather than waiting for errors to accrue.
   health_[static_cast<std::size_t>(i)].force_quarantine(last_now_, rng_);
-  // A crash loses the in-memory cache (§III-A).
+  // A crash loses the in-memory cache (§III-A), and with it whatever the
+  // transition digest says about it: a recovered server rejoins cold.
   if (server(i).power_state() != cache::PowerState::kOff) {
     mutable_server(i).power_off();
   }
+  for (cluster::Router& router : routers_) router.drop_old_digest(i);
 }
 
 void Proteus::recover_server(int i) {
@@ -463,46 +374,43 @@ ring::TransitionPlan Proteus::plan_resize(int n_active) const {
 
 void Proteus::register_metrics(obs::MetricsRegistry& registry) const {
   const auto stat = [this, &registry](std::string name, std::string help,
-                                      auto getter) {
-    registry.counter_fn(std::move(name), std::move(help),
-                        [this, getter]() -> double {
-                          return static_cast<double>(getter(stats_));
-                        });
+                                      std::uint64_t ProteusStats::*field) {
+    registry.counter_fn(std::move(name), std::move(help), [this, field] {
+      return static_cast<double>(stats_.*field);
+    });
   };
-  stat("proteus_gets_total", "Algorithm 2 retrievals",
-       [](const ProteusStats& s) { return s.gets; });
+  stat("proteus_gets_total", "Algorithm 2 retrievals", &ProteusStats::gets);
   stat("proteus_new_server_hits_total", "hits on the current mapping",
-       [](const ProteusStats& s) { return s.new_server_hits; });
+       &ProteusStats::new_server_hits);
   stat("proteus_replica_ring_hits_total",
        "hits served by a SS III-E replica ring (failover)",
-       [](const ProteusStats& s) { return s.replica_ring_hits; });
+       &ProteusStats::replica_ring_hits);
   stat("proteus_failed_server_skips_total",
        "locations skipped: crashed, powered off or quarantined",
-       [](const ProteusStats& s) { return s.failed_server_skips; });
+       &ProteusStats::failed_server_skips);
   stat("proteus_old_server_hits_total",
        "on-demand migrations (Algorithm 2 line 12)",
-       [](const ProteusStats& s) { return s.old_server_hits; });
+       &ProteusStats::old_server_hits);
   stat("proteus_backend_fetches_total", "authoritative-store fetches",
-       [](const ProteusStats& s) { return s.backend_fetches; });
+       &ProteusStats::backend_fetches);
   stat("proteus_digest_false_positives_total",
        "digest said hot, old server missed (SS IV-B p_p bound)",
-       [](const ProteusStats& s) { return s.digest_false_positives; });
+       &ProteusStats::digest_false_positives);
   stat("proteus_digest_false_negatives_total",
        "digest said cold, key was resident (SS IV-B p_n bound)",
-       [](const ProteusStats& s) { return s.digest_false_negatives; });
-  stat("proteus_puts_total", "explicit writes",
-       [](const ProteusStats& s) { return s.puts; });
+       &ProteusStats::digest_false_negatives);
+  stat("proteus_puts_total", "explicit writes", &ProteusStats::puts);
   stat("proteus_resizes_total", "provisioning transitions begun",
-       [](const ProteusStats& s) { return s.resizes; });
+       &ProteusStats::resizes);
   stat("proteus_migrations_deferred_total",
        "line-12 write-backs deferred by the migration throttle",
-       [](const ProteusStats& s) { return s.migrations_deferred; });
+       &ProteusStats::migrations_deferred);
   stat("proteus_journal_records_replayed_total",
        "transition-journal records replayed at startup",
-       [](const ProteusStats& s) { return s.journal_records_replayed; });
+       &ProteusStats::journal_records_replayed);
   stat("proteus_journal_transitions_resumed_total",
        "interrupted transitions resumed or rolled forward from the journal",
-       [](const ProteusStats& s) { return s.journal_transitions_resumed; });
+       &ProteusStats::journal_transitions_resumed);
   registry.gauge_fn("proteus_cluster_epoch",
                     "fencing epoch, bumped on every resize",
                     [this] { return static_cast<double>(epoch_); });

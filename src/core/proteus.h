@@ -43,6 +43,7 @@
 #include "common/time.h"
 #include "core/endpoint_health.h"
 #include "core/overload.h"
+#include "core/retrieval.h"
 #include "core/transition_journal.h"
 #include "hashring/migration_plan.h"
 #include "hashring/proteus_placement.h"
@@ -134,11 +135,15 @@ class Proteus {
   using Backend = std::function<std::string(std::string_view)>;
 
   Proteus(ProteusOptions options, Backend backend);
+  // Algorithm 2 counts into this object's stats.
+  Proteus(const Proteus&) = delete;
+  Proteus& operator=(const Proteus&) = delete;
 
-  // Algorithm 2 data retrieval. Never returns stale data; reaches the
-  // backend only when the key is on none of its live replica locations,
-  // new or old. Whatever is served is written back to the live locations
-  // that missed (line-12 migration, §III-E read-repair, the miss fill).
+  // Algorithm 2 data retrieval (core/retrieval.h). Never returns stale
+  // data; reaches the backend only when the key is on none of its live
+  // replica locations, new or old. Whatever is served is written back to
+  // the live locations that missed (line-12 migration, §III-E read-repair,
+  // the miss fill).
   std::string get(std::string_view key, SimTime now);
 
   // Explicit write: stores on the key's location on every ring (write-all)
@@ -208,17 +213,9 @@ class Proteus {
     return !failed_[static_cast<std::size_t>(i)] &&
            server(i).power_state() != cache::PowerState::kOff;
   }
-  // The read path's routing gate: power/crash state AND the health machine
-  // (a quarantined server is skipped until its probe dwell elapses).
-  bool admit(int i, SimTime now) {
-    return usable(i) && health_[static_cast<std::size_t>(i)].allow(now);
-  }
   // get() minus the trace envelope.
   std::string get_inner(std::string_view key, SimTime now,
                         obs::TraceContext& ctx);
-  // Writes `value` to every location in repair_ still missing it.
-  void store_repairs(const std::string& key, const std::string& value,
-                     SimTime now, obs::TraceContext& ctx, obs::SpanKind kind);
   // Ends the transition at `now`, or at its drain deadline if that passed.
   void finalize_transition(SimTime now);
   // Feeds per-server counters into ProteusOptions::auditor (tick-gated).
@@ -236,12 +233,12 @@ class Proteus {
   std::vector<cluster::Router> routers_;  // one per ring
   std::vector<std::unique_ptr<cache::CacheServer>> servers_;
   std::vector<bool> failed_;
-  std::vector<core::EndpointHealth> health_;  // routing gate per server
+  std::vector<core::EndpointHealth> health_;  // per-server detector state
   Rng rng_{0x9e3779b97f4a7c15ULL};  // probe-dwell jitter, deterministic
   SimTime last_now_ = 0;  // latest caller clock, for clock-less injections
   std::vector<int> draining_;
-  std::vector<int> repair_;  // get/put scratch: live locations to write
   ProteusStats stats_;
+  core::Retrieval::Options retrieval_options_;
   core::TransitionJournal journal_;
   std::uint64_t epoch_ = 0;
   SimTime last_audit_feed_ = 0;

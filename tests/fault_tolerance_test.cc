@@ -253,6 +253,54 @@ TEST_F(LiveFleet, ReplicaFailoverServesWithoutBackend) {
   EXPECT_GE(web.stats().failover_hits, 1u);
 }
 
+TEST_F(LiveFleet, ColdRestartedPrimaryIsServedFromRingOneAndRepaired) {
+  auto opt = fast_options();
+  opt.replicas = 2;
+  opt.hedging = false;
+  obs::SpanCollector spans(256, /*sample_every=*/1);
+  opt.spans = &spans;
+  std::uint64_t backend = 0;
+  ProteusClient web(opt, [&](std::string_view key) {
+    ++backend;
+    return "db:" + std::string(key);
+  });
+
+  const ring::ProteusPlacement placement(kServers);
+  std::string key;
+  int primary = -1;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string candidate = "page:" + std::to_string(i);
+    const std::uint64_t h = hash_bytes(candidate);
+    const int p0 = placement.server_for(ring::replica_ring_hash(h, 0),
+                                        kServers);
+    if (p0 != placement.server_for(ring::replica_ring_hash(h, 1), kServers)) {
+      key = candidate;
+      primary = p0;
+    }
+  }
+  EXPECT_EQ(web.get(key, 0), "db:" + key);  // fills both rings
+  ASSERT_EQ(backend, 1u);
+
+  // The ring-0 daemon comes back empty: a clean miss, not a down server.
+  kill(primary);
+  restart(primary);
+  EXPECT_EQ(web.get(key, kSecond), "db:" + key);
+  EXPECT_EQ(backend, 1u) << "ring 1 still holds the key";
+  EXPECT_EQ(web.stats().failover_hits, 1u);
+  EXPECT_EQ(web.stats().degraded_misses, 0u);
+  bool repaired = false;
+  for (const obs::SpanRecord& r : spans.snapshot()) {
+    repaired |= r.kind == obs::SpanKind::kMigrationStore &&
+                r.server == primary && r.cause == obs::SpanCause::kStored;
+  }
+  EXPECT_TRUE(repaired) << "ring 0 must be read-repaired";
+
+  // The repair landed: the next read is a ring-0 hit.
+  EXPECT_EQ(web.get(key, 2 * kSecond), "db:" + key);
+  EXPECT_EQ(web.stats().new_server_hits, 1u);
+  EXPECT_EQ(backend, 1u);
+}
+
 TEST_F(LiveFleet, StalledServerIsBoundedByDeadline) {
   net::FaultInjector injector;
   // Attach the injector to server 0 (fresh connections only, so do it

@@ -5,6 +5,8 @@
 #include <map>
 #include <string>
 
+#include "common/hash.h"
+
 namespace proteus {
 namespace {
 
@@ -228,6 +230,37 @@ TEST(ProteusFacade, ObjectChargeOverride) {
   Proteus cluster(opt, [](std::string_view) { return std::string("tiny"); });
   cluster.get("k", 0);
   EXPECT_GT(cluster.bytes_cached(), 4096u);
+}
+
+TEST(ProteusFacade, CrashDuringTransitionDropsTheServersDigest) {
+  ProteusOptions opt = small_options(4);
+  opt.initial_servers = 2;
+  CountingBackend backend;
+  Proteus cluster(opt, std::ref(backend));
+  // A key that lives on server 0 at n=2 and moves off it at n=4.
+  std::string key;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string candidate = "page:" + std::to_string(i);
+    const std::uint64_t h = hash_bytes(candidate);
+    if (cluster.placement().server_for(h, 2) == 0 &&
+        cluster.placement().server_for(h, 4) != 0) {
+      key = candidate;
+    }
+  }
+  cluster.get(key, kSecond);
+  cluster.resize(4, 2 * kSecond);  // server 0's digest now calls `key` hot
+
+  // The crash loses server 0's memory; it rejoins cold inside the
+  // transition. Its digest described the lost memory, so it must no longer
+  // send `key` to the old location.
+  cluster.fail_server(0);
+  cluster.recover_server(0);
+  const std::uint64_t gets_on_0 = cluster.server(0).stats().gets;
+  EXPECT_EQ(cluster.get(key, 3 * kSecond), "value-of-" + key);
+  EXPECT_EQ(backend.calls, 2u);
+  EXPECT_EQ(cluster.stats().digest_false_positives, 0u);
+  EXPECT_EQ(cluster.server(0).stats().gets, gets_on_0)
+      << "no probe of the cold server";
 }
 
 }  // namespace

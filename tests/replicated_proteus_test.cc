@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "obs/trace.h"
 
 namespace proteus {
@@ -307,6 +308,57 @@ TEST(ReplicatedFacade, SingleRingCrashGoesToBackendUntilRecovered) {
   EXPECT_EQ(backend.calls, before);
   EXPECT_EQ(cluster.stats().new_server_hits - hits, on_crashed.size());
   EXPECT_EQ(cluster.health(3).state(), core::EndpointHealth::State::kHealthy);
+}
+
+TEST(ReplicatedFacade, SkippedLocationSpanCausesFollowOneRule) {
+  obs::SpanCollector spans(256, /*sample_every=*/1);
+  ProteusOptions opt = small_options(2);
+  opt.spans = &spans;
+  CountingBackend backend;
+  Proteus cluster(opt, std::ref(backend));
+  std::string key;
+  std::vector<int> where;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string candidate = "page:" + std::to_string(i);
+    where = cluster.replica_servers(candidate);
+    if (where[0] != where[1]) key = candidate;
+  }
+  cluster.get(key, 0);
+
+  // A crashed location is down, not quarantined, although the crash also
+  // force-quarantines its health detector: the gate is never consulted
+  // for a server that is not there.
+  cluster.fail_server(where[0]);
+  ASSERT_EQ(cluster.health(where[0]).state(),
+            core::EndpointHealth::State::kQuarantined);
+  spans.clear();
+  EXPECT_EQ(cluster.get(key, kSecond), "v:" + key);
+  std::vector<std::pair<int, obs::SpanCause>> gets;
+  for (const obs::SpanRecord& r : spans.snapshot()) {
+    if (r.kind == obs::SpanKind::kCacheGet ||
+        r.kind == obs::SpanKind::kFailover) {
+      gets.emplace_back(r.server, r.cause);
+    }
+  }
+  EXPECT_EQ(gets, (std::vector<std::pair<int, obs::SpanCause>>{
+                      {where[0], obs::SpanCause::kDown},
+                      {where[1], obs::SpanCause::kHit}}));
+  EXPECT_EQ(backend.calls, 1u);
+
+  // Recovered, the server answers again (its detector re-admits it
+  // through probation): a clean miss, repaired from ring 1.
+  cluster.recover_server(where[0]);
+  spans.clear();
+  EXPECT_EQ(cluster.get(key, 2 * kSecond), "v:" + key);
+  bool repaired = false;
+  for (const obs::SpanRecord& r : spans.snapshot()) {
+    EXPECT_NE(r.cause, obs::SpanCause::kDown);
+    EXPECT_NE(r.cause, obs::SpanCause::kQuarantined);
+    repaired |= r.kind == obs::SpanKind::kMigrationStore &&
+                r.server == where[0] && r.cause == obs::SpanCause::kStored;
+  }
+  EXPECT_TRUE(repaired);
+  EXPECT_TRUE(cluster.server(where[0]).contains(key, 2 * kSecond));
 }
 
 }  // namespace

@@ -1,0 +1,151 @@
+#!/usr/bin/env bash
+# Wire-protocol smoke test (docs/PROTOCOL.md): one live proteus-cached,
+# driven over raw sockets by python3 the way a stock client would:
+#
+#   1. a set/get round trip;
+#   2. a C<hex8>-stamped set, echoed on an opted-in get (and a wrong stamp
+#      refused with SERVER_ERROR bad-checksum);
+#   3. a binary-protocol GET frame sees EOF, not a reply;
+#   4. a set larger than the budget gets SERVER_ERROR object too large for
+#      cache, and the connection stays usable;
+#   5. a 128 KiB line with no CRLF gets CLIENT_ERROR line too long, then EOF;
+#   6. a fresh connection is still served afterwards.
+#
+#   scripts/wire_smoke.sh [--build-dir=build]
+set -euo pipefail
+
+BUILD_DIR="build"
+for arg in "$@"; do
+  case "$arg" in
+    --build-dir=*) BUILD_DIR="${arg#*=}" ;;
+    *) echo "usage: scripts/wire_smoke.sh [--build-dir=D]" >&2; exit 2 ;;
+  esac
+done
+
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+cd "$ROOT"
+CACHED="$BUILD_DIR/tools/proteus-cached"
+[[ -x "$CACHED" ]] || { echo "wire_smoke.sh: $CACHED not built" >&2; exit 1; }
+
+LOG="$(mktemp)"
+"$CACHED" --port=0 --mem-mb=1 2> "$LOG" &
+PID="$!"
+cleanup() {
+  kill "$PID" 2>/dev/null || true
+  wait "$PID" 2>/dev/null || true
+  rm -f "$LOG"
+}
+trap cleanup EXIT
+
+PORT=""
+for _ in $(seq 1 50); do
+  PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$LOG")"
+  [[ -n "$PORT" ]] && break
+  sleep 0.1
+done
+[[ -n "$PORT" ]] || { echo "daemon never bound a port"; cat "$LOG"; exit 1; }
+
+python3 - "$PORT" <<'EOF'
+import socket
+import sys
+import time
+
+PORT = int(sys.argv[1])
+
+
+def crc32c(data):
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
+    return crc ^ 0xFFFFFFFF
+
+
+def connect():
+    s = socket.create_connection(("127.0.0.1", PORT), timeout=5)
+    s.settimeout(5)
+    return s
+
+
+def read_until(s, terminator):
+    data = b""
+    while not data.endswith(terminator):
+        chunk = s.recv(4096)
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def read_to_eof(s):
+    data = b""
+    try:
+        while True:
+            chunk = s.recv(4096)
+            if not chunk:
+                break
+            data += chunk
+    except ConnectionResetError:
+        pass
+    return data
+
+
+def expect(what, got, want):
+    if got != want:
+        sys.exit("FAIL %s: got %r, want %r" % (what, got, want))
+    print("ok  %s" % what)
+
+
+s = connect()
+s.sendall(b"set k 0 0 5\r\nhello\r\n")
+expect("set stores", read_until(s, b"\r\n"), b"STORED\r\n")
+s.sendall(b"get k\r\n")
+expect("get round-trips", read_until(s, b"END\r\n"),
+       b"VALUE k 0 5\r\nhello\r\nEND\r\n")
+
+stamp = b"C%08x" % crc32c(b"hello")
+s.sendall(b"set ck 0 0 5 " + stamp + b"\r\nhello\r\n")
+expect("stamped set stores", read_until(s, b"\r\n"), b"STORED\r\n")
+s.sendall(b"get ck C00000000\r\n")
+expect("opted-in get echoes the stamp", read_until(s, b"END\r\n"),
+       b"VALUE ck 0 5 " + stamp + b"\r\nhello\r\nEND\r\n")
+s.sendall(b"set ck 0 0 5 C%08x\r\nhello\r\n" % (crc32c(b"hello") ^ 1))
+expect("wrong stamp is refused", read_until(s, b"\r\n"),
+       b"SERVER_ERROR bad-checksum\r\n")
+
+b = connect()
+start = time.monotonic()
+b.sendall(b"\x80" + bytes(2) + b"\x03" + bytes(7) + b"\x03" + bytes(12) +
+          b"key")
+expect("binary GET frame sees EOF", read_to_eof(b), b"")
+if time.monotonic() - start > 2:
+    sys.exit("FAIL binary client waited %.1f s for EOF" %
+             (time.monotonic() - start))
+b.close()
+
+big = 2 << 20  # twice the 1 MB budget
+s.sendall(b"set big 0 0 %d\r\n" % big + b"x" * big + b"\r\n")
+expect("oversized set is refused", read_until(s, b"\r\n"),
+       b"SERVER_ERROR object too large for cache\r\n")
+s.sendall(b"get big\r\n")
+expect("refused set stored nothing, connection kept",
+       read_until(s, b"END\r\n"), b"END\r\n")
+s.close()
+
+t = connect()
+try:
+    t.sendall(b"a" * (128 << 10))
+except (BrokenPipeError, ConnectionResetError):
+    pass  # the daemon may close before the whole run is written
+expect("unterminated line is refused, then EOF", read_to_eof(t),
+       b"CLIENT_ERROR line too long\r\n")
+t.close()
+
+f = connect()
+f.sendall(b"version\r\n")
+expect("fresh connection is served", read_until(f, b"\r\n"),
+       b"VERSION proteus-1.0\r\n")
+f.close()
+print("WIRE SMOKE PASSED")
+EOF

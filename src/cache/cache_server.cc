@@ -141,20 +141,19 @@ std::uint64_t CacheServer::set(std::string_view key, std::string value,
   item.key.assign(key);
   item.charge = key.size() + (charge ? charge : value.size()) +
                 config_.per_item_overhead;
+  // A store that can never fit still drops the resident copy (memcached).
+  if (auto it = index_.find(item.key); it != index_.end()) unlink(it->second);
   if (slab_sizer_.has_value()) {
     item.charge = slab_sizer_->chunk_size_for(item.charge);
     if (item.charge == 0) return 0;  // exceeds the largest slab class
   }
+  if (item.charge > config_.memory_budget_bytes) return 0;  // never fits
   item.value = std::move(value);
   item.last_access = now;
   item.flags = flags;
   item.cas = next_cas_++;
   item.has_crc = crc.has_value();
   item.crc = crc.value_or(0);
-
-  if (auto it = index_.find(item.key); it != index_.end()) unlink(it->second);
-
-  if (item.charge > config_.memory_budget_bytes) return 0;  // never fits
   evict_to_fit(item.charge);
   const std::uint64_t cas = item.cas;
   link(std::move(item));

@@ -49,6 +49,11 @@ bool CommandExecutor::admit(std::string_view key) {
   return true;
 }
 
+bool CommandExecutor::fits(std::string_view key, std::size_t bytes) const {
+  // A shard's budget is fixed at construction: no lock needed to read it.
+  return bytes <= engine_.shard(engine_.shard_index(key)).memory_budget();
+}
+
 SimTime CommandExecutor::parse_clock() const {
   return spans_ != nullptr ? obs::span_clock_now() : 0;
 }
@@ -98,7 +103,6 @@ CommandResult CommandExecutor::get(const Command& cmd, SimTime now,
   if (!value.has_value()) return CommandStatus::kNotFound;
   r.value = std::move(*value);
   r.flags = meta.flags;
-  r.cas = meta.cas;
   // Only a get that opted in echoes, and only a stamped item has a stamp.
   if (cmd.checksum.has_value()) r.crc = meta.crc;
   return r;
@@ -134,22 +138,20 @@ CommandResult CommandExecutor::store(Command& cmd, SimTime now,
   ShardedCacheServer::Guard guard;
   CacheServer* cache = acquire(cmd.key, guard, tid);
   if (cache == nullptr) return CommandStatus::kBusy;
-  if (cmd.op != Command::Op::kSet || cmd.cas != 0) {
-    // add, replace and CAS stores are conditional on the resident version
-    // (0 = absent).
-    const std::uint64_t current = cache->cas_of(cmd.key, now);
-    if ((cmd.op == Command::Op::kReplace || cmd.cas != 0) && current == 0) {
+  if (cmd.op != Command::Op::kSet) {
+    // add and replace are conditional on residency (version 0 = absent).
+    const bool resident = cache->cas_of(cmd.key, now) != 0;
+    if (cmd.op == Command::Op::kReplace && !resident) {
       return CommandStatus::kNotFound;
     }
-    if ((cmd.op == Command::Op::kAdd && current != 0) ||
-        (cmd.cas != 0 && current != cmd.cas)) {
-      return CommandStatus::kExists;
-    }
+    if (cmd.op == Command::Op::kAdd && resident) return CommandStatus::kExists;
   }
-  CommandResult r;
-  r.cas = cache->set(cmd.key, std::move(cmd.payload), now, /*charge=*/0,
-                     cmd.flags, cmd.checksum);
-  return r;
+  // A store that can never fit has still unlinked the key's resident copy,
+  // as memcached does: no older value outlives the refused write.
+  return cache->set(cmd.key, std::move(cmd.payload), now, cmd.charge,
+                    cmd.flags, cmd.checksum) != 0
+             ? CommandStatus::kOk
+             : CommandStatus::kTooLarge;
 }
 
 CommandResult CommandExecutor::update(const Command& cmd, SimTime now,
@@ -173,20 +175,15 @@ CommandResult CommandExecutor::update(const Command& cmd, SimTime now,
   }
   // The TTL is access-based, so a touch is a read.
   const auto value = cache->get(cmd.key, now);
-  if (!value.has_value() && (!counter || cmd.no_create)) {
-    return CommandStatus::kNotFound;
-  }
+  if (!value.has_value()) return CommandStatus::kNotFound;
+  if (!counter) return CommandStatus::kOk;
+  std::uint64_t current = 0;
+  if (!parse_decimal(*value, current)) return CommandStatus::kNonNumeric;
   CommandResult r;
-  if (!counter) return r;
-  r.counter = cmd.initial;
-  if (value.has_value()) {
-    std::uint64_t current = 0;
-    if (!parse_decimal(*value, current)) return CommandStatus::kNonNumeric;
-    r.counter = cmd.op == Command::Op::kIncr
-                    ? current + cmd.delta  // memcached wraps on 64-bit overflow
-                    : (current > cmd.delta ? current - cmd.delta : 0);  // clamps
-  }
-  r.cas = cache->set(cmd.key, std::to_string(r.counter), now);
+  r.counter = cmd.op == Command::Op::kIncr
+                  ? current + cmd.delta  // memcached wraps on 64-bit overflow
+                  : (current > cmd.delta ? current - cmd.delta : 0);  // clamps
+  cache->set(cmd.key, std::to_string(r.counter), now);
   return r;
 }
 

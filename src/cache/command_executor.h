@@ -1,25 +1,26 @@
 // Protocol-neutral command execution: the one place the memcached command
-// semantics live, shared by the text and binary codecs.
+// semantics live, apart from the text framing that decodes them.
 //
-// The paper's cache server is one modified memcached behind two wire
-// encodings (§V-3). Each codec decodes a request into a Command, calls
+// The paper's cache server is one modified memcached (§V-3). The text
+// session (cache/text_protocol.h) frames a request into a Command, calls
 // CommandExecutor::execute, and encodes the typed CommandResult; every
-// rule between decode and encode lives here exactly once:
+// rule between decode and encode lives here exactly once, testable without
+// a wire:
 //   * the per-shard pipeline budget (cache/pipeline_policy.h);
 //   * shard locking under `lock_deadline_us`, counting deadline sheds;
 //   * the epoch fence: mutations admit, reads observe, PROTEUS_EPOCH adopts;
 //   * CRC32C verification of stamped payloads on arrival;
 //   * reserved-key dispatch (digest blob, epoch hello);
 //   * server-side parse, lock-wait and op spans, with their causes;
-//   * the `stats` name/value list (binary STAT emits the same list).
+//   * the `stats` name/value list.
 //
-// Storage commands run their checks in one order on both codecs:
+// Storage commands run their checks in one order:
 //   1. checksum verify — before the payload is interpreted and outside the
 //      shard lock (counting a reject takes the key's shard lock);
 //   2. reserved or epoch key;
 //   3. epoch fence;
 //   4. shard lock;
-//   5. the store.
+//   5. the store, refused when the item can never fit its shard.
 #pragma once
 
 #include <array>
@@ -62,23 +63,24 @@ struct Command {
   // Storage: the client's CRC32C of the payload. Get: present = echo the
   // stored checksum (the value itself is ignored).
   std::optional<std::uint32_t> checksum;
-  std::uint64_t cas = 0;      // storage: store only over this version; 0 = any
-  std::uint64_t delta = 0;    // incr/decr
-  std::uint64_t initial = 0;  // incr/decr: value created on a miss
-  bool no_create = true;      // incr/decr: a miss stays a miss
+  // Storage: the value size to account in place of `payload`, for a data
+  // block too large for its shard that is discarded unread (0 = payload's).
+  std::size_t charge = 0;
+  std::uint64_t delta = 0;     // incr/decr
   std::uint64_t trace_id = 0;  // wire trace id; 0 = untraced
 };
 
 enum class CommandStatus : std::uint8_t {
   kOk,
-  kNotFound,     // miss; replace or CAS on an absent key
-  kExists,       // add over a resident key; CAS version mismatch
+  kNotFound,     // miss; replace on an absent key
+  kExists,       // add over a resident key
   kNonNumeric,   // incr/decr on a value that is not a decimal counter
   kReserved,     // store to a read-only digest key
   kBadEpoch,     // PROTEUS_EPOCH store that is not a set of a decimal epoch
   kStaleEpoch,   // fenced: stamped below the cluster epoch
   kBadChecksum,  // the payload failed its CRC32C stamp
   kBusy,         // the shard-lock deadline passed (counted as a shed)
+  kTooLarge,     // the item can never fit its shard; a resident copy is dropped
 };
 
 struct CommandResult {
@@ -89,7 +91,6 @@ struct CommandResult {
   std::string value;                 // get: the hit's bytes
   std::uint32_t flags = 0;           // get: the hit's client flags
   std::optional<std::uint32_t> crc;  // get: stored checksum, when asked for
-  std::uint64_t cas = 0;             // the item's version after the command
   std::uint64_t counter = 0;         // incr/decr: the new value
 };
 
@@ -108,6 +109,9 @@ class CommandExecutor {
   // `pipeline.sheds`; it never attempts its shard lock, so it can never
   // also count as a deadline shed.
   bool admit(std::string_view key);
+  // False when a `bytes`-long value can never fit `key`'s shard, so its
+  // data block need not be buffered to refuse the store.
+  bool fits(std::string_view key, std::size_t bytes) const;
 
   // --- spans ----------------------------------------------------------------
   // Start of a parse span: the span clock when a collector is attached.

@@ -1,14 +1,14 @@
 // Per-connection pipeline admission, applied by the CommandExecutor behind
-// both protocol codecs.
+// the text session.
 //
 // A client that pipelines an unbounded burst of commands into one TCP
 // segment can monopolize a cache shard's mutex for the whole batch,
 // starving every other connection (the head-of-line variant of overload).
 // The daemon therefore caps how many cache-touching commands one feed()
 // batch may execute; excess commands are answered with an explicit,
-// well-formed shed reply (`SERVER_ERROR overloaded` / binary EBUSY) so the
-// client can degrade instead of timing out. Crucially the parser still
-// CONSUMES shed storage payloads — shedding must never desync the stream.
+// well-formed shed reply (`SERVER_ERROR overloaded`) so the client can
+// degrade instead of timing out. Crucially the parser still CONSUMES shed
+// storage payloads — shedding must never desync the stream.
 //
 // The cap is PER SHARD per batch: a burst aimed at one hot shard exhausts
 // only that shard's budget, it cannot exempt (or starve) commands bound for
@@ -16,9 +16,8 @@
 //
 // `lock_deadline_us` bounds how long one command may wait for its shard's
 // mutex before being shed (stale work is wasted work — the client has
-// likely timed out). Zero means UNLIMITED — wait forever — with identical
-// semantics on the text and binary handlers, matching `max_per_batch`'s
-// zero convention. The two shed paths are mutually exclusive by
+// likely timed out). Zero means UNLIMITED — wait forever — matching
+// `max_per_batch`'s zero convention. The two shed paths are mutually exclusive by
 // construction: a command refused by the pipeline cap never attempts the
 // lock, so no command can ever be double-counted across `sheds` and
 // `deadline_sheds`.
@@ -43,8 +42,8 @@ struct PipelinePolicy {
   // null. Never incremented by a deadline shed.
   std::atomic<std::uint64_t>* sheds = nullptr;
   // Longest one command may wait for its shard's mutex before being shed.
-  // 0 = unlimited (wait forever) on BOTH protocol handlers. Microseconds,
-  // same unit as the daemon clock.
+  // 0 = unlimited (wait forever). Microseconds, same unit as the daemon
+  // clock.
   SimTime lock_deadline_us = 0;
   // Daemon-wide queue-deadline shed counter; may be null. Never
   // incremented by a pipeline-cap shed.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdint>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -114,7 +115,8 @@ TextCommand parse_command_line(std::string_view line) {
     if (tokens.size() != 5 || !valid_key(tokens[1])) return cmd;
     if (!parse_number(tokens[2], cmd.flags) ||
         !parse_number(tokens[3], cmd.exptime) ||
-        !parse_number(tokens[4], cmd.bytes)) {
+        !parse_number(tokens[4], cmd.bytes) ||
+        cmd.bytes > SIZE_MAX - 2) {  // <bytes> + CRLF must not wrap
       return cmd;
     }
     cmd.keys.emplace_back(tokens[1]);
@@ -221,6 +223,8 @@ std::string_view reply_line(TextCommand::Op op, CommandStatus status) {
       return "SERVER_ERROR stale-epoch\r\n";
     case CommandStatus::kBadChecksum:
       return "SERVER_ERROR bad-checksum\r\n";
+    case CommandStatus::kTooLarge:
+      return "SERVER_ERROR object too large for cache\r\n";
     case CommandStatus::kBusy:
       break;
   }
@@ -242,12 +246,24 @@ Command command_for(const TextCommand& cmd) {
 }  // namespace
 
 std::string TextProtocolSession::feed(std::string_view bytes, SimTime now) {
+  if (!started_ && !bytes.empty()) {
+    started_ = true;
+    closed_ = static_cast<unsigned char>(bytes[0]) == 0x80;  // binary magic
+  }
   if (closed_) return {};
   buffer_.append(bytes);
   std::string out;
   exec_.begin_batch();
 
   for (;;) {
+    if (discard_ > 0) {
+      const std::size_t n = std::min(discard_, buffer_.size());
+      buffer_.erase(0, n);
+      discard_ -= n;
+      if (discard_ > 0) break;
+      continue;
+    }
+
     if (resync_) {
       // A bad data chunk desynchronized the stream; drop bytes until the
       // next CRLF and resume command parsing there (memcached behaviour).
@@ -270,8 +286,6 @@ std::string TextProtocolSession::feed(std::string_view bytes, SimTime now) {
           buffer_[pending_->bytes] == '\r' && buffer_[pending_->bytes + 1] == '\n';
       TextCommand cmd = std::move(*pending_);
       pending_.reset();
-      const bool shed = pending_shed_;
-      pending_shed_ = false;
       if (!terminated) {
         buffer_.erase(0, cmd.bytes);
         resync_ = true;
@@ -279,17 +293,19 @@ std::string TextProtocolSession::feed(std::string_view bytes, SimTime now) {
         continue;
       }
       buffer_.erase(0, want);
-      if (shed) {
-        // Payload consumed for stream correctness, but the command was over
-        // the pipeline cap: refuse the work.
-        if (!cmd.noreply) out += "SERVER_ERROR overloaded\r\n";
-        continue;
-      }
       out += handle_keyed(cmd, std::move(payload), now);
       continue;
     }
 
     const std::size_t eol = buffer_.find("\r\n");
+    // The bound applies however the line was segmented: without a CRLF yet,
+    // the last buffered byte may still be the terminator's CR.
+    if ((eol == std::string::npos ? buffer_.size() : eol + 1) >
+        kMaxLineBytes + 1) {
+      closed_ = true;
+      out += "CLIENT_ERROR line too long\r\n";
+      break;
+    }
     if (eol == std::string::npos) break;
     const std::string line = buffer_.substr(0, eol);
     buffer_.erase(0, eol + 2);
@@ -313,12 +329,8 @@ std::string TextProtocolSession::handle_line(std::string_view line,
                               cmd.op != TextCommand::Op::kInvalid;
   if (cache_touching &&
       !exec_.admit(cmd.keys.empty() ? std::string_view{} : cmd.keys[0])) {
-    if (is_storage(cmd.op)) {
-      // The data block is still in flight; consume it before refusing.
-      pending_ = std::move(cmd);
-      pending_shed_ = true;
-      return {};
-    }
+    // A shed store's data block is still in flight: drop it unread.
+    if (is_storage(cmd.op)) discard_ = cmd.bytes + 2;
     return cmd.noreply ? std::string{} : "SERVER_ERROR overloaded\r\n";
   }
   switch (cmd.op) {
@@ -329,6 +341,13 @@ std::string TextProtocolSession::handle_line(std::string_view line,
     case TextCommand::Op::kSet:
     case TextCommand::Op::kAdd:
     case TextCommand::Op::kReplace:
+      if (!exec_.fits(cmd.keys[0], cmd.bytes)) {
+        // Refused now, with the data block dropped unread as it arrives;
+        // there is nothing to verify a checksum against.
+        discard_ = cmd.bytes + 2;
+        cmd.checksum.reset();
+        return handle_keyed(cmd, {}, now, cmd.bytes);
+      }
       pending_ = std::move(cmd);  // runs once the data block arrives
       return {};
     case TextCommand::Op::kDelete:
@@ -352,9 +371,11 @@ std::string TextProtocolSession::handle_line(std::string_view line,
 
 std::string TextProtocolSession::handle_keyed(const TextCommand& cmd,
                                               std::string payload,
-                                              SimTime now) {
+                                              SimTime now,
+                                              std::size_t charge) {
   Command c = command_for(cmd);
   c.payload = std::move(payload);
+  c.charge = charge;
   const CommandResult r = exec_.execute(c, now);
   if (cmd.noreply) return {};
   if (r.status == CommandStatus::kOk && (cmd.op == TextCommand::Op::kIncr ||

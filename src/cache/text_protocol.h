@@ -59,8 +59,16 @@
 // The session is push-parsed: feed() accepts arbitrary byte chunks (TCP
 // segmentation agnostic) and emits complete protocol responses. It only
 // frames: each command runs through the CommandExecutor
-// (cache/command_executor.h) the binary codec shares, so the two wire
-// encodings cannot disagree on what a command means.
+// (cache/command_executor.h), which owns what a command means.
+//
+// Text is the only wire protocol (docs/PROTOCOL.md "Compatibility"). A
+// connection whose first byte is the binary protocol's 0x80 request magic
+// is closed without a reply, so a binary client fails fast. A command line
+// longer than kMaxLineBytes is answered `CLIENT_ERROR line too long` and
+// the connection closed, and a storage line whose <bytes> can never fit
+// its shard is answered `SERVER_ERROR object too large for cache` at once,
+// its data block discarded as it streams in: no peer makes the session
+// buffer more than one bounded line or one storable value.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +87,10 @@ class SpanCollector;
 }  // namespace proteus::obs
 
 namespace proteus::cache {
+
+// Longest command line accepted, CRLF excluded: far above any in-repo
+// client's line, with room for stock clients' multi-key gets.
+inline constexpr std::size_t kMaxLineBytes = 64 << 10;
 
 // A parsed request line (exposed for tests and for servers that want to
 // route commands themselves).
@@ -166,7 +178,8 @@ class TextProtocolSession {
       : exec_(engine, spans, server_id, pipeline), metrics_(metrics) {}
 
   // Feeds raw bytes; appends any complete responses to the return value.
-  // A "quit" command sets closed() and further input is ignored.
+  // "quit", a binary first byte or an over-long line sets closed(), and
+  // further input is ignored.
   std::string feed(std::string_view bytes, SimTime now);
 
   bool closed() const noexcept { return closed_; }
@@ -190,8 +203,9 @@ class TextProtocolSession {
   std::string handle_line(std::string_view line, SimTime now);
   // Runs a single-key command (storage commands carry their data block)
   // and returns its reply, empty under noreply.
+  // `charge` stands in for a payload discarded unread (Command::charge).
   std::string handle_keyed(const TextCommand& cmd, std::string payload,
-                           SimTime now);
+                           SimTime now, std::size_t charge = 0);
   std::string handle_get(const TextCommand& cmd, SimTime now);
   std::string handle_stats(const TextCommand& cmd);
 
@@ -199,13 +213,14 @@ class TextProtocolSession {
   const obs::MetricsRegistry* metrics_ = nullptr;
   std::function<void()> stats_reset_hook_;
   std::string buffer_;
+  bool started_ = false;  // the connection's first byte has been seen
   bool closed_ = false;
   bool resync_ = false;  // discarding to the next CRLF after a bad chunk
+  // Data-block bytes (CRLF included) still to drop unread: an answered
+  // store that was shed or can never fit.
+  std::size_t discard_ = 0;
   // Pending storage command waiting for its data block.
   std::optional<TextCommand> pending_;
-  // The pending storage command was shed by the pipeline cap: consume its
-  // data block for stream correctness but answer overloaded, don't store.
-  bool pending_shed_ = false;
 };
 
 }  // namespace proteus::cache

@@ -47,12 +47,12 @@ inline std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
 // 0xFFFFFFFF) over raw bytes. `seed` is the running CRC for incremental
 // use: crc32c(b) == crc32c(b2, crc32c(b1)) for any split b = b1 + b2.
 //
-// Used as the end-to-end payload integrity checksum on the wire (text
-// `C<hex8>` meta-token, binary extras field) and at-rest in the cache, so
-// it must be cheap on the hot GET path. Dispatches at runtime to an
-// SSE4.2 crc32q path and, where available, a VPCLMULQDQ folding kernel
-// (~0.07 cycles/byte); the portable fallback is slicing-by-8. All paths
-// produce identical results (hash_test cross-checks them).
+// Used as the end-to-end payload integrity checksum on the wire (the text
+// `C<hex8>` meta-token) and at-rest in the cache, so it must be cheap on
+// the hot GET path. Dispatches at runtime to an SSE4.2 crc32q path and,
+// where available, a VPCLMULQDQ folding kernel (~0.07 cycles/byte); the
+// portable fallback is slicing-by-8. All paths produce identical results
+// (hash_test cross-checks them).
 std::uint32_t crc32c(std::string_view bytes, std::uint32_t seed = 0) noexcept;
 
 // Kirsch–Mitzenmacher double hashing: h_i(x) = h1 + i*h2. Provides any

@@ -9,8 +9,8 @@ namespace proteus::net {
 
 namespace {
 
-// Bytes that no memcached protocol state machine accepts as a reply: not a
-// text line the client expects, not a binary response magic.
+// Bytes that the memcached text client never accepts as a reply: not a
+// line it expects.
 constexpr char kGarbage[] = "\x07garbage\xff\xfe not a protocol reply\r\n";
 
 // Flip one bit in the middle of the first VALUE data block of a text reply

@@ -1,7 +1,7 @@
 // Deterministic fault injection for the live wire path.
 //
 // A FaultInjector sits between the TcpServer byte loop and the real
-// protocol handler (text/binary memcached) as a ConnectionHandler proxy —
+// protocol handler (memcached text) as a ConnectionHandler proxy —
 // the network position a flaky switch, dying daemon, or half-broken NAT
 // would occupy. Tests script exactly which of the next requests are
 // sabotaged and how, so every client failure path (timeout, reset,

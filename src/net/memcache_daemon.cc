@@ -52,160 +52,100 @@ const obs::SloSeries kSloSeries{
 // a digest pull — both are §IV maintenance work that must yield to
 // foreground gets under pressure. The line is read by the parser's own
 // tail scan, so admission and the parser never disagree on `bg`.
-bool text_batch_is_background(std::string_view bytes) {
+bool batch_is_background(std::string_view bytes) {
   const std::size_t eol = bytes.find("\r\n");
   return cache::is_background_line(
       eol == std::string_view::npos ? bytes : bytes.substr(0, eol));
 }
 
-bool binary_batch_is_background(std::string_view bytes) {
-  if (bytes.size() < cache::binary::kHeaderSize) return false;
-  const std::uint16_t key_len = cache::binary::get_u16(bytes, 2);
-  const auto extras_len = static_cast<std::uint8_t>(bytes[4]);
-  const std::size_t key_off = cache::binary::kHeaderSize + extras_len;
-  if (bytes.size() < key_off + key_len) return false;
-  const std::string_view key = bytes.substr(key_off, key_len);
-  return key == cache::kSetBloomFilterKey || key == cache::kGetBloomFilterKey;
-}
+// Shed replies never touch the cache: one SERVER_ERROR line for the whole
+// batch.
+constexpr std::string_view kShedReply = "SERVER_ERROR overloaded\r\n";
 
-// Shed replies never touch the cache. Text gets one SERVER_ERROR line for
-// the whole batch; binary echoes the first frame's opcode/opaque in an
-// EBUSY response so a correlating client attributes the refusal correctly.
-constexpr std::string_view kTextShedReply = "SERVER_ERROR overloaded\r\n";
-
-std::string binary_shed_reply(std::string_view bytes) {
-  cache::binary::Frame f;  // defaults: noop opcode, opaque 0
-  if (bytes.size() >= cache::binary::kHeaderSize) {
-    f.opcode = static_cast<cache::binary::Opcode>(bytes[1]);
-    f.opaque = cache::binary::get_u32(bytes, 12);
-  }
-  f.status_or_vbucket =
-      static_cast<std::uint16_t>(cache::binary::Status::kBusy);
-  return cache::binary::encode_frame(f, cache::binary::kResponseMagic);
-}
-
-// Sniffs the first byte to pick the protocol, then delegates. Cache access
-// is serialized per SHARD by the protocol sessions themselves (each command
-// takes only its key's shard lock — see cache/sharded_cache.h), so two
-// handlers on different worker threads contend only when their commands
-// land on the same shard.
-class AutoProtocolHandler final : public ConnectionHandler {
+// One connection's text session, built with the connection. Cache access is
+// serialized per SHARD by the session itself (each command takes only its
+// key's shard lock — see cache/sharded_cache.h), so two handlers on
+// different worker threads contend only when their commands land on the
+// same shard.
+class TextProtocolHandler final : public ConnectionHandler {
  public:
-  AutoProtocolHandler(cache::ShardedCacheServer& cache, const ClockFn& clock,
+  TextProtocolHandler(cache::ShardedCacheServer& cache, const ClockFn& clock,
                       const obs::MetricsRegistry* metrics,
-                      obs::Histogram* op_latency,
-                      obs::SpanCollector* spans, int server_id,
-                      const AdmissionOptions& admission_opts,
+                      obs::Histogram* op_latency, obs::SpanCollector* spans,
+                      int server_id, const AdmissionOptions& admission_opts,
                       core::AdmissionController* admission,
                       DaemonShedCounters* sheds,
                       std::function<void()> stats_reset_hook)
-      : cache_(cache),
-        clock_(clock),
-        metrics_(metrics),
+      : clock_(clock),
         op_latency_(op_latency),
-        spans_(spans),
-        server_id_(server_id),
-        admission_opts_(admission_opts),
         admission_(admission),
         sheds_(sheds),
-        stats_reset_hook_(std::move(stats_reset_hook)) {}
+        // The shard-lock deadline rides the pipeline policy: each command
+        // bounds its own lock wait (0 = wait forever), and a pipeline-shed
+        // command never attempts the lock, so the pipeline and
+        // queue-deadline counters can never both count one command.
+        session_(cache, metrics, spans, server_id,
+                 cache::PipelinePolicy{
+                     admission_opts.pipeline_cap,
+                     sheds != nullptr ? &sheds->pipeline : nullptr,
+                     admission_opts.queue_deadline_us,
+                     sheds != nullptr ? &sheds->queue_deadline : nullptr}) {
+    session_.set_stats_reset_hook(std::move(stats_reset_hook));
+  }
 
   std::string on_data(std::string_view bytes, bool& close) override {
-    if (!text_ && !binary_) {
-      if (bytes.empty()) return {};
-      // The shard-lock deadline rides the pipeline policy: each command
-      // bounds its own lock wait (0 = wait forever on both handlers), and
-      // a pipeline-shed command never attempts the lock, so the pipeline
-      // and queue-deadline counters can never both count one command.
-      const cache::PipelinePolicy pipeline{
-          admission_opts_.pipeline_cap,
-          sheds_ != nullptr ? &sheds_->pipeline : nullptr,
-          admission_opts_.queue_deadline_us,
-          sheds_ != nullptr ? &sheds_->queue_deadline : nullptr};
-      if (static_cast<std::uint8_t>(bytes.front()) ==
-          cache::binary::kRequestMagic) {
-        binary_ = std::make_unique<cache::BinaryProtocolSession>(
-            cache_, spans_, server_id_, pipeline);
-      } else {
-        text_ = std::make_unique<cache::TextProtocolSession>(
-            cache_, metrics_, spans_, server_id_, pipeline);
-        if (stats_reset_hook_) {
-          text_->set_stats_reset_hook(stats_reset_hook_);
-        }
-      }
-    }
     const SimTime now = clock_();
     // Admission: shed whole batches before any parsing or locking. The
-    // shed reply is well-formed for the sniffed protocol and the connection
-    // stays open — the client degrades instead of reconnecting. (A batch
-    // that splits one command across chunks loses its remnant; the parser
-    // resynchronizes on the next line, answered with a recoverable ERROR.)
+    // shed reply is well-formed and the connection stays open — the client
+    // degrades instead of reconnecting. (A batch that splits one command
+    // across chunks loses its remnant; the parser resynchronizes on the
+    // next line, answered with a recoverable ERROR.)
     bool admitted = false;
     if (admission_ != nullptr && admission_->enabled()) {
-      const bool background = binary_ ? binary_batch_is_background(bytes)
-                                      : text_batch_is_background(bytes);
-      switch (admission_->try_admit(background)) {
+      switch (admission_->try_admit(batch_is_background(bytes))) {
         case core::Admission::kAdmit:
           admitted = true;
           break;
         case core::Admission::kShedOverCap:
           sheds_->over_cap.fetch_add(1, std::memory_order_relaxed);
-          return shed_reply(bytes);
+          return std::string(kShedReply);
         case core::Admission::kShedBackground:
           sheds_->background.fetch_add(1, std::memory_order_relaxed);
-          return shed_reply(bytes);
+          return std::string(kShedReply);
       }
     }
-    // No daemon-level lock: the sessions take each command's shard lock
-    // themselves and record per-command kServerLockWait spans attributed
-    // to the command's key (so contention is billed to the shard that
-    // caused it, not to the whole batch). Commands that wait past
+    // No daemon-level lock: the session takes each command's shard lock
+    // itself and records per-command kServerLockWait spans attributed to
+    // the command's key (so contention is billed to the shard that caused
+    // it, not to the whole batch). Commands that wait past
     // queue_deadline_us are shed inside the session, which counts them in
     // sheds_->queue_deadline.
-    std::string out = binary_ ? binary_->feed(bytes, now)
-                              : text_->feed(bytes, now);
+    std::string out = session_.feed(bytes, now);
     if (admitted) admission_->release();
-    const std::uint64_t tid = last_trace_id();
     // The measured interval covers shard-lock waits + protocol work — the
     // server-side component of what a client sees. A traced batch leaves
     // its id as the bucket's exemplar so /metrics can link p99.9 to a span.
     if (op_latency_ != nullptr) {
-      op_latency_->record(static_cast<double>(monotonic_now() - now), tid);
+      op_latency_->record(static_cast<double>(monotonic_now() - now),
+                          session_.last_trace_id());
     }
-    close = binary_ ? binary_->closed() : text_->closed();
+    close = session_.closed();
     return out;
   }
 
  private:
-  std::uint64_t last_trace_id() const noexcept {
-    if (binary_) return binary_->last_trace_id();
-    if (text_) return text_->last_trace_id();
-    return 0;
-  }
-
-  std::string shed_reply(std::string_view bytes) const {
-    return binary_ ? binary_shed_reply(bytes) : std::string(kTextShedReply);
-  }
-
-  cache::ShardedCacheServer& cache_;
   const ClockFn& clock_;
-  const obs::MetricsRegistry* metrics_;
   obs::Histogram* op_latency_;
-  obs::SpanCollector* spans_;
-  int server_id_;
-  const AdmissionOptions& admission_opts_;
   core::AdmissionController* admission_;
   DaemonShedCounters* sheds_;
-  std::function<void()> stats_reset_hook_;
-  std::unique_ptr<cache::TextProtocolSession> text_;
-  std::unique_ptr<cache::BinaryProtocolSession> binary_;
+  cache::TextProtocolSession session_;
 };
 
 }  // namespace
 
 std::unique_ptr<ConnectionHandler> MemcacheDaemon::make_handler() {
   std::unique_ptr<ConnectionHandler> handler =
-      std::make_unique<AutoProtocolHandler>(
+      std::make_unique<TextProtocolHandler>(
           cache_, clock_, &metrics_, op_latency_, &spans_, server_id_,
           admission_opts_, &admission_, &sheds_,
           [this] { reset_obs_counters(); });

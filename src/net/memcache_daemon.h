@@ -1,9 +1,10 @@
 // A deployable memcached-compatible daemon around ShardedCacheServer.
 //
-// Auto-detects the wire protocol per connection the way memcached does: a
-// first byte of 0x80 selects the binary protocol, anything else the text
-// protocol. All connections share one lock-striped cache engine (and
-// therefore one merged digest), mirroring the paper's
+// Every connection speaks the memcached text protocol through its own
+// cache::TextProtocolSession, built when the connection is accepted; a
+// binary client is closed on its first byte (docs/PROTOCOL.md
+// "Compatibility"). All connections share one lock-striped cache engine
+// (and therefore one merged digest), mirroring the paper's
 // one-Memcached-process-per-node setup.
 //
 // Worker threads (memcached's -t): with `threads > 1` the daemon runs one
@@ -13,8 +14,8 @@
 // power-of-two number of CacheServer shards (default min(threads, 8)
 // rounded down to a power of two, override via the `shards` ctor arg),
 // each with its own mutex, LRU, budget slice, stats, and digest segment —
-// two threads touching different shards never contend. The protocol
-// sessions' command executor takes each command's shard lock itself (see
+// two threads touching different shards never contend. The sessions'
+// command executor takes each command's shard lock itself (see
 // cache/sharded_cache.h for the locking discipline); the reserved digest
 // and epoch keys are served by engine-level merged/broadcast paths so the
 // wire contract is byte-identical at any shard count (§V-3).
@@ -44,7 +45,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/binary_protocol.h"
 #include "cache/cache_server.h"
 #include "cache/sharded_cache.h"
 #include "cache/text_protocol.h"
@@ -71,13 +71,13 @@ SimTime monotonic_now();
 // docs/OPERATIONS.md §10 for tuning guidance.
 struct AdmissionOptions {
   // Concurrent protocol batches served across all connections/threads;
-  // excess batches are answered `SERVER_ERROR overloaded` / binary EBUSY.
+  // excess batches are answered `SERVER_ERROR overloaded`.
   // 0 = unlimited.
   std::size_t max_inflight = 0;
   // Longest one command may wait for its shard's mutex before being shed
   // (stale work is not worth doing — the client has likely timed out).
-  // 0 = wait forever ("unlimited"), honored identically on the text and
-  // binary handlers — the same zero semantics as pipeline_cap. A command
+  // 0 = wait forever ("unlimited") — the same zero semantics as
+  // pipeline_cap. A command
   // shed by the pipeline cap never attempts the lock, so the two shed
   // counters never double-count one command. Microseconds, same unit as
   // the daemon clock.

@@ -3,7 +3,7 @@
 // The evaluation itself runs on the deterministic discrete-event simulator
 // (src/sim), but the cache server is also deployable for real: this server
 // accepts connections and shuttles bytes between sockets and a per-
-// connection protocol handler (text or binary memcached, see
+// connection protocol handler (the memcached text session, see
 // memcache_daemon.h). Single-threaded poll loop — the same architecture as
 // memcached's worker threads, collapsed to one for clarity.
 //

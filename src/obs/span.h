@@ -15,13 +15,10 @@
 // latency by construction, and the analyzer's sum check catches any
 // instrumentation that breaks the invariant.
 //
-// Trace context crosses the wire two ways, both invisible to stock
-// memcached software:
-//   * binary protocol — the trace id rides the existing 4-byte `opaque`
-//     header field (truncated to 32 bits), which servers already echo;
-//   * text protocol — commands may append a memcached-meta-style token
-//     `O<hex64>` (e.g. `get page:7 O00f3a2...`), which this repo's parser
-//     strips and stock parsers treat as one more (always-missing) key.
+// Trace context crosses the wire invisibly to stock memcached software:
+// text commands may append a memcached-meta-style token `O<hex64>` (e.g.
+// `get page:7 O00f3a2...`), which this repo's parser strips and stock
+// parsers treat as one more (always-missing) key.
 //
 // Sampling is decided ONCE at the root (should_sample) and propagates by
 // the presence of the token: servers never sample independently, they tag

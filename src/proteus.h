@@ -3,15 +3,15 @@
 //   #include "proteus.h"
 //
 // pulls in everything a typical embedder needs: the Proteus facade (its
-// `replicas` option is the §III-E replicated form), the cache server with its memcached protocols, the
-// placement algorithms, the Bloom digest machinery, and the experiment
-// driver. Individual headers remain includable for finer-grained builds.
+// `replicas` option is the §III-E replicated form), the cache server with
+// its memcached text protocol, the placement algorithms, the Bloom digest
+// machinery, and the experiment driver. Individual headers remain
+// includable for finer-grained builds.
 #pragma once
 
 #include "bloom/bloom_filter.h"            // IWYU pragma: export
 #include "bloom/config.h"                  // IWYU pragma: export
 #include "bloom/counting_bloom_filter.h"   // IWYU pragma: export
-#include "cache/binary_protocol.h"         // IWYU pragma: export
 #include "cache/cache_server.h"            // IWYU pragma: export
 #include "cache/mattson.h"                 // IWYU pragma: export
 #include "cache/text_protocol.h"           // IWYU pragma: export
@@ -30,7 +30,7 @@
 
 namespace proteus {
 
-// Library version, also reported by the memcached protocol sessions.
+// Library version, also reported by the memcached protocol session.
 inline constexpr const char* kVersion = "1.0.0";
 
 }  // namespace proteus

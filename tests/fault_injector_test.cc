@@ -20,7 +20,6 @@
 #include <string>
 #include <thread>
 
-#include "cache/binary_protocol.h"
 #include "client/memcache_client.h"
 #include "common/hash.h"
 #include "net/memcache_daemon.h"
@@ -209,19 +208,6 @@ TEST_F(FaultyDaemon, TextSessionSurvivesGarbageRequestBytes) {
   ASSERT_TRUE(fresh.connected());
   fresh.send("version\r\n");
   EXPECT_EQ(fresh.recv_until("\r\n"), "VERSION proteus-1.0\r\n");
-}
-
-TEST_F(FaultyDaemon, BinarySessionSurvivesTruncatedFrame) {
-  RawClient partial(daemon_->port());
-  ASSERT_TRUE(partial.connected());
-  // Binary magic plus a few header bytes, then vanish mid-frame.
-  partial.send(std::string("\x80\x01\x00", 3));
-  partial.close();
-
-  RawClient fresh(daemon_->port());
-  ASSERT_TRUE(fresh.connected());
-  fresh.send("set k 0 0 1\r\nx\r\n");
-  EXPECT_EQ(fresh.recv_until("\r\n"), "STORED\r\n");
 }
 
 TEST_F(FaultyDaemon, DaemonSurvivesClientDisconnectMidReply) {

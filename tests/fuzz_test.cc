@@ -12,7 +12,6 @@
 #include <tuple>
 #include <vector>
 
-#include "cache/binary_protocol.h"
 #include "cache/text_protocol.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -589,94 +588,90 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(11ull, 2024ull, 777777ull),
                        kShardCounts));
 
-// --- binary protocol: replies ignore segmentation and shard count ----------
+// --- raw bytes: no input crashes, desyncs or unbounds the session ----------
 //
-// A random stream of data-plane frames with random opaques, fed whole and
-// in chunks to 1- and 4-shard engines. CAS values are per shard (each shard
-// counts its own stores), so replies are compared with the CAS field
-// zeroed; every other byte must match.
+// Valid commands mixed with arbitrary bytes, 0x80 magic bytes and stray
+// CR/LF fragments; seeds divisible by 3 open with the binary magic, even
+// seeds end with a run past kMaxLineBytes that has no CRLF. Fed whole and
+// in chunks to 1- and 4-shard engines, every feeding must give the same
+// replies, and the session must close exactly when the script opens with
+// 0x80 or passes the line bound.
 
-std::string binary_script(std::uint64_t seed) {
-  using cache::binary::Opcode;
+std::string raw_script(std::uint64_t seed) {
   Rng rng(seed);
-  std::string wire;
-  for (int i = 0; i < 400; ++i) {
-    cache::binary::Frame f;
-    f.opaque = static_cast<std::uint32_t>(rng.next_u64());
-    f.key = "k" + std::to_string(rng.next_below(40));
-    const auto pick = rng.next_below(11);
-    if (pick < 4) {
-      f.opcode = std::array{Opcode::kGet, Opcode::kGetK, Opcode::kGetQ,
-                            Opcode::kGetKQ}[pick];
-    } else if (pick < 7) {
-      f.opcode = std::array{Opcode::kSet, Opcode::kAdd,
-                            Opcode::kReplace}[pick - 4];
-      // Half the values are decimal so INCR/DECR have counters to move.
-      const bool numeric = rng.next_below(2) == 0;
-      const auto len = numeric ? 1 + rng.next_below(6) : rng.next_below(48);
-      for (std::uint64_t b = 0; b < len; ++b) {
-        f.value += numeric ? static_cast<char>('0' + rng.next_below(10))
-                           : static_cast<char>('a' + rng.next_below(26));
+  std::string wire = seed % 3 == 0 ? "\x80" : "";
+  for (int i = 0; i < 300; ++i) {
+    const std::string key = "k" + std::to_string(rng.next_below(20));
+    switch (rng.next_below(8)) {
+      case 0: {
+        const auto len = rng.next_below(32);
+        wire += "set " + key + " 0 0 " + std::to_string(len) + "\r\n" +
+                std::string(len, static_cast<char>('a' + len % 26)) + "\r\n";
+        break;
       }
-      cache::binary::put_u32(f.extras,
-                             static_cast<std::uint32_t>(rng.next_below(100)));
-      cache::binary::put_u32(f.extras, 0);  // expiry
-    } else if (pick == 7) {
-      f.opcode = Opcode::kDelete;
-    } else if (pick < 10) {
-      f.opcode = pick == 8 ? Opcode::kIncrement : Opcode::kDecrement;
-      cache::binary::put_u64(f.extras, rng.next_below(10));   // delta
-      cache::binary::put_u64(f.extras, rng.next_below(100));  // initial
-      // Expiry 0xffffffff = do not create a missing counter.
-      cache::binary::put_u32(f.extras,
-                             rng.next_below(2) == 0 ? 0 : 0xffffffffu);
-    } else {
-      f.opcode = Opcode::kStat;
-      f.key.clear();
+      case 1: wire += "get " + key + "\r\n"; break;
+      case 2: wire += "delete " + key + "\r\n"; break;
+      case 3: wire += "incr " + key + " 1\r\n"; break;
+      case 4:
+        wire += std::array<const char*, 4>{"\r", "\n", "\r\n", "\x80"}
+            [rng.next_below(4)];
+        break;
+      default:
+        for (auto n = 1 + rng.next_below(64); n > 0; --n) {
+          wire += static_cast<char>(rng.next_below(256));
+        }
     }
-    wire += cache::binary::encode_frame(f, cache::binary::kRequestMagic);
+  }
+  if (seed % 2 == 0) {
+    // No LF anywhere in the run, so no CRLF can end the line inside it.
+    for (auto n = cache::kMaxLineBytes + 1 + rng.next_below(4096); n > 0;
+         --n) {
+      wire += static_cast<char>('a' + rng.next_below(26));
+    }
   }
   return wire;
 }
 
-// Re-encodes a response stream with every CAS field zeroed.
-std::string without_cas(std::string_view out) {
-  std::string normalized;
-  while (!out.empty()) {
-    std::size_t consumed = 0;
-    auto f = cache::binary::decode_frame(out, consumed);
-    if (!f.has_value()) return normalized + "<truncated>";
-    f->cas = 0;
-    normalized += cache::binary::encode_frame(*f, f->magic);
-    out.remove_prefix(consumed);
-  }
-  return normalized;
-}
+class RawBytesFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-class BinaryReplyInvariance : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BinaryReplyInvariance, RepliesIgnoreSegmentationAndShardCount) {
+TEST_P(RawBytesFuzz, RepliesMatchAndTheSessionClosesPastTheBound) {
   const std::uint64_t seed = GetParam();
-  const std::string wire = binary_script(seed);
+  const std::string wire = raw_script(seed);
+  const bool magic_first = seed % 3 == 0;
+  const bool overlong = seed % 2 == 0;
   const auto run = [&](int shards, std::size_t max_chunk) {
     cache::ShardedCacheServer engine(small_cache(), shards);
-    cache::BinaryProtocolSession session(engine);
-    return without_cas(feed_chunked(session, wire, seed ^ max_chunk, max_chunk));
+    cache::TextProtocolSession session(engine);
+    const std::string out =
+        feed_chunked(session, wire, seed ^ max_chunk, max_chunk);
+    EXPECT_EQ(session.closed(), magic_first || overlong)
+        << shards << " shards, chunks of up to " << max_chunk << " bytes";
+    return out;
   };
 
   const std::string reference = run(1, wire.size());
-  ASSERT_EQ(reference.find("<truncated>"), std::string::npos);
+  if (magic_first) {
+    EXPECT_EQ(reference, "");
+  } else {
+    EXPECT_NE(reference.find("ERROR\r\n"), std::string::npos)
+        << "the garbage must reach the parser";
+    const std::string refused = "CLIENT_ERROR line too long\r\n";
+    EXPECT_EQ(reference.size() >= refused.size() &&
+                  reference.compare(reference.size() - refused.size(),
+                                    refused.size(), refused) == 0,
+              overlong);
+  }
   for (const int shards : {1, 4}) {
     for (const std::size_t max_chunk :
-         {std::size_t{1}, std::size_t{7}, std::size_t{1024}, wire.size()}) {
+         {std::size_t{7}, std::size_t{512}, wire.size()}) {
       EXPECT_EQ(run(shards, max_chunk), reference)
           << shards << " shards, chunks of up to " << max_chunk << " bytes";
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BinaryReplyInvariance,
-                         ::testing::Values(3ull, 64ull, 4099ull, 271828ull));
+INSTANTIATE_TEST_SUITE_P(Seeds, RawBytesFuzz,
+                         ::testing::Values(1ull, 2ull, 3ull, 4ull, 5ull, 6ull));
 
 }  // namespace
 }  // namespace proteus

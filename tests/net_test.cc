@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/binary_protocol.h"
 #include "net/memcache_daemon.h"
 #include "net/metrics_http.h"
 #include "obs/tsdb/tsdb.h"
@@ -56,6 +55,17 @@ class Client {
     while (off < bytes.size()) {
       const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
       ASSERT_GT(n, 0);
+      off += static_cast<std::size_t>(n);
+    }
+  }
+
+  // Sends what the peer takes before it closes, without raising SIGPIPE.
+  void send_until_closed(std::string_view bytes) {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return;
       off += static_cast<std::size_t>(n);
     }
   }
@@ -120,51 +130,66 @@ TEST_F(DaemonFixture, TextProtocolOverRealSocket) {
             "VALUE greeting 3 5\r\nhello\r\nEND\r\n");
 }
 
-TEST_F(DaemonFixture, BinaryProtocolOverRealSocket) {
-  Client client(daemon_->port());
-  ASSERT_TRUE(client.connected());
-
-  cache::binary::Frame set;
-  set.opcode = cache::binary::Opcode::kSet;
-  set.key = "bin";
-  set.value = "payload";
-  cache::binary::put_u32(set.extras, 9);
-  cache::binary::put_u32(set.extras, 0);
-  client.send(cache::binary::encode_frame(set, cache::binary::kRequestMagic));
-  std::string reply = client.recv_exact(cache::binary::kHeaderSize);
-  ASSERT_GE(reply.size(), cache::binary::kHeaderSize);
-  EXPECT_EQ(static_cast<std::uint8_t>(reply[0]), cache::binary::kResponseMagic);
-  EXPECT_EQ(cache::binary::get_u16(reply, 6), 0u);  // status OK
-
-  cache::binary::Frame get;
-  get.opcode = cache::binary::Opcode::kGet;
-  get.key = "bin";
-  client.send(cache::binary::encode_frame(get, cache::binary::kRequestMagic));
-  // Header + flags extras(4) + "payload"(7).
-  const std::string got =
-      client.recv_exact(cache::binary::kHeaderSize + 4 + 7);
-  ASSERT_EQ(got.size(), cache::binary::kHeaderSize + 4 + 7);
-  EXPECT_EQ(cache::binary::get_u32(got, 8), 11u);  // total body
-  EXPECT_EQ(got.substr(cache::binary::kHeaderSize + 4), "payload");
-  EXPECT_EQ(cache::binary::get_u32(got, cache::binary::kHeaderSize), 9u);
+// A stock memcached binary GET: 24-byte header (magic 0x80, opcode 0x00,
+// key length 3, total body 3) followed by the key.
+std::string binary_get_frame() {
+  std::string frame(24, '\0');
+  frame[0] = '\x80';
+  frame[3] = 3;   // key length, low byte
+  frame[11] = 3;  // total body length, low byte
+  return frame + "key";
 }
 
-TEST_F(DaemonFixture, TextAndBinaryClientsShareOneCache) {
+TEST_F(DaemonFixture, BinaryClientIsClosedWithoutReply) {
+  Client binary(daemon_->port());
+  ASSERT_TRUE(binary.connected());
+  binary.set_recv_timeout(5);
+  const auto start = std::chrono::steady_clock::now();
+  binary.send(binary_get_frame());
+  // EOF, not a reply and not a wait for the client's own timeout.
+  EXPECT_EQ(binary.recv_exact(1), "");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+}
+
+TEST_F(DaemonFixture, TextClientIsServedAfterBinaryClientIsClosed) {
   Client text(daemon_->port());
   ASSERT_TRUE(text.connected());
   text.send("set shared 0 0 4\r\ndata\r\n");
   EXPECT_EQ(text.recv_until("\r\n"), "STORED\r\n");
-
   Client binary(daemon_->port());
   ASSERT_TRUE(binary.connected());
-  cache::binary::Frame get;
-  get.opcode = cache::binary::Opcode::kGet;
-  get.key = "shared";
-  binary.send(cache::binary::encode_frame(get, cache::binary::kRequestMagic));
-  const std::string got =
-      binary.recv_exact(cache::binary::kHeaderSize + 4 + 4);
-  ASSERT_EQ(got.size(), cache::binary::kHeaderSize + 4 + 4);
-  EXPECT_EQ(got.substr(cache::binary::kHeaderSize + 4), "data");
+  binary.set_recv_timeout(5);
+  binary.send(binary_get_frame());
+  EXPECT_EQ(binary.recv_exact(1), "");
+  text.send("get shared\r\n");
+  EXPECT_EQ(text.recv_until("END\r\n"), "VALUE shared 0 4\r\ndata\r\nEND\r\n");
+}
+
+TEST_F(DaemonFixture, OversizedSetIsRefusedAndTheConnectionKept) {
+  Client client(daemon_->port());
+  ASSERT_TRUE(client.connected());
+  client.set_recv_timeout(5);
+  client.send("set big 0 0 5\r\nsmall\r\n");
+  EXPECT_EQ(client.recv_until("\r\n"), "STORED\r\n");
+  // Larger than the whole 8 MiB budget, so larger than any shard's slice.
+  const std::size_t size = (8 << 20) + 1;
+  client.send("set big 0 0 " + std::to_string(size) + "\r\n" +
+              std::string(size, 'x') + "\r\n");
+  EXPECT_EQ(client.recv_until("\r\n"),
+            "SERVER_ERROR object too large for cache\r\n");
+  // Nothing stored, the older copy dropped, the stream still in sync.
+  client.send("get big\r\n");
+  EXPECT_EQ(client.recv_until("END\r\n"), "END\r\n");
+}
+
+TEST_F(DaemonFixture, UnterminatedLineIsRefusedThenClosed) {
+  Client client(daemon_->port());
+  ASSERT_TRUE(client.connected());
+  client.set_recv_timeout(5);
+  // The daemon may close before the whole run is written.
+  client.send_until_closed(std::string(128 << 10, 'a'));
+  EXPECT_EQ(client.recv_until("\r\n"), "CLIENT_ERROR line too long\r\n");
+  EXPECT_EQ(client.recv_exact(1), "");
 }
 
 TEST_F(DaemonFixture, DigestSnapshotThroughRealSocket) {

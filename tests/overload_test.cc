@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/binary_protocol.h"
 #include "cache/text_protocol.h"
 #include "client/memcache_client.h"
 #include "core/overload.h"
@@ -311,39 +310,6 @@ TEST(TextProtocol, BackgroundTokenParsesAndStrips) {
   EXPECT_EQ(literal.keys[0], "bg");
 }
 
-TEST(BinaryPipelineCap, ShedsExcessFramesWithEbusy) {
-  using cache::binary::Frame;
-  using cache::binary::Opcode;
-  using cache::binary::Status;
-  cache::ShardedCacheServer server(proto_config(), 1);
-  std::atomic<std::uint64_t> sheds{0};
-  cache::BinaryProtocolSession session(server, nullptr, -1,
-                                       cache::PipelinePolicy{1, &sheds});
-
-  Frame get1;
-  get1.opcode = Opcode::kGet;
-  get1.key = "a";
-  get1.opaque = 0x1111;
-  Frame get2 = get1;
-  get2.opaque = 0x2222;
-  const std::string wire =
-      cache::binary::encode_frame(get1, cache::binary::kRequestMagic) +
-      cache::binary::encode_frame(get2, cache::binary::kRequestMagic);
-  const std::string out = session.feed(wire, 0);
-
-  std::size_t consumed = 0;
-  const auto r1 = cache::binary::decode_frame(out, consumed);
-  ASSERT_TRUE(r1.has_value());
-  EXPECT_EQ(r1->status_or_vbucket,
-            static_cast<std::uint16_t>(Status::kKeyNotFound));
-  const auto r2 = cache::binary::decode_frame(
-      std::string_view(out).substr(consumed), consumed);
-  ASSERT_TRUE(r2.has_value());
-  EXPECT_EQ(r2->status_or_vbucket, static_cast<std::uint16_t>(Status::kBusy));
-  EXPECT_EQ(r2->opaque, 0x2222u) << "shed reply must echo the request opaque";
-  EXPECT_EQ(sheds.load(), 1u);
-}
-
 // --- daemon admission over real sockets --------------------------------------
 
 class RawClient {
@@ -380,25 +346,6 @@ class RawClient {
       line += c;
     }
     return line;
-  }
-
-  // Reads until `n` binary response frames decode from the stream.
-  std::vector<cache::binary::Frame> recv_frames(std::size_t n) {
-    std::vector<cache::binary::Frame> frames;
-    std::string buf;
-    char chunk[4096];
-    while (frames.size() < n) {
-      std::size_t consumed = 0;
-      if (auto f = cache::binary::decode_frame(buf, consumed)) {
-        frames.push_back(std::move(*f));
-        buf.erase(0, consumed);
-        continue;
-      }
-      const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
-      if (got <= 0) break;
-      buf.append(chunk, static_cast<std::size_t>(got));
-    }
-    return frames;
   }
 
  private:
@@ -468,27 +415,6 @@ TEST_F(OverloadedDaemon, TextGetsDigestPullSheds) {
   ASSERT_TRUE(raw.connected());
   raw.send("gets BLOOM_FILTER\r\n");
   EXPECT_EQ(raw.recv_line(), "SERVER_ERROR overloaded\r\n");
-  EXPECT_GE(daemon_->shed_background(), 1u);
-}
-
-TEST_F(OverloadedDaemon, BinaryBackgroundShedRepliesEbusyEchoingOpaque) {
-  RawClient raw(daemon_->port());
-  ASSERT_TRUE(raw.connected());
-
-  // The digest pull is background by definition: a binary GET of the
-  // SET_BLOOM_FILTER key classifies the batch as sheddable maintenance.
-  cache::binary::Frame req;
-  req.opcode = cache::binary::Opcode::kGet;
-  req.key = "SET_BLOOM_FILTER";
-  req.opaque = 0xfeedf00d;
-  raw.send(cache::binary::encode_frame(req, cache::binary::kRequestMagic));
-
-  const auto frames = raw.recv_frames(1);
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].status_or_vbucket,
-            static_cast<std::uint16_t>(cache::binary::Status::kBusy));
-  EXPECT_EQ(frames[0].opaque, 0xfeedf00du);
-  EXPECT_EQ(frames[0].opcode, cache::binary::Opcode::kGet);
   EXPECT_GE(daemon_->shed_background(), 1u);
 }
 

@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/binary_protocol.h"
 #include "cache/sharded_cache.h"
 #include "cache/text_protocol.h"
 
@@ -353,34 +352,6 @@ TEST(ShardedCache, DeadlineTimeoutShedsOnceOnTextHandler) {
   EXPECT_EQ(pipeline_sheds.load(), 0u);
   // The lock is free again: same session recovers without resync.
   EXPECT_EQ(session.feed("get k\r\n", 0), "VALUE k 0 1\r\nv\r\nEND\r\n");
-}
-
-TEST(ShardedCache, DeadlineTimeoutShedsOnceOnBinaryHandler) {
-  ShardedCacheServer engine(small_config(), 4);
-  engine.set("k", "v", 0);
-  std::atomic<std::uint64_t> pipeline_sheds{0};
-  std::atomic<std::uint64_t> deadline_sheds{0};
-  PipelinePolicy policy;
-  policy.sheds = &pipeline_sheds;
-  policy.lock_deadline_us = 2000;
-  policy.deadline_sheds = &deadline_sheds;
-  BinaryProtocolSession session(engine, nullptr, -1, policy);
-
-  binary::Frame get;
-  get.opcode = binary::Opcode::kGet;
-  get.key = "k";
-  const std::string wire = binary::encode_frame(get, binary::kRequestMagic);
-
-  ShardHolder holder(engine, engine.shard_index("k"));
-  const std::string out = session.feed(wire, 0);
-  std::size_t consumed = 0;
-  const auto reply = binary::decode_frame(out, consumed);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->status_or_vbucket,
-            static_cast<std::uint16_t>(binary::Status::kBusy));
-  holder.release();
-  EXPECT_EQ(deadline_sheds.load(), 1u);
-  EXPECT_EQ(pipeline_sheds.load(), 0u);
 }
 
 TEST(ShardedCache, PipelineCapShedNeverDoubleCountsAsDeadlineShed) {

@@ -422,5 +422,72 @@ TEST(TextProtocol, CorruptEpochPushIsRefusedAndLeavesTheFence) {
   EXPECT_EQ(rig.server.cluster_epoch(), 9u);
 }
 
+// --- bounded buffering -------------------------------------------------------
+
+TEST(TextProtocol, OversizedStoreIsRefusedAndDropsTheOlderCopy) {
+  CacheConfig cfg = proto_config();
+  cfg.memory_budget_bytes = 1024;
+  ShardedCacheServer server(cfg, 1);
+  TextProtocolSession session(server);
+  const std::string too_large = "SERVER_ERROR object too large for cache\r\n";
+  ASSERT_EQ(session.feed("set k 0 0 2\r\nok\r\n", 0), "STORED\r\n");
+  // <bytes> above the budget: refused as soon as the line arrives.
+  EXPECT_EQ(session.feed("set k 0 0 4096\r\n", 0), too_large);
+  EXPECT_EQ(session.feed(std::string(4096, 'x') + "\r\n", 0), "");
+  EXPECT_EQ(session.feed("get k\r\n", 0), "END\r\n");
+  // <bytes> within the budget, but the item with its key and overhead is
+  // not: refused by the store itself once the data block is read.
+  ASSERT_EQ(session.feed("set k 0 0 2\r\nok\r\n", 0), "STORED\r\n");
+  EXPECT_EQ(session.feed("set k 0 0 1024\r\n" + std::string(1024, 'y') +
+                             "\r\nget k\r\n",
+                         0),
+            too_large + "END\r\n");
+  // A block of gigabytes is answered before any of it is sent.
+  EXPECT_EQ(session.feed("set h 0 0 4000000000\r\n", 0), too_large);
+  EXPECT_FALSE(session.closed());
+}
+
+TEST(TextProtocol, UnterminatedLineIsRefusedThenClosed) {
+  Rig rig;
+  // A line at the bound is parsed (and rejected as a command) as usual.
+  EXPECT_EQ(rig.run(std::string(kMaxLineBytes, 'a') + "\r\n"), "ERROR\r\n");
+  // Past it, fed in chunks with no CRLF: refused and closed.
+  const std::string chunk(1 << 20, 'a');
+  std::string out;
+  for (int i = 0; i < 8 && !rig.session.closed(); ++i) out += rig.run(chunk);
+  EXPECT_EQ(out, "CLIENT_ERROR line too long\r\n");
+  EXPECT_TRUE(rig.session.closed());
+  EXPECT_EQ(rig.run("get k\r\n"), "");
+}
+
+TEST(TextProtocol, BinaryMagicFirstByteClosesWithoutReply) {
+  Rig rig;
+  EXPECT_EQ(rig.run(std::string("\x80\x00\x00\x01", 4)), "");
+  EXPECT_TRUE(rig.session.closed());
+  // Only the connection's first byte counts: later it is one more byte.
+  Rig text;
+  EXPECT_EQ(text.run("version\r\n\x80\r\n"),
+            "VERSION proteus-1.0\r\nERROR\r\n");
+  EXPECT_FALSE(text.session.closed());
+}
+
+// --- check order -------------------------------------------------------------
+
+TEST(TextProtocol, StaleAndCorruptStoreIsRefusedAsCorrupt) {
+  Rig rig;
+  ASSERT_TRUE(rig.server.adopt_epoch(7));
+  const std::string value = "late-and-rotted";
+  // The checksum is verified first, so a store that is both stale (epoch
+  // 3 < 7) and corrupt is refused as corrupt, never counted as stale.
+  EXPECT_EQ(rig.run("set k 0 0 " + std::to_string(value.size()) + " " +
+                    obs::encode_epoch_token(3) + " " +
+                    obs::encode_checksum_token(crc32c(value) ^ 1u) + "\r\n" +
+                    value + "\r\n"),
+            "SERVER_ERROR bad-checksum\r\n");
+  EXPECT_EQ(rig.server.stats().corrupt_set_rejects, 1u);
+  EXPECT_EQ(rig.server.stale_epoch_rejects(), 0u);
+  EXPECT_EQ(rig.server.cluster_epoch(), 7u);
+}
+
 }  // namespace
 }  // namespace proteus::cache

@@ -6,9 +6,10 @@
 //   proteus-cached --max-inflight=256 --queue-deadline-ms=20
 //   proteus-cached --pipeline-cap=64 --migration-priority=0.5
 //
-// Speaks the memcached text AND binary protocols (auto-detected per
-// connection); the digest snapshot is reachable through the reserved keys
-// SET_BLOOM_FILTER / BLOOM_FILTER with any unmodified memcached client:
+// Speaks the memcached text protocol only: a binary client is closed on
+// its first byte (docs/PROTOCOL.md "Compatibility"). The digest snapshot
+// is reachable through the reserved keys SET_BLOOM_FILTER / BLOOM_FILTER
+// with any unmodified memcached text client:
 //
 //   $ printf 'set k 0 0 5\r\nhello\r\nget k\r\n' | nc 127.0.0.1 11211
 //
@@ -67,6 +68,9 @@ void print_help(std::FILE* out) {
       out,
       "usage: proteus-cached [flags]\n"
       "\n"
+      "Serves the memcached text protocol; a binary-protocol client is\n"
+      "closed on its first byte.\n"
+      "\n"
       "  --port=P             listen port (default 11211; 0 = ephemeral)\n"
       "  --metrics-port=P     Prometheus /metrics + /trace + /spans HTTP port\n"
       "  --mem-mb=M           cache memory budget in MB (default 64)\n"
@@ -92,8 +96,7 @@ void print_help(std::FILE* out) {
       "section 10):\n"
       "  --max-inflight=N     concurrent protocol batches across all\n"
       "                       connections; excess batches get 'SERVER_ERROR\n"
-      "                       overloaded' (text) / status 0x85 EBUSY (binary)\n"
-      "                       instead of queueing. 0 = unlimited.\n"
+      "                       overloaded' instead of queueing. 0 = unlimited.\n"
       "  --queue-deadline-ms=D  longest a batch may wait for the cache lock\n"
       "                       before being shed (the client has likely timed\n"
       "                       out; stale work is wasted work). 0 = forever.\n"

@@ -106,4 +106,44 @@ void BM_DeepEventHeap(benchmark::State& state) {
 }
 BENCHMARK(BM_DeepEventHeap)->Arg(1000)->Arg(100000);
 
+// The cluster model's event mix: 166 users' think timers pending 0.5 s
+// ahead, while each request runs a short chain of near events (request hop,
+// service completion on an 8-slot station, reply hop) before its user
+// thinks again. Four events per request.
+struct FarTimerMix {
+  static constexpr int kUsers = 166;
+  Simulation sim;
+  QueueingServer server{sim, "cache", 8};
+  int remaining;
+
+  explicit FarTimerMix(int requests) : remaining(requests) {
+    for (int u = 0; u < kUsers; ++u) {
+      sim.schedule_at(u * 3 * kMillisecond, [this, u] { request(u); });
+    }
+  }
+  void request(int user) {
+    if (remaining-- <= 0) return;
+    sim.schedule_after(250 * kMicrosecond, [this, user] {
+      server.submit(150 * kMicrosecond, [this, user] {
+        sim.schedule_after(250 * kMicrosecond, [this, user] {
+          sim.schedule_after(500 * kMillisecond,
+                             [this, user] { request(user); });
+        });
+      });
+    });
+  }
+};
+
+void BM_FarTimerMix(benchmark::State& state) {
+  constexpr int kRequests = 10'000;
+  for (auto _ : state) {
+    FarTimerMix mix(kRequests);
+    mix.sim.run();
+    benchmark::DoNotOptimize(mix.remaining);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4 *
+                          kRequests);
+}
+BENCHMARK(BM_FarTimerMix);
+
 }  // namespace

@@ -119,15 +119,13 @@ std::optional<std::string> CacheServer::get(std::string_view key, SimTime now,
     meta->flags = it->second->flags;
     meta->crc = it->second->has_crc ? std::optional(it->second->crc)
                                      : std::nullopt;
-    meta->cas = it->second->cas;
   }
   return it->second->value;
 }
 
-std::uint64_t CacheServer::set(std::string_view key, std::string value,
-                               SimTime now, std::size_t charge,
-                               std::uint32_t flags,
-                               std::optional<std::uint32_t> crc) {
+bool CacheServer::set(std::string_view key, std::string value, SimTime now,
+                      std::size_t charge, std::uint32_t flags,
+                      std::optional<std::uint32_t> crc) {
   PROTEUS_CHECK_MSG(power_state_ != PowerState::kOff,
                     "set() on a powered-off cache server");
   PROTEUS_CHECK_MSG(key != kSetBloomFilterKey && key != kGetBloomFilterKey &&
@@ -145,19 +143,17 @@ std::uint64_t CacheServer::set(std::string_view key, std::string value,
   if (auto it = index_.find(item.key); it != index_.end()) unlink(it->second);
   if (slab_sizer_.has_value()) {
     item.charge = slab_sizer_->chunk_size_for(item.charge);
-    if (item.charge == 0) return 0;  // exceeds the largest slab class
+    if (item.charge == 0) return false;  // exceeds the largest slab class
   }
-  if (item.charge > config_.memory_budget_bytes) return 0;  // never fits
+  if (item.charge > config_.memory_budget_bytes) return false;  // never fits
   item.value = std::move(value);
   item.last_access = now;
   item.flags = flags;
-  item.cas = next_cas_++;
   item.has_crc = crc.has_value();
   item.crc = crc.value_or(0);
   evict_to_fit(item.charge);
-  const std::uint64_t cas = item.cas;
   link(std::move(item));
-  return cas;
+  return true;
 }
 
 bool CacheServer::erase(std::string_view key) {
@@ -180,12 +176,6 @@ void CacheServer::flush() {
 bool CacheServer::contains(std::string_view key, SimTime now) const {
   auto it = index_.find(key);
   return it != index_.end() && !expired(*it->second, now);
-}
-
-std::uint64_t CacheServer::cas_of(std::string_view key, SimTime now) const {
-  auto it = index_.find(key);
-  if (it == index_.end() || expired(*it->second, now)) return 0;
-  return it->second->cas;
 }
 
 void CacheServer::note_corrupt_set_reject(SimTime now, std::string_view key) {

@@ -127,7 +127,6 @@ class CacheServer {
   struct ItemMeta {
     std::uint32_t flags = 0;           // opaque client metadata
     std::optional<std::uint32_t> crc;  // CRC32C stamped at SET time, if any
-    std::uint64_t cas = 0;             // store version (see cas_of)
   };
   // Returns the value and refreshes LRU/last-access, or nullopt on miss;
   // on a hit, `meta` (optional) receives the item's metadata.
@@ -141,15 +140,10 @@ class CacheServer {
   // the client stamped at SET time; when present the server re-verifies it
   // on every get and drops the item as corrupt on mismatch instead of
   // serving bad bytes (docs/PROTOCOL.md "Payload integrity").
-  // Returns the stored item's CAS version, or 0 if it can never fit.
-  std::uint64_t set(std::string_view key, std::string value, SimTime now,
-                    std::size_t charge = 0, std::uint32_t flags = 0,
-                    std::optional<std::uint32_t> crc = std::nullopt);
-
-  // CAS (check-and-set) version of the item: a monotonically increasing
-  // value assigned on every store, as in memcached, unique within the key's
-  // shard (each ShardedCacheServer shard counts its own). 0 = absent.
-  std::uint64_t cas_of(std::string_view key, SimTime now) const;
+  // Returns false if the item can never fit (nothing is stored).
+  bool set(std::string_view key, std::string value, SimTime now,
+           std::size_t charge = 0, std::uint32_t flags = 0,
+           std::optional<std::uint32_t> crc = std::nullopt);
 
   bool erase(std::string_view key);
   void flush();
@@ -204,7 +198,6 @@ class CacheServer {
     std::size_t charge;       // accounted bytes (key + value-or-override + overhead)
     SimTime last_access;
     std::uint32_t flags;      // opaque client metadata (memcached semantics)
-    std::uint64_t cas;        // store version (memcached CAS)
     bool protected_seg;       // segmented LRU: lives in the protected list
     bool has_crc = false;     // item carries an end-to-end checksum
     std::uint32_t crc = 0;    // CRC32C of `value`, stamped at SET time
@@ -228,7 +221,6 @@ class CacheServer {
   std::size_t protected_bytes_ = 0;
   std::unordered_map<std::string_view, LruList::iterator> index_;
   std::size_t bytes_used_ = 0;
-  std::uint64_t next_cas_ = 1;
   CacheStats stats_;
   PowerState power_state_ = PowerState::kActive;
 };

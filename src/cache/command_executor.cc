@@ -139,8 +139,8 @@ CommandResult CommandExecutor::store(Command& cmd, SimTime now,
   CacheServer* cache = acquire(cmd.key, guard, tid);
   if (cache == nullptr) return CommandStatus::kBusy;
   if (cmd.op != Command::Op::kSet) {
-    // add and replace are conditional on residency (version 0 = absent).
-    const bool resident = cache->cas_of(cmd.key, now) != 0;
+    // add and replace are conditional on residency.
+    const bool resident = cache->contains(cmd.key, now);
     if (cmd.op == Command::Op::kReplace && !resident) {
       return CommandStatus::kNotFound;
     }
@@ -149,7 +149,7 @@ CommandResult CommandExecutor::store(Command& cmd, SimTime now,
   // A store that can never fit has still unlinked the key's resident copy,
   // as memcached does: no older value outlives the refused write.
   return cache->set(cmd.key, std::move(cmd.payload), now, cmd.charge,
-                    cmd.flags, cmd.checksum) != 0
+                    cmd.flags, cmd.checksum)
              ? CommandStatus::kOk
              : CommandStatus::kTooLarge;
 }

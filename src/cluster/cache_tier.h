@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,6 +12,7 @@
 #include "cache/cache_server.h"
 #include "common/check.h"
 #include "common/time.h"
+#include "sim/callback.h"
 #include "sim/queueing_server.h"
 #include "sim/simulation.h"
 
@@ -30,7 +30,7 @@ class CacheTier {
  public:
   CacheTier(sim::Simulation& sim, CacheTierConfig config);
 
-  using GetCallback = std::function<void(std::optional<std::string>)>;
+  using GetCallback = sim::Callback<void(std::optional<std::string>)>;
 
   // Asynchronous GET: network hop + queued service, then the lookup.
   void async_get(int server, const std::string& key, GetCallback done);

@@ -105,7 +105,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   workload::DiurnalModel model(cfg.diurnal);
   workload::RbeCluster rbe(sim, rbe_cfg, model,
                            [&web](const std::string& key,
-                                  std::function<void()> done) {
+                                  workload::RbeCluster::Done done) {
                              web.handle(key, std::move(done));
                            });
 

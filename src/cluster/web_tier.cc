@@ -49,7 +49,7 @@ WebTier::Request* WebTier::acquire_request() {
   return req;
 }
 
-void WebTier::handle(const std::string& key, std::function<void()> done) {
+void WebTier::handle(const std::string& key, sim::Callback<void()> done) {
   ++stats_.requests;
   Request* req = acquire_request();
   req->key = key;
@@ -152,7 +152,7 @@ void WebTier::respond(Request* req) {
     if (req->trace.active()) {
       req->trace.finish(sim_.now(), req->start, req->key);
     }
-    std::function<void()> done = std::move(req->done);
+    sim::Callback<void()> done = std::move(req->done);
     free_requests_.push_back(req);  // before done(): it may issue the next
     done();
   });

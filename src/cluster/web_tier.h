@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -29,6 +28,7 @@
 #include "db/database.h"
 #include "obs/audit.h"
 #include "obs/span.h"
+#include "sim/callback.h"
 #include "sim/queueing_server.h"
 #include "sim/simulation.h"
 
@@ -96,7 +96,7 @@ class WebTier {
 
   // One user request: RBE hop -> web service -> Algorithm 2 -> reply hop.
   // `done` fires when the response reaches the client.
-  void handle(const std::string& key, std::function<void()> done);
+  void handle(const std::string& key, sim::Callback<void()> done);
 
   const WebTierStats& stats() const noexcept { return stats_; }
 
@@ -119,14 +119,14 @@ class WebTier {
   int replicas() const noexcept { return static_cast<int>(routers_.size()); }
 
  private:
-  // One request's state, from the RBE hop to the reply hop. Pooled: the
-  // callbacks carry only (this, Request*), so they fit std::function's
-  // inline buffer and a request allocates nothing once the pool is warm.
+  // One request's state, from the RBE hop to the reply hop. Pooled, so the
+  // events and continuations of a request carry only (this, Request*) and
+  // its key buffer is reused once the pool is warm.
   struct Request {
     explicit Request(const core::Retrieval::Options& options)
         : retrieval(options) {}
     std::string key;
-    std::function<void()> done;
+    sim::Callback<void()> done;
     int web = 0;              // the web server handling it
     obs::TraceContext trace;  // inactive unless sampled
     SimTime start = 0;

@@ -17,7 +17,7 @@ Database::Database(sim::Simulation& sim, DbConfig config)
 }
 
 void Database::async_get(std::string_view key,
-                         std::function<void(std::string)> done) {
+                         sim::Callback<void(std::string)> done) {
   ++total_queries_;
   const int shard = shard_for(key);
   const SimTime service =

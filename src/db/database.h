@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -18,6 +17,7 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/time.h"
+#include "sim/callback.h"
 #include "sim/queueing_server.h"
 #include "sim/simulation.h"
 
@@ -42,7 +42,7 @@ class Database {
 
   // Asynchronous lookup through the shard's queue; `done` receives the
   // deterministic value for the key once service completes.
-  void async_get(std::string_view key, std::function<void(std::string)> done);
+  void async_get(std::string_view key, sim::Callback<void(std::string)> done);
 
   // Synchronous variant for the non-simulated library facade and examples.
   std::string get(std::string_view key) const { return value_for(key); }

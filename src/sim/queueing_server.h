@@ -2,36 +2,44 @@
 // FIFO queue. Models both database shards (few slots, long seek-dominated
 // service times — the component whose overload produces the Fig. 9 delay
 // spikes) and web/cache servers (many slots, short service times).
+//
+// Each job's completion callable is constructed in place in one of the
+// station's own cells when it is submitted and runs there when its service
+// ends; the completion event carries only the job's slot.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace proteus::sim {
 
 class QueueingServer {
  public:
-  using Callback = std::function<void()>;
-
   QueueingServer(Simulation& sim, std::string name, int concurrency)
       : sim_(sim), name_(std::move(name)), concurrency_(concurrency) {
     PROTEUS_CHECK(concurrency_ > 0);
   }
+  // Pending completion events point at this station.
+  QueueingServer(const QueueingServer&) = delete;
+  QueueingServer& operator=(const QueueingServer&) = delete;
 
   // Enqueue a job needing `service_time`; `done` fires when service ends.
-  void submit(SimTime service_time, Callback done) {
+  template <class F>
+  void submit(SimTime service_time, F&& done) {
     PROTEUS_CHECK(service_time >= 0);
     ++arrivals_;
+    const std::uint32_t job = jobs_.emplace(std::forward<F>(done));
     if (in_service_ < concurrency_) {
-      start(service_time, std::move(done));
+      start(service_time, job);
     } else {
-      queue_.push_back(Job{service_time, std::move(done), sim_.now()});
+      queue_.push_back(Waiting{service_time, sim_.now(), job});
       max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
     }
   }
@@ -55,38 +63,36 @@ class QueueingServer {
   }
 
  private:
-  struct Job {
+  struct Waiting {
     SimTime service_time;
-    Callback done;
     SimTime enqueued_at;
+    std::uint32_t job;  // slot of the job's callable in jobs_
   };
 
-  void start(SimTime service_time, Callback done) {
+  void start(SimTime service_time, std::uint32_t job) {
     ++in_service_;
     busy_time_ += service_time;
-    sim_.schedule_after(service_time,
-                        [this, done = std::move(done)]() mutable {
-                          finish(std::move(done));
-                        });
+    sim_.schedule_after(service_time, [this, job] { finish(job); });
   }
 
-  void finish(Callback done) {
+  void finish(std::uint32_t job) {
     --in_service_;
     ++completions_;
     if (!queue_.empty()) {
-      Job next = std::move(queue_.front());
+      const Waiting next = queue_.front();
       queue_.pop_front();
       wait_time_ += sim_.now() - next.enqueued_at;
-      start(next.service_time, std::move(next.done));
+      start(next.service_time, next.job);
     }
-    done();
+    jobs_.run(job);
   }
 
   Simulation& sim_;
   std::string name_;
   int concurrency_;
   int in_service_ = 0;
-  std::deque<Job> queue_;
+  CallbackCells jobs_;  // callables of queued and in-service jobs
+  std::deque<Waiting> queue_;
   std::size_t max_queue_depth_ = 0;
   std::uint64_t arrivals_ = 0;
   std::uint64_t completions_ = 0;

@@ -19,6 +19,7 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/time.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 #include "workload/diurnal_model.h"
 #include "workload/trace.h"
@@ -43,8 +44,8 @@ class RbeCluster {
  public:
   // `issue` delivers one request into the serving system; it must invoke the
   // completion callback exactly once, after which the user thinks again.
-  using IssueFn =
-      std::function<void(const std::string& key, std::function<void()> done)>;
+  using Done = sim::Callback<void()>;
+  using IssueFn = std::function<void(const std::string& key, Done done)>;
 
   RbeCluster(sim::Simulation& sim, RbeConfig config, DiurnalModel model,
              IssueFn issue);

@@ -233,36 +233,35 @@ TEST(CacheServer, HotItemCount) {
   EXPECT_EQ(cache.hot_item_count(100 * kSecond, 200 * kSecond), 2u);
 }
 
-TEST(CacheServer, CasAssignedMonotonically) {
+TEST(CacheServer, ResidencyFollowsStoresAndErases) {
   CacheServer cache(small_config());
-  cache.set("a", "1", 0);
-  cache.set("b", "1", 0);
-  const auto cas_a = cache.cas_of("a", 0);
-  const auto cas_b = cache.cas_of("b", 0);
-  EXPECT_GT(cas_a, 0u);
-  EXPECT_GT(cas_b, cas_a);
-  cache.set("a", "2", 1);  // overwrite bumps the version
-  EXPECT_GT(cache.cas_of("a", 1), cas_b);
-  EXPECT_EQ(cache.cas_of("absent", 0), 0u);
+  EXPECT_FALSE(cache.contains("a", 0));
+  EXPECT_TRUE(cache.set("a", "1", 0));
+  EXPECT_TRUE(cache.set("b", "1", 0));
+  EXPECT_TRUE(cache.contains("a", 0));
+  EXPECT_TRUE(cache.contains("b", 0));
+  EXPECT_TRUE(cache.set("a", "2", 1));  // an overwrite stays resident
+  EXPECT_TRUE(cache.contains("a", 1));
+  EXPECT_EQ(*cache.get("a", 1), "2");
+  EXPECT_TRUE(cache.erase("a"));
+  EXPECT_FALSE(cache.contains("a", 1));
+  EXPECT_FALSE(cache.contains("absent", 0));
 }
 
-TEST(CacheServer, SetReturnsTheVersionAHitReports) {
+TEST(CacheServer, SetReportsWhetherItStored) {
   CacheServer cache(small_config());
-  const std::uint64_t v1 = cache.set("k", "v1", 0, /*charge=*/0, /*flags=*/7);
-  EXPECT_EQ(v1, cache.cas_of("k", 0));
-  const std::uint64_t v2 = cache.set("k", "v2", 1);
-  EXPECT_GT(v2, v1);
+  EXPECT_TRUE(cache.set("k", "v1", 0, /*charge=*/0, /*flags=*/7));
+  EXPECT_TRUE(cache.set("k", "v2", 1));
   // One lookup serves the bytes and the metadata.
   CacheServer::ItemMeta meta;
   EXPECT_EQ(*cache.get("k", 2, &meta), "v2");
-  EXPECT_EQ(meta.cas, v2);
   EXPECT_EQ(meta.flags, 0u);
   EXPECT_FALSE(meta.crc.has_value());
-  // A value that can never fit is not stored: version 0.
-  EXPECT_EQ(cache.set("huge", std::string(small_config().memory_budget_bytes,
+  // A value that can never fit is not stored, and drops the older copy.
+  EXPECT_FALSE(cache.set("k", std::string(small_config().memory_budget_bytes,
                                           'x'),
-                      3),
-            0u);
+                         3));
+  EXPECT_FALSE(cache.contains("k", 3));
 }
 
 TEST(CacheServer, ExpireIdleSweepsColdTail) {

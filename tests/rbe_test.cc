@@ -29,7 +29,7 @@ TEST(Rbe, PopulationTracksTargetRate) {
   sim::Simulation sim;
   // rate 100 rps * 0.5 s think -> ~50 users.
   RbeCluster rbe(sim, small_rbe(), DiurnalModel(flat_rate(100)),
-                 [&sim](const std::string&, std::function<void()> done) {
+                 [&sim](const std::string&, RbeCluster::Done done) {
                    sim.schedule_after(kMillisecond, std::move(done));
                  });
   rbe.start(20 * kSecond);
@@ -40,7 +40,7 @@ TEST(Rbe, PopulationTracksTargetRate) {
 TEST(Rbe, ThroughputApproximatesOfferedRate) {
   sim::Simulation sim;
   RbeCluster rbe(sim, small_rbe(), DiurnalModel(flat_rate(100)),
-                 [&sim](const std::string&, std::function<void()> done) {
+                 [&sim](const std::string&, RbeCluster::Done done) {
                    sim.schedule_after(kMillisecond, std::move(done));
                  });
   const SimTime horizon = 60 * kSecond;
@@ -53,7 +53,7 @@ TEST(Rbe, ThroughputApproximatesOfferedRate) {
 TEST(Rbe, SlowResponsesThrottleClosedLoop) {
   sim::Simulation sim;
   RbeCluster rbe(sim, small_rbe(), DiurnalModel(flat_rate(100)),
-                 [&sim](const std::string&, std::function<void()> done) {
+                 [&sim](const std::string&, RbeCluster::Done done) {
                    sim.schedule_after(500 * kMillisecond, std::move(done));
                  });
   rbe.start(60 * kSecond);
@@ -66,7 +66,7 @@ TEST(Rbe, SlowResponsesThrottleClosedLoop) {
 TEST(Rbe, LatenciesLandInSlotHistograms) {
   sim::Simulation sim;
   RbeCluster rbe(sim, small_rbe(), DiurnalModel(flat_rate(50)),
-                 [&sim](const std::string&, std::function<void()> done) {
+                 [&sim](const std::string&, RbeCluster::Done done) {
                    sim.schedule_after(2 * kMillisecond, std::move(done));
                  });
   rbe.start(30 * kSecond);
@@ -86,7 +86,7 @@ TEST(Rbe, KeysComeFromConfiguredPageSpace) {
   cfg.num_pages = 10;
   bool all_valid = true;
   RbeCluster rbe(sim, cfg, DiurnalModel(flat_rate(20)),
-                 [&](const std::string& key, std::function<void()> done) {
+                 [&](const std::string& key, RbeCluster::Done done) {
                    if (key.rfind("page:", 0) != 0) all_valid = false;
                    const int id = std::stoi(key.substr(5));
                    if (id < 0 || id >= 10) all_valid = false;
@@ -110,7 +110,7 @@ TEST(Rbe, ExponentialSessionsChurnPageSets) {
     cfg.mean_session_sec = mean_session_sec;
     std::set<std::string> seen;
     RbeCluster rbe(sim, cfg, DiurnalModel(flat_rate(40)),
-                   [&](const std::string& key, std::function<void()> done) {
+                   [&](const std::string& key, RbeCluster::Done done) {
                      seen.insert(key);
                      sim.schedule_after(kMillisecond, std::move(done));
                    });
@@ -134,7 +134,7 @@ TEST(Rbe, SessionChurnPreservesThroughput) {
   RbeConfig cfg = small_rbe();
   cfg.mean_session_sec = 5.0;  // heavy churn
   RbeCluster rbe(sim, cfg, DiurnalModel(flat_rate(100)),
-                 [&sim](const std::string&, std::function<void()> done) {
+                 [&sim](const std::string&, RbeCluster::Done done) {
                    sim.schedule_after(kMillisecond, std::move(done));
                  });
   rbe.start(60 * kSecond);
@@ -152,7 +152,7 @@ TEST(Rbe, PopulationShrinksWhenRateDrops) {
   cfg.phase = -20 * kSecond;  // sin peaks at t=0
   cfg.jitter = 0;
   RbeCluster rbe(sim, small_rbe(), DiurnalModel(cfg),
-                 [&sim](const std::string&, std::function<void()> done) {
+                 [&sim](const std::string&, RbeCluster::Done done) {
                    sim.schedule_after(kMillisecond, std::move(done));
                  });
   rbe.start(45 * kSecond);

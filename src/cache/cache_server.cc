@@ -1,7 +1,10 @@
 #include "cache/cache_server.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <random>
+#include <utility>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -33,7 +36,85 @@ std::uint64_t read_u64(std::string_view bytes, std::size_t offset) {
   return v;
 }
 
+// Seeds each KeyIndex differently: a per-process random base mixed with a
+// running instance count.
+std::uint64_t next_index_seed() {
+  static const std::uint64_t base = [] {
+    std::random_device rd;
+    return (std::uint64_t{rd()} << 32) ^ rd();
+  }();
+  static std::atomic<std::uint64_t> instances{0};
+  return hash_combine(base,
+                      instances.fetch_add(1, std::memory_order_relaxed));
+}
+
+// Smallest table; it doubles whenever it would pass half full.
+constexpr std::size_t kMinIndexSlots = 16;
+
 }  // namespace
+
+CacheServer::KeyIndex::KeyIndex()
+    : seed_(next_index_seed()),
+      slots_(kMinIndexSlots),
+      mask_(kMinIndexSlots - 1) {}
+
+std::uint64_t CacheServer::KeyIndex::hash(std::string_view key) const noexcept {
+  const std::uint64_t h = hash_bytes(key, seed_);
+  return h != 0 ? h : 1;
+}
+
+const CacheServer::LruList::iterator* CacheServer::KeyIndex::find(
+    std::string_view key, std::uint64_t h) const noexcept {
+  for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
+    const Slot& slot = slots_[i];
+    if (slot.hash == 0) return nullptr;
+    if (slot.hash == h && slot.item->key == key) return &slot.item;
+  }
+}
+
+void CacheServer::KeyIndex::insert(LruList::iterator item) {
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  std::size_t i = item->hash & mask_;
+  while (slots_[i].hash != 0) i = (i + 1) & mask_;
+  slots_[i] = Slot{item->hash, item};
+  ++size_;
+}
+
+void CacheServer::KeyIndex::erase(LruList::iterator item) noexcept {
+  std::size_t hole = item->hash & mask_;
+  while (slots_[hole].hash != item->hash || slots_[hole].item != item) {
+    hole = (hole + 1) & mask_;
+  }
+  // Backward shift: pull each later member of the probe run into the hole
+  // unless its home slot lies cyclically in (hole, j], where it must stay.
+  for (std::size_t j = (hole + 1) & mask_; slots_[j].hash != 0;
+       j = (j + 1) & mask_) {
+    const std::size_t home = slots_[j].hash & mask_;
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].hash = 0;
+  --size_;
+}
+
+void CacheServer::KeyIndex::clear() noexcept {
+  for (Slot& slot : slots_) slot.hash = 0;
+  size_ = 0;
+}
+
+void CacheServer::KeyIndex::grow() {
+  const std::vector<Slot> old =
+      std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+  mask_ = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.hash == 0) continue;
+    std::size_t i = slot.hash & mask_;
+    while (slots_[i].hash != 0) i = (i + 1) & mask_;
+    slots_[i] = slot;
+  }
+}
 
 std::string encode_digest(const bloom::BloomFilter& filter) {
   std::string out;
@@ -86,17 +167,18 @@ std::optional<std::string> CacheServer::get(std::string_view key, SimTime now,
   PROTEUS_CHECK_MSG(power_state_ != PowerState::kOff,
                     "get() on a powered-off cache server");
   ++stats_.gets;
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+  const LruList::iterator* found = index_.find(key, index_.hash(key));
+  if (found == nullptr) {
     ++stats_.misses;
     return std::nullopt;
   }
-  if (expired(*it->second, now)) {
+  const LruList::iterator it = *found;
+  if (expired(*it, now)) {
     ++stats_.expirations;
     ++stats_.misses;
     obs::emit(config_.trace, now, obs::TraceEventKind::kTtlExpiry,
               config_.trace_server_id, -1, 1, key);
-    unlink(it->second);
+    unlink(it);
     return std::nullopt;
   }
   // End-to-end integrity: items stamped with a CRC32C at SET time are
@@ -104,23 +186,22 @@ std::optional<std::string> CacheServer::get(std::string_view key, SimTime now,
   // (or were corrupted on the inbound wire past the parser): drop the item
   // and answer a miss so corrupt data never reaches a caller — the client
   // read-repairs from the database.
-  if (it->second->has_crc && crc32c(it->second->value) != it->second->crc) {
+  if (it->has_crc && crc32c(it->value) != it->crc) {
     ++stats_.corrupt_drops;
     ++stats_.misses;
     obs::emit(config_.trace, now, obs::TraceEventKind::kCorruption,
               config_.trace_server_id, -1, /*n=at-rest*/ 1, key);
-    unlink(it->second);
+    unlink(it);
     return std::nullopt;
   }
   ++stats_.hits;
-  it->second->last_access = now;
-  touch_lru(it->second);
+  it->last_access = now;
+  touch_lru(it);
   if (meta != nullptr) {
-    meta->flags = it->second->flags;
-    meta->crc = it->second->has_crc ? std::optional(it->second->crc)
-                                     : std::nullopt;
+    meta->flags = it->flags;
+    meta->crc = it->has_crc ? std::optional(it->crc) : std::nullopt;
   }
-  return it->second->value;
+  return it->value;
 }
 
 bool CacheServer::set(std::string_view key, std::string value, SimTime now,
@@ -137,10 +218,13 @@ bool CacheServer::set(std::string_view key, std::string value, SimTime now,
   // about to be unlinked (e.g. a view obtained from this cache).
   Item item;
   item.key.assign(key);
+  item.hash = index_.hash(item.key);
   item.charge = key.size() + (charge ? charge : value.size()) +
                 config_.per_item_overhead;
   // A store that can never fit still drops the resident copy (memcached).
-  if (auto it = index_.find(item.key); it != index_.end()) unlink(it->second);
+  if (const LruList::iterator* found = index_.find(item.key, item.hash)) {
+    unlink(*found);
+  }
   if (slab_sizer_.has_value()) {
     item.charge = slab_sizer_->chunk_size_for(item.charge);
     if (item.charge == 0) return false;  // exceeds the largest slab class
@@ -157,10 +241,10 @@ bool CacheServer::set(std::string_view key, std::string value, SimTime now,
 }
 
 bool CacheServer::erase(std::string_view key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
+  const LruList::iterator* found = index_.find(key, index_.hash(key));
+  if (found == nullptr) return false;
   ++stats_.deletes;
-  unlink(it->second);
+  unlink(*found);
   return true;
 }
 
@@ -174,8 +258,8 @@ void CacheServer::flush() {
 }
 
 bool CacheServer::contains(std::string_view key, SimTime now) const {
-  auto it = index_.find(key);
-  return it != index_.end() && !expired(*it->second, now);
+  const LruList::iterator* found = index_.find(key, index_.hash(key));
+  return found != nullptr && !expired(**found, now);
 }
 
 void CacheServer::note_corrupt_set_reject(SimTime now, std::string_view key) {
@@ -186,9 +270,9 @@ void CacheServer::note_corrupt_set_reject(SimTime now, std::string_view key) {
 
 bool CacheServer::corrupt_value_for_test(std::string_view key,
                                          std::size_t bit_index) {
-  auto it = index_.find(key);
-  if (it == index_.end() || it->second->value.empty()) return false;
-  std::string& v = it->second->value;
+  const LruList::iterator* found = index_.find(key, index_.hash(key));
+  if (found == nullptr || (*found)->value.empty()) return false;
+  std::string& v = (*found)->value;
   const std::size_t bit = bit_index % (v.size() * 8);
   v[bit / 8] = static_cast<char>(static_cast<unsigned char>(v[bit / 8]) ^
                                  (1u << (bit % 8)));
@@ -237,13 +321,13 @@ void CacheServer::link(Item item) {
   bytes_used_ += item.charge;
   item.protected_seg = false;  // new items enter the probationary segment
   lru_.push_front(std::move(item));
-  index_.emplace(std::string_view(lru_.front().key), lru_.begin());
+  index_.insert(lru_.begin());
 }
 
 void CacheServer::unlink(LruList::iterator it) {
   digest_.remove(it->key);  // do_item_unlink hook
   bytes_used_ -= it->charge;
-  index_.erase(std::string_view(it->key));
+  index_.erase(it);
   if (it->protected_seg) {
     protected_bytes_ -= it->charge;
     protected_.erase(it);

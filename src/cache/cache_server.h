@@ -13,8 +13,10 @@
 //     active / draining (transition, §IV) / off.
 //
 // Eviction is LRU under a byte budget, like memcached's slab LRU collapsed
-// to a single class (the paper assumes fixed-size objects, §II). Time is
-// injected (SimTime) so the whole server is deterministic under simulation.
+// to a single class (the paper assumes fixed-size objects, §II). Keys are
+// found through a flat open-addressing index over the LRU lists, in the
+// manner of memcached's own item hash table. Time is injected (SimTime) so
+// the whole server is deterministic under simulation.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +24,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "bloom/bloom_filter.h"
 #include "bloom/config.h"
@@ -201,8 +203,44 @@ class CacheServer {
     bool protected_seg;       // segmented LRU: lives in the protected list
     bool has_crc = false;     // item carries an end-to-end checksum
     std::uint32_t crc = 0;    // CRC32C of `value`, stamped at SET time
+    std::uint64_t hash = 0;   // KeyIndex::hash(key), kept for unlink
   };
   using LruList = std::list<Item>;
+
+  // Flat open-addressing key -> item table: linear probing over a
+  // power-of-two array of {hash, item} slots kept at most half full,
+  // growing by doubling, deleting by backward shift (no tombstones). A
+  // probe compares the stored 64-bit hash before it touches the item's key,
+  // so a lookup costs one slot read and one list-node read. The hash seed
+  // is drawn per instance, so a wire client cannot precompute keys that
+  // pile into one probe run. Capacity survives clear().
+  class KeyIndex {
+   public:
+    KeyIndex();
+    // Never 0: a zero hash marks an empty slot.
+    std::uint64_t hash(std::string_view key) const noexcept;
+    // The item stored under `key` (whose hash is `h`), or nullptr.
+    const LruList::iterator* find(std::string_view key,
+                                  std::uint64_t h) const noexcept;
+    // `item->key` must be absent; `item->hash` is its slot's hash.
+    void insert(LruList::iterator item);
+    // `item` must be present.
+    void erase(LruList::iterator item) noexcept;
+    void clear() noexcept;
+    std::size_t size() const noexcept { return size_; }
+
+   private:
+    struct Slot {
+      std::uint64_t hash = 0;  // 0 = empty
+      LruList::iterator item;
+    };
+    void grow();
+
+    std::uint64_t seed_;
+    std::vector<Slot> slots_;
+    std::size_t mask_;
+    std::size_t size_ = 0;
+  };
 
   void link(Item item);                 // insert + digest update
   void unlink(LruList::iterator it);    // remove + digest update
@@ -219,7 +257,7 @@ class CacheServer {
   LruList lru_;        // front = most recently used (probationary segment)
   LruList protected_;  // segmented mode only
   std::size_t protected_bytes_ = 0;
-  std::unordered_map<std::string_view, LruList::iterator> index_;
+  KeyIndex index_;
   std::size_t bytes_used_ = 0;
   CacheStats stats_;
   PowerState power_state_ = PowerState::kActive;

@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cache/sharded_cache.h"
 
 #include "common/hash.h"
+#include "common/rng.h"
 
 namespace proteus::cache {
 namespace {
@@ -425,6 +433,313 @@ TEST(CacheServer, UnstampedItemsAreNotVerified) {
   EXPECT_TRUE(cache.get("legacy", 1, &meta).has_value());
   EXPECT_EQ(cache.stats().corrupt_drops, 0u);
   EXPECT_FALSE(meta.crc.has_value());
+}
+
+// The LRU policy written the obvious way, as a reference for the
+// randomized differential test below: one std::list per segment and a
+// std::map from key to list position, with the CacheServer rules restated
+// (probationary tail evicted first, hit promotes, protected overflow
+// demotes to the probationary head, lazy TTL, serve-time CRC verify).
+class ReferenceLru {
+ public:
+  struct Entry {
+    std::string key;
+    std::string value;
+    std::size_t charge;
+    SimTime last_access;
+    bool protected_seg = false;
+    bool has_crc = false;
+    std::uint32_t crc = 0;
+  };
+  using List = std::list<Entry>;
+
+  explicit ReferenceLru(const CacheConfig& cfg) : cfg_(cfg) {}
+
+  std::optional<std::string> get(const std::string& key, SimTime now) {
+    const auto found = index_.find(key);
+    if (found == index_.end()) {
+      ++misses;
+      return std::nullopt;
+    }
+    const List::iterator it = found->second;
+    if (expired(*it, now)) {
+      ++expirations;
+      ++misses;
+      unlink(it);
+      return std::nullopt;
+    }
+    if (it->has_crc && crc32c(it->value) != it->crc) {
+      ++misses;
+      unlink(it);
+      return std::nullopt;
+    }
+    ++hits;
+    it->last_access = now;
+    if (!cfg_.segmented_lru) {
+      lru_.splice(lru_.begin(), lru_, it);
+    } else if (it->protected_seg) {
+      protected_.splice(protected_.begin(), protected_, it);
+    } else {
+      it->protected_seg = true;
+      protected_bytes_ += it->charge;
+      protected_.splice(protected_.begin(), lru_, it);
+      const auto cap = static_cast<std::size_t>(
+          cfg_.protected_ratio *
+          static_cast<double>(cfg_.memory_budget_bytes));
+      while (protected_bytes_ > cap && !protected_.empty()) {
+        const auto tail = std::prev(protected_.end());
+        tail->protected_seg = false;
+        protected_bytes_ -= tail->charge;
+        lru_.splice(lru_.begin(), protected_, tail);
+      }
+    }
+    return it->value;
+  }
+
+  bool set(const std::string& key, std::string value, SimTime now,
+           std::size_t charge, std::optional<std::uint32_t> crc) {
+    const std::size_t total = key.size() + (charge ? charge : value.size()) +
+                              cfg_.per_item_overhead;
+    if (const auto found = index_.find(key); found != index_.end()) {
+      unlink(found->second);
+    }
+    if (total > cfg_.memory_budget_bytes) return false;
+    while (bytes_used + total > cfg_.memory_budget_bytes &&
+           (!lru_.empty() || !protected_.empty())) {
+      ++evictions;
+      unlink(std::prev(lru_.empty() ? protected_.end() : lru_.end()));
+    }
+    lru_.push_front(Entry{key, std::move(value), total, now, false,
+                          crc.has_value(), crc.value_or(0)});
+    index_[key] = lru_.begin();
+    bytes_used += total;
+    return true;
+  }
+
+  bool erase(const std::string& key) {
+    const auto found = index_.find(key);
+    if (found == index_.end()) return false;
+    unlink(found->second);
+    return true;
+  }
+
+  bool contains(const std::string& key, SimTime now) const {
+    const auto found = index_.find(key);
+    return found != index_.end() && !expired(*found->second, now);
+  }
+
+  bool linked(const std::string& key) const { return index_.count(key) > 0; }
+
+  std::size_t expire_idle(SimTime now, SimTime idle_limit) {
+    std::size_t n = 0;
+    for (List* list : {&lru_, &protected_}) {
+      while (!list->empty() && now - list->back().last_access > idle_limit) {
+        unlink(std::prev(list->end()));
+        ++n;
+      }
+    }
+    expirations += n;
+    return n;
+  }
+
+  bool corrupt(const std::string& key, std::size_t bit_index) {
+    const auto found = index_.find(key);
+    if (found == index_.end() || found->second->value.empty()) return false;
+    std::string& v = found->second->value;
+    const std::size_t bit = bit_index % (v.size() * 8);
+    v[bit / 8] = static_cast<char>(static_cast<unsigned char>(v[bit / 8]) ^
+                                   (1u << (bit % 8)));
+    return true;
+  }
+
+  void flush() {
+    lru_.clear();
+    protected_.clear();
+    index_.clear();
+    bytes_used = 0;
+    protected_bytes_ = 0;
+  }
+
+  std::size_t size() const { return index_.size(); }
+  const std::map<std::string, List::iterator>& index() const { return index_; }
+
+  std::vector<std::string> unlinked;  // keys unlinked since last cleared
+  std::size_t bytes_used = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t expirations = 0;
+
+ private:
+  bool expired(const Entry& e, SimTime now) const {
+    return cfg_.item_ttl > 0 && now - e.last_access > cfg_.item_ttl;
+  }
+
+  void unlink(List::iterator it) {
+    unlinked.push_back(it->key);
+    bytes_used -= it->charge;
+    index_.erase(it->key);
+    if (it->protected_seg) {
+      protected_bytes_ -= it->charge;
+      protected_.erase(it);
+    } else {
+      lru_.erase(it);
+    }
+  }
+
+  CacheConfig cfg_;
+  List lru_;
+  List protected_;
+  std::size_t protected_bytes_ = 0;
+  std::map<std::string, List::iterator> index_;
+};
+
+// Drives CacheServer and ReferenceLru with the same random operations and
+// compares them after every one. The mix is erase-heavy, so the key index
+// keeps filling, emptying and refilling and erases land inside probe runs
+// (backward shifts). With `max_items` set, every item is charged the same
+// and the budget holds exactly that many: a cap just under a growth point
+// keeps a small table near half full, where runs are long and many wrap
+// past its end. With `max_items` 0, sizes vary.
+void run_differential(bool segmented, std::size_t key_space,
+                      std::size_t max_items, int ops, std::uint64_t seed) {
+  constexpr std::size_t kItemCharge = 64;
+  CacheConfig cfg =
+      small_config(max_items ? max_items * kItemCharge : 26 * key_space);
+  cfg.per_item_overhead = 8;
+  cfg.digest.num_counters = 1 << 16;
+  cfg.segmented_lru = segmented;
+  cfg.item_ttl = 400;
+  CacheServer cache(cfg);
+  ReferenceLru model(cfg);
+
+  // The ops draw from a window of `key_space` keys that slides through a
+  // pool eight times larger, so the set of home slots in play keeps
+  // changing: a fixed small key set may never reach the table's last slot.
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < 8 * key_space; ++i) {
+    // Short (inline) and long (heap-held) keys, sharing prefixes.
+    keys.push_back(i % 3 == 0 ? "a-rather-longer-key-name:" + std::to_string(i)
+                              : "k" + std::to_string(i));
+  }
+  // Sweeps of every resident key, about every 16 keys' worth of ops: an
+  // entry a bad shift strands out of its probe run shows at the next one.
+  const std::size_t sweep_every = std::max<std::size_t>(1, key_space / 16);
+  Rng rng(seed);
+  SimTime now = 0;
+  std::uint64_t deletes = 0;
+  std::size_t peak_items = 0;
+  for (int op = 0; op < ops; ++op) {
+    now += rng.next_int(0, 1);
+    model.unlinked.clear();
+    const std::string& key =
+        keys[(op / 16 + rng.next_below(key_space)) % keys.size()];
+    const std::uint64_t dice = rng.next_below(1000);
+    if (dice < 400) {
+      std::string value(rng.next_below(48), 'a');
+      for (char& c : value) c = static_cast<char>('a' + rng.next_below(26));
+      std::size_t charge = rng.next_bool(0.2) ? rng.next_below(200) : 0;
+      if (max_items) charge = kItemCharge - key.size() - cfg.per_item_overhead;
+      std::optional<std::uint32_t> crc;
+      if (rng.next_bool(0.5)) crc = crc32c(value);
+      ASSERT_EQ(cache.set(key, value, now, charge, 0, crc),
+                model.set(key, value, now, charge, crc))
+          << "op " << op;
+    } else if (dice < 620) {
+      ASSERT_EQ(cache.get(key, now), model.get(key, now)) << "op " << op;
+    } else if (dice < 900) {
+      const bool erased = model.erase(key);
+      deletes += erased;
+      ASSERT_EQ(cache.erase(key), erased) << "op " << op;
+    } else if (dice < 960) {
+      ASSERT_EQ(cache.contains(key, now), model.contains(key, now))
+          << "op " << op;
+    } else if (dice < 980) {
+      const auto limit = rng.next_int(0, 1000);
+      ASSERT_EQ(cache.expire_idle(now, limit), model.expire_idle(now, limit))
+          << "op " << op;
+    } else if (dice < 997) {
+      const std::size_t bit = rng.next_below(1024);
+      ASSERT_EQ(cache.corrupt_value_for_test(key, bit),
+                model.corrupt(key, bit))
+          << "op " << op;
+    } else if (dice < 999) {
+      cache.flush();
+      model.flush();
+    } else {
+      cache.power_off();
+      cache.power_on();
+      model.flush();
+    }
+
+    ASSERT_EQ(cache.item_count(), model.size()) << "op " << op;
+    ASSERT_EQ(cache.bytes_used(), model.bytes_used) << "op " << op;
+    ASSERT_EQ(cache.stats().hits, model.hits) << "op " << op;
+    ASSERT_EQ(cache.stats().misses, model.misses) << "op " << op;
+    ASSERT_EQ(cache.stats().evictions, model.evictions) << "op " << op;
+    ASSERT_EQ(cache.stats().expirations, model.expirations) << "op " << op;
+    ASSERT_EQ(cache.stats().deletes, deletes) << "op " << op;
+    // Residency and digest membership of the key the op named, of every
+    // item it unlinked (eviction victims included) and, at sweeps, of every
+    // resident key; with item_count equal, nothing else can be resident.
+    // The digest must track exactly the linked items.
+    const auto check = [&](const std::string& k) {
+      ASSERT_EQ(cache.contains(k, now), model.contains(k, now))
+          << "op " << op << " key " << k;
+      ASSERT_EQ(cache.digest().maybe_contains(k), model.linked(k))
+          << "op " << op << " key " << k;
+    };
+    check(key);
+    for (const std::string& k : model.unlinked) check(k);
+    if (op % sweep_every == 0) {
+      for (const auto& [k, it] : model.index()) check(k);
+    }
+    if (testing::Test::HasFatalFailure()) return;
+    peak_items = std::max(peak_items, model.size());
+  }
+  // The run filled the index and exercised every way out of it.
+  EXPECT_GE(peak_items, key_space / 3);
+  EXPECT_GT(cache.stats().evictions, 1000u);
+  EXPECT_GT(cache.stats().expirations, 10u);
+  EXPECT_GT(cache.stats().corrupt_drops, 0u);
+
+  // Exact digest: counters equal a filter built from the resident keys.
+  bloom::CountingBloomFilter expect(cfg.digest.num_counters,
+                                    cfg.digest.counter_bits,
+                                    cfg.digest.num_hashes, cfg.digest_seed);
+  for (const auto& [k, it] : model.index()) expect.insert(k);
+  for (std::size_t i = 0; i < expect.num_counters(); ++i) {
+    ASSERT_EQ(cache.digest().counter_at(i), expect.counter_at(i)) << i;
+  }
+}
+
+// The index seed differs per run, so each run probes a different table
+// layout. Caps of 15 and 31 items hold 32- and 64-slot tables just under
+// half full.
+struct DifferentialRun {
+  std::size_t key_space;
+  std::size_t max_items;
+  int ops;
+};
+constexpr DifferentialRun kDifferentialRuns[] = {
+    {24, 15, 300'000}, {48, 31, 200'000}, {160, 0, 100'000}};
+
+TEST(CacheServerDifferential, PlainLruMatchesReferenceModel) {
+  for (const DifferentialRun& run : kDifferentialRuns) {
+    SCOPED_TRACE(run.key_space);
+    ASSERT_NO_FATAL_FAILURE(run_differential(/*segmented=*/false,
+                                             run.key_space, run.max_items,
+                                             run.ops, 101 + run.key_space));
+  }
+}
+
+TEST(CacheServerDifferential, SegmentedLruMatchesReferenceModel) {
+  for (const DifferentialRun& run : kDifferentialRuns) {
+    SCOPED_TRACE(run.key_space);
+    ASSERT_NO_FATAL_FAILURE(run_differential(/*segmented=*/true,
+                                             run.key_space, run.max_items,
+                                             run.ops, 202 + run.key_space));
+  }
 }
 
 }  // namespace

@@ -158,6 +158,10 @@ bool TcpServer::service_read(int fd) {
         ++slow_drops_;
         return false;  // slow reader: replies piling up without bound
       }
+      // A short read drained the socket: stop here rather than pay one
+      // more read for its EAGAIN. poll is level-triggered, so bytes that
+      // arrive meanwhile are reported on the next pass.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) return true;
       continue;
     }
     if (n == 0) return false;  // peer closed

@@ -130,6 +130,39 @@ TEST_F(DaemonFixture, TextProtocolOverRealSocket) {
             "VALUE greeting 3 5\r\nhello\r\nEND\r\n");
 }
 
+TEST_F(DaemonFixture, CommandSplitAcrossTwoWritesIsServed) {
+  Client client(daemon_->port());
+  ASSERT_TRUE(client.connected());
+  client.set_recv_timeout(5);
+  // The daemon stops reading after a short read, so each half arrives on
+  // its own poll pass; the session must join them.
+  client.send("set spl");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  client.send("it 0 0 5\r\nhel");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  client.send("lo\r\n");
+  EXPECT_EQ(client.recv_until("\r\n"), "STORED\r\n");
+  client.send("get sp");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  client.send("lit\r\n");
+  EXPECT_EQ(client.recv_until("END\r\n"), "VALUE split 0 5\r\nhello\r\nEND\r\n");
+}
+
+TEST_F(DaemonFixture, SetLargerThanTheReadBufferIsStored) {
+  Client client(daemon_->port());
+  ASSERT_TRUE(client.connected());
+  client.set_recv_timeout(5);
+  // Three 16 KiB read buffers and a bit: full reads keep the loop reading,
+  // the short tail ends the pass.
+  std::string value(3 * 16 * 1024 + 100, 'v');
+  for (std::size_t i = 0; i < value.size(); i += 997) value[i] = 'w';
+  client.send("set big 0 0 " + std::to_string(value.size()) + "\r\n" + value +
+              "\r\nget big\r\n");
+  EXPECT_EQ(client.recv_until("END\r\n"),
+            "STORED\r\nVALUE big 0 " + std::to_string(value.size()) + "\r\n" +
+                value + "\r\nEND\r\n");
+}
+
 // A stock memcached binary GET: 24-byte header (magic 0x80, opcode 0x00,
 // key length 3, total body 3) followed by the key.
 std::string binary_get_frame() {

@@ -62,6 +62,41 @@ constexpr std::string_view kOverloadedReply = "SERVER_ERROR overloaded";
 // stays in sync and the socket is kept.
 constexpr std::string_view kStaleEpochReply = "SERVER_ERROR stale-epoch";
 
+// The byte count of a "VALUE <key> <flags> <bytes>[ C<hex8>]" reply line,
+// or nullopt for any other line. An echoed checksum token lands in `crc`.
+std::optional<std::size_t> parse_value_header(
+    std::string_view header, std::optional<std::uint32_t>& crc) {
+  if (!header.starts_with("VALUE ")) return std::nullopt;
+  // The byte count is the 4th token; a trailing C token (the echoed stored
+  // checksum we asked for) may follow it.
+  const std::size_t sp2 = header.find(' ', 6);
+  const std::size_t sp3 =
+      sp2 == std::string_view::npos ? sp2 : header.find(' ', sp2 + 1);
+  if (sp3 == std::string_view::npos) return std::nullopt;
+  const std::size_t bytes_begin = sp3 + 1;
+  std::size_t bytes_end = header.size();
+  const std::size_t sp4 = header.find(' ', bytes_begin);
+  if (sp4 != std::string_view::npos) {
+    bytes_end = sp4;
+    std::uint32_t stamp = 0;
+    if (!obs::decode_checksum_token(header.substr(sp4 + 1), stamp)) {
+      return std::nullopt;  // unknown extra token
+    }
+    crc = stamp;
+  }
+  if (bytes_begin >= bytes_end) return std::nullopt;
+  std::size_t bytes = 0;
+  for (std::size_t i = bytes_begin; i < bytes_end; ++i) {
+    const char c = header[i];
+    if (!std::isdigit(static_cast<unsigned char>(c)) ||
+        (bytes = bytes * 10 + static_cast<std::size_t>(c - '0')) >
+            kMaxValueBytes) {
+      return std::nullopt;
+    }
+  }
+  return bytes;
+}
+
 // Appends the checksum/fencing/trace/priority meta-tokens; the daemon
 // parses them back off the end of the line in any order. `checksum` is the
 // value's CRC32C on storage lines and the echo-request flag (value ignored)
@@ -324,67 +359,30 @@ MemcacheConnection::GetProgress MemcacheConnection::step_get(
           }
           return GetProgress::kPending;
         }
-        const std::string header = buffer_.substr(0, eol);
-        buffer_.erase(0, eol + 2);
-        if (header == "END") {  // miss (last_error_ == kNone)
-          get_stage_ = GetStage::kIdle;
-          return GetProgress::kDone;
-        }
-        if (header.rfind(kOverloadedReply, 0) == 0) {
+        // Parse the line where it lies; it is erased once the outcome is
+        // known, and `header` dangles from then on.
+        const std::string_view header(buffer_.data(), eol);
+        std::optional<std::size_t> bytes;
+        if (header == "END") {
+          // miss (last_error_ == kNone)
+        } else if (header.starts_with(kOverloadedReply)) {
           // Admission-control shed: a healthy, well-formed refusal. The
           // stream stays in sync (the daemon consumed the batch), so keep
           // the socket.
           last_error_ = net::NetError::kOverloaded;
-          get_stage_ = GetStage::kIdle;
-          return GetProgress::kDone;
-        }
-        if (header.rfind(kStaleEpochReply, 0) == 0) {
+        } else if (header.starts_with(kStaleEpochReply)) {
           last_error_ = net::NetError::kStaleEpoch;
-          get_stage_ = GetStage::kIdle;
-          return GetProgress::kDone;
-        }
-        // "VALUE <key> <flags> <bytes>[ C<hex8>]" — anything else means the
-        // stream is desynced and this connection can never be trusted again.
-        std::size_t bytes_begin = std::string::npos;
-        std::size_t bytes_end = header.size();
-        if (header.rfind("VALUE ", 0) == 0) {
-          // The byte count is the 4th token; a trailing C token (the echoed
-          // stored checksum we asked for) may follow it.
-          const std::size_t sp2 = header.find(' ', 6);
-          const std::size_t sp3 =
-              sp2 == std::string::npos ? sp2 : header.find(' ', sp2 + 1);
-          if (sp3 != std::string::npos) {
-            bytes_begin = sp3 + 1;
-            const std::size_t sp4 = header.find(' ', bytes_begin);
-            if (sp4 != std::string::npos) {
-              bytes_end = sp4;
-              std::uint32_t crc = 0;
-              if (!obs::decode_checksum_token(
-                      std::string_view(header).substr(sp4 + 1), crc)) {
-                bytes_begin = std::string::npos;  // unknown extra token
-              } else {
-                value_checksum_ = crc;
-              }
-            }
-          }
-        }
-        if (bytes_begin == std::string::npos || bytes_begin >= bytes_end) {
+        } else if (!(bytes = parse_value_header(header, value_checksum_))) {
+          // Anything else means the stream is desynced and this connection
+          // can never be trusted again.
           fail(net::NetError::kProtocol);
+        }
+        buffer_.erase(0, eol + 2);
+        if (!bytes) {
           get_stage_ = GetStage::kIdle;
           return GetProgress::kDone;
         }
-        std::size_t bytes = 0;
-        for (std::size_t i = bytes_begin; i < bytes_end; ++i) {
-          const char c = header[i];
-          if (!std::isdigit(static_cast<unsigned char>(c)) ||
-              (bytes = bytes * 10 + static_cast<std::size_t>(c - '0')) >
-                  kMaxValueBytes) {
-            fail(net::NetError::kProtocol);
-            get_stage_ = GetStage::kIdle;
-            return GetProgress::kDone;
-          }
-        }
-        pending_bytes_ = bytes;
+        pending_bytes_ = *bytes;
         get_stage_ = GetStage::kBody;
         break;
       }

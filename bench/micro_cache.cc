@@ -48,6 +48,29 @@ void BM_CacheGetHit(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheGetHit);
 
+void BM_CacheGetHitResident(benchmark::State& state) {
+  // Get hits at three index sizes: the simulator's ~1k items per server,
+  // hot-get's 20k keys and a full 64 MB daemon's 400k 100-byte items. Keys
+  // are drawn in random order so each lookup pays its cache misses.
+  CacheServer cache(bench_config());
+  const auto resident = static_cast<std::size_t>(state.range(0));
+  std::vector<std::string> keys;
+  keys.reserve(resident);
+  for (std::size_t i = 0; i < resident; ++i) {
+    keys.push_back("page:" + std::to_string(i));
+    cache.set(keys.back(), "value", 0, 100);
+  }
+  Rng rng(11);
+  std::vector<const std::string*> order(1 << 16);
+  for (auto& key : order) key = &keys[rng.next_below(resident)];
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.get(*order[k++ & (order.size() - 1)], 0));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CacheGetHitResident)->Arg(1'000)->Arg(20'000)->Arg(400'000);
+
 void BM_CacheGetMiss(benchmark::State& state) {
   CacheServer cache(bench_config());
   std::uint64_t k = 0;

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Observability benchmark export: runs the obs micro-benchmarks
 # (micro_metrics + micro_spans + micro_audit + micro_tsdb +
-# micro_integrity) with Google
-# Benchmark's JSON reporter, plus the crash-recovery extension experiment
-# (ext_failure_recovery --json), and merges them into one machine-readable
-# artifact, BENCH_obs.json:
+# micro_integrity) and the cache data-plane micro-benchmarks (micro_cache)
+# with Google Benchmark's JSON reporter, plus the crash-recovery extension
+# experiment (ext_failure_recovery --json), and merges them into one
+# machine-readable artifact, BENCH_obs.json:
 #
 #   { "micro_metrics": {...}, "micro_spans": {...}, "micro_audit": {...},
-#     "micro_tsdb": {...}, "micro_integrity": {...},
+#     "micro_tsdb": {...}, "micro_integrity": {...}, "micro_cache": {...},
 #     "ext_failure_recovery": {...}, "ext_shard_scaling": {...} }
+#
+# micro_cache is recorded only (its index-size sweep is the reference for
+# CacheServer lookup cost); no budget applies to it.
 #
 # Also checks the acceptance budgets of the off-path costs:
 #   * should_sample() with sampling disabled must cost <= 5 ns/op
@@ -54,7 +57,8 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
 for bin in micro_metrics micro_spans micro_audit micro_tsdb \
-           micro_integrity ext_failure_recovery ext_shard_scaling; do
+           micro_integrity micro_cache ext_failure_recovery \
+           ext_shard_scaling; do
   if [[ ! -x "$BUILD_DIR/bench/$bin" ]]; then
     echo "bench_json.sh: $BUILD_DIR/bench/$bin not built" >&2
     echo "  (cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j)" >&2
@@ -80,6 +84,9 @@ echo "== micro_tsdb =="
 echo "== micro_integrity =="
 "$BUILD_DIR/bench/micro_integrity" \
   --benchmark_out="$TMP/micro_integrity.json" --benchmark_out_format=json
+echo "== micro_cache =="
+"$BUILD_DIR/bench/micro_cache" \
+  --benchmark_out="$TMP/micro_cache.json" --benchmark_out_format=json
 echo "== ext_failure_recovery =="
 "$BUILD_DIR/bench/ext_failure_recovery" --json \
   > "$TMP/ext_failure_recovery.json"
@@ -103,6 +110,8 @@ echo "== ext_shard_scaling =="
   cat "$TMP/micro_tsdb.json"
   printf ',\n"micro_integrity":\n'
   cat "$TMP/micro_integrity.json"
+  printf ',\n"micro_cache":\n'
+  cat "$TMP/micro_cache.json"
   printf ',\n"ext_failure_recovery":\n'
   cat "$TMP/ext_failure_recovery.json"
   printf ',\n"ext_shard_scaling":\n'

@@ -164,13 +164,20 @@ bool CacheServer::expired(const Item& item, SimTime now) const noexcept {
 
 std::optional<std::string> CacheServer::get(std::string_view key, SimTime now,
                                             ItemMeta* meta) {
+  std::string out;
+  if (!get_into(key, now, out, meta)) return std::nullopt;
+  return out;
+}
+
+bool CacheServer::get_into(std::string_view key, SimTime now,
+                           std::string& out, ItemMeta* meta) {
   PROTEUS_CHECK_MSG(power_state_ != PowerState::kOff,
                     "get() on a powered-off cache server");
   ++stats_.gets;
   const LruList::iterator* found = index_.find(key, index_.hash(key));
   if (found == nullptr) {
     ++stats_.misses;
-    return std::nullopt;
+    return false;
   }
   const LruList::iterator it = *found;
   if (expired(*it, now)) {
@@ -179,7 +186,7 @@ std::optional<std::string> CacheServer::get(std::string_view key, SimTime now,
     obs::emit(config_.trace, now, obs::TraceEventKind::kTtlExpiry,
               config_.trace_server_id, -1, 1, key);
     unlink(it);
-    return std::nullopt;
+    return false;
   }
   // End-to-end integrity: items stamped with a CRC32C at SET time are
   // re-verified on every serve. A mismatch means the bytes rotted at rest
@@ -192,7 +199,7 @@ std::optional<std::string> CacheServer::get(std::string_view key, SimTime now,
     obs::emit(config_.trace, now, obs::TraceEventKind::kCorruption,
               config_.trace_server_id, -1, /*n=at-rest*/ 1, key);
     unlink(it);
-    return std::nullopt;
+    return false;
   }
   ++stats_.hits;
   it->last_access = now;
@@ -201,7 +208,8 @@ std::optional<std::string> CacheServer::get(std::string_view key, SimTime now,
     meta->flags = it->flags;
     meta->crc = it->has_crc ? std::optional(it->crc) : std::nullopt;
   }
-  return it->value;
+  out = it->value;
+  return true;
 }
 
 bool CacheServer::set(std::string_view key, std::string value, SimTime now,

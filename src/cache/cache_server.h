@@ -134,6 +134,11 @@ class CacheServer {
   // on a hit, `meta` (optional) receives the item's metadata.
   std::optional<std::string> get(std::string_view key, SimTime now,
                                  ItemMeta* meta = nullptr);
+  // get() into a caller's buffer: on a hit assigns the value to `out`
+  // (reusing its capacity) and returns true; a miss returns false and
+  // leaves `out` and `meta` untouched.
+  bool get_into(std::string_view key, SimTime now, std::string& out,
+                ItemMeta* meta = nullptr);
 
   // Stores (key, value); `charge` overrides the accounted value size so a
   // simulation can model 4 KB pages without materialising 4 KB payloads.

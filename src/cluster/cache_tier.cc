@@ -15,66 +15,78 @@ CacheTier::CacheTier(sim::Simulation& sim, CacheTierConfig config)
   }
 }
 
-void CacheTier::async_get(int server, const std::string& key,
-                          GetCallback done) {
+CacheTier::Op* CacheTier::acquire(int server, std::string_view key) {
   PROTEUS_CHECK(server >= 0 && server < config_.num_servers);
-  if (servers_[static_cast<std::size_t>(server)]->power_state() ==
-      cache::PowerState::kOff) {
+  Op* op;
+  if (free_ops_.empty()) {
+    ops_.push_back(std::make_unique<Op>());
+    op = ops_.back().get();
+  } else {
+    op = free_ops_.back();
+    free_ops_.pop_back();
+  }
+  op->server = server;
+  op->key.assign(key);
+  return op;
+}
+
+void CacheTier::release(Op* op) {
+  op->done.reset();
+  free_ops_.push_back(op);
+}
+
+void CacheTier::reply(Op* op) {
+  op->done(op->hit ? std::optional<std::string_view>(op->value)
+                   : std::nullopt);
+  release(op);  // only now: the continuation read the hit in place
+}
+
+void CacheTier::async_get(int server, std::string_view key,
+                          GetCallback done) {
+  Op* op = acquire(server, key);
+  op->done = std::move(done);
+  op->hit = false;
+  if (powered_off(server)) {
     // Routed against a mapping that was retired between the routing
     // decision and this hop (e.g. a drain window just ended): miss.
-    sim_.schedule_after(2 * config_.hop_latency,
-                        [done = std::move(done)]() mutable { done(std::nullopt); });
+    sim_.schedule_after(2 * config_.hop_latency, [this, op] { reply(op); });
     return;
   }
   ++gets_served_[static_cast<std::size_t>(server)];
   // Request hop, queued service, then the in-memory lookup and reply hop.
-  // Each closure moves the key and `done` on into the next, so the key is
-  // copied once and no continuation is wrapped in another. (A plain `key`
-  // capture would be a const std::string, whose "move" copies.)
-  sim_.schedule_after(config_.hop_latency,
-                      [this, server, key = std::string(key),
-                       done = std::move(done)]() mutable {
-    queues_[static_cast<std::size_t>(server)]->submit(
-        config_.service_time,
-        [this, server, key = std::move(key),
-         done = std::move(done)]() mutable {
+  sim_.schedule_after(config_.hop_latency, [this, op] {
+    queues_[static_cast<std::size_t>(op->server)]->submit(
+        config_.service_time, [this, op] {
           // The server may have been powered off while this request was in
           // flight (brutal resize, or a drain window ending). Like a reset
           // TCP connection, that reads as a miss.
-          auto& srv = *servers_[static_cast<std::size_t>(server)];
-          auto value = srv.power_state() == cache::PowerState::kOff
-                           ? std::nullopt
-                           : srv.get(key, sim_.now());
-          sim_.schedule_after(config_.hop_latency,
-                              [done = std::move(done),
-                               value = std::move(value)]() mutable {
-                                done(std::move(value));
-                              });
+          op->hit = !powered_off(op->server) &&
+                    servers_[static_cast<std::size_t>(op->server)]->get_into(
+                        op->key, sim_.now(), op->value);
+          sim_.schedule_after(config_.hop_latency, [this, op] { reply(op); });
         });
   });
 }
 
-void CacheTier::async_set(int server, const std::string& key,
-                          std::string value, std::size_t charge) {
-  PROTEUS_CHECK(server >= 0 && server < config_.num_servers);
-  sim_.schedule_after(
-      config_.hop_latency,
-      [this, server, key = std::string(key), value = std::move(value),
-       charge]() mutable {
-        if (servers_[static_cast<std::size_t>(server)]->power_state() ==
-            cache::PowerState::kOff) {
-          return;  // raced with a power-off; drop like a failed TCP write
-        }
-        queues_[static_cast<std::size_t>(server)]->submit(
-            config_.service_time,
-            [this, server, key = std::move(key), value = std::move(value),
-             charge]() mutable {
-              auto& srv = *servers_[static_cast<std::size_t>(server)];
-              if (srv.power_state() != cache::PowerState::kOff) {
-                srv.set(key, std::move(value), sim_.now(), charge);
-              }
-            });
-      });
+void CacheTier::async_set(int server, std::string_view key,
+                          std::string_view value, std::size_t charge) {
+  Op* op = acquire(server, key);
+  op->value.assign(value);
+  op->charge = charge;
+  sim_.schedule_after(config_.hop_latency, [this, op] {
+    if (powered_off(op->server)) {
+      release(op);  // raced with a power-off; drop like a failed TCP write
+      return;
+    }
+    queues_[static_cast<std::size_t>(op->server)]->submit(
+        config_.service_time, [this, op] {
+          if (!powered_off(op->server)) {
+            servers_[static_cast<std::size_t>(op->server)]->set(
+                op->key, op->value, sim_.now(), op->charge);
+          }
+          release(op);
+        });
+  });
 }
 
 double CacheTier::aggregate_hit_ratio() const {

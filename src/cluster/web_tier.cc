@@ -54,7 +54,8 @@ void WebTier::handle(const std::string& key, sim::Callback<void()> done) {
   Request* req = acquire_request();
   req->key = key;
   req->done = std::move(done);
-  req->web = static_cast<int>(next_server_++ % queues_.size());
+  req->web = static_cast<int>(next_server_);
+  if (++next_server_ == queues_.size()) next_server_ = 0;
   req->start = sim_.now();
   req->trace = obs::TraceContext::begin(config_.spans, sim_.now());
   req->trace.in_transition = routers_.front()->in_transition();
@@ -89,8 +90,8 @@ void WebTier::advance(Request* req, core::Retrieval::Action a) {
           break;
         }
         cache_.async_get(a.server, req->key,
-                         [this, req](std::optional<std::string> v) {
-          advance(req, v ? req->retrieval.got(Reply::kHit, std::move(*v))
+                         [this, req](std::optional<std::string_view> v) {
+          advance(req, v ? req->retrieval.got(Reply::kHit, *v)
                          : req->retrieval.got(Reply::kMiss));
         });
         return;

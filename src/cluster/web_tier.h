@@ -120,8 +120,10 @@ class WebTier {
 
  private:
   // One request's state, from the RBE hop to the reply hop. Pooled, so the
-  // events and continuations of a request carry only (this, Request*) and
-  // its key buffer is reused once the pool is warm.
+  // events and continuations of a request carry only (this, Request*), and
+  // its key buffer and its retrieval's value buffer keep their capacity
+  // from one request to the next, so a cache hit is copied in without
+  // allocating.
   struct Request {
     explicit Request(const core::Retrieval::Options& options)
         : retrieval(options) {}
@@ -148,7 +150,9 @@ class WebTier {
   CacheTier& cache_;
   db::Database& db_;
   std::vector<std::unique_ptr<sim::QueueingServer>> queues_;
-  std::size_t next_server_ = 0;  // user requests are spread uniformly (§VI-C)
+  // The next request's web server: user requests are spread uniformly
+  // (§VI-C), round robin.
+  std::size_t next_server_ = 0;
   // In-flight database fetches by key (dog-pile coalescing): the requests
   // piggybacked on each.
   std::unordered_map<std::string, std::vector<Request*>> inflight_db_;

@@ -38,6 +38,16 @@ Retrieval::Action Retrieval::routed(const cluster::Router::Decision& d) {
 }
 
 Retrieval::Action Retrieval::got(Reply reply, std::string value) {
+  if (reply == Reply::kHit) value_ = std::move(value);
+  return on_reply(reply);
+}
+
+Retrieval::Action Retrieval::got(Reply reply, std::string_view value) {
+  if (reply == Reply::kHit) value_.assign(value);
+  return on_reply(reply);
+}
+
+Retrieval::Action Retrieval::on_reply(Reply reply) {
   static constexpr obs::SpanCause kCause[] = {
       obs::SpanCause::kHit,         obs::SpanCause::kMiss,
       obs::SpanCause::kDown,        obs::SpanCause::kQuarantined,
@@ -51,7 +61,6 @@ Retrieval::Action Retrieval::got(Reply reply, std::string value) {
   }
   switch (reply) {
     case Reply::kHit:
-      value_ = std::move(value);
       if (at_old_) {
         bump(opt_->counters.old_server_hits);
         emit(obs::TraceEventKind::kMigrationHit, server, d_.primary,

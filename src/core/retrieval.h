@@ -82,7 +82,10 @@ class Retrieval {
   Action start(std::string_view key, int replicas, SimTime now,
                obs::TraceContext* ctx);
   Action routed(const cluster::Router::Decision& decision);
-  Action got(Reply reply, std::string value = {});  // value: kHit only
+  // value: kHit only. The view form assigns into the machine's own buffer,
+  // so a reused machine takes a hit without allocating.
+  Action got(Reply reply, std::string value = {});
+  Action got(Reply reply, std::string_view value);
   Action probed(bool resident);
   Action fetched(Fetch result, std::string value = {});
   Action stored(bool ok);
@@ -95,6 +98,7 @@ class Retrieval {
   bool degraded() const noexcept { return degraded_; }
 
  private:
+  Action on_reply(Reply reply);  // got()'s body, once value_ holds a hit
   Action next_ring();
   Action store(obs::SpanKind kind);
   Action next_store();

@@ -41,15 +41,19 @@ class DiurnalModel {
     const double x = 2.0 * std::numbers::pi *
                      static_cast<double>(t - config_.phase) /
                      static_cast<double>(config_.period);
-    double r = config_.mean_rate * (1.0 + config_.amplitude * std::sin(x));
+    double u = 0;
     if (config_.jitter > 0) {
       const auto slot = static_cast<std::uint64_t>(t / config_.jitter_slot);
-      const double u =
-          static_cast<double>(hash_u64(slot, config_.seed) >> 11) * 0x1.0p-53;
-      r *= 1.0 + config_.jitter * (2.0 * u - 1.0);
+      u = static_cast<double>(hash_u64(slot, config_.seed) >> 11) * 0x1.0p-53;
     }
-    return r;
+    return rate(std::sin(x), u);
   }
+
+  // The least rate_at can return: its own arithmetic at sin = -1 and u = 0.
+  // While jitter <= 1 (no rate is negative) every factor is nonnegative and
+  // each operation monotonic in sin and u, so rounding keeps
+  // min_rate() <= rate_at(t) for every t.
+  double min_rate() const noexcept { return rate(-1.0, 0.0); }
 
   double peak_rate() const noexcept {
     return config_.mean_rate * (1.0 + config_.amplitude) * (1.0 + config_.jitter);
@@ -61,6 +65,13 @@ class DiurnalModel {
   const DiurnalConfig& config() const noexcept { return config_; }
 
  private:
+  // rate_at for a sine value `s` and a jitter draw `u` in [0, 1).
+  double rate(double s, double u) const noexcept {
+    double r = config_.mean_rate * (1.0 + config_.amplitude * s);
+    if (config_.jitter > 0) r *= 1.0 + config_.jitter * (2.0 * u - 1.0);
+    return r;
+  }
+
   DiurnalConfig config_;
 };
 

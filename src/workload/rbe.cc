@@ -13,7 +13,8 @@ RbeCluster::RbeCluster(sim::Simulation& sim, RbeConfig config,
       model_(model),
       issue_(std::move(issue)),
       rng_(config.seed),
-      zipf_(config.num_pages, config.zipf_alpha) {
+      zipf_(config.num_pages, config.zipf_alpha),
+      retire_floor_(population(model_.min_rate())) {
   PROTEUS_CHECK(issue_ != nullptr);
   PROTEUS_CHECK(config_.think_time_sec > 0);
   PROTEUS_CHECK(config_.pages_per_user > 0);
@@ -25,8 +26,8 @@ void RbeCluster::start(SimTime horizon) {
   control_tick();
 }
 
-std::size_t RbeCluster::target_population(SimTime t) const {
-  const double target = model_.rate_at(t) * config_.think_time_sec;
+std::size_t RbeCluster::population(double rate) const {
+  const double target = rate * config_.think_time_sec;
   return static_cast<std::size_t>(std::max(1.0, std::round(target)));
 }
 
@@ -78,7 +79,8 @@ void RbeCluster::control_tick() {
 void RbeCluster::user_cycle(std::size_t user_index) {
   User& user = *users_[user_index];
   const SimTime now = sim_.now();
-  if (now >= horizon_ || user_index >= target_population(now)) {
+  if (now >= horizon_ ||
+      (user_index >= retire_floor_ && user_index >= target_population(now))) {
     user.alive = false;
     --live_users_;
     return;

@@ -53,6 +53,16 @@ class RbeCluster {
   // Arms the population controller; users run until `horizon`.
   void start(SimTime horizon);
 
+  // The population the diurnal model asks for at `t`: round(rate * think),
+  // at least 1. Users with an index at or above it retire.
+  std::size_t target_population(SimTime t) const {
+    return population(model_.rate_at(t));
+  }
+  // The least target_population can return over all time (1 when the
+  // model's jitter exceeds 1 and its least rate is negative). A user below
+  // it never retires, so its cycle skips the model's sin and hash.
+  std::size_t retire_floor() const noexcept { return retire_floor_; }
+
   std::size_t live_users() const noexcept { return live_users_; }
   std::uint64_t completed_requests() const noexcept { return completed_; }
   std::uint64_t sessions_started() const noexcept { return sessions_started_; }
@@ -74,7 +84,7 @@ class RbeCluster {
   void control_tick();
   void user_cycle(std::size_t user_index);
   void record_latency(SimTime completion, SimTime latency);
-  std::size_t target_population(SimTime t) const;
+  std::size_t population(double rate) const;
   User& materialize_user(std::size_t index);
   void begin_session(User& user, SimTime now);
 
@@ -84,6 +94,7 @@ class RbeCluster {
   IssueFn issue_;
   Rng rng_;
   ZipfSampler zipf_;
+  std::size_t retire_floor_;
   SimTime horizon_ = 0;
   std::vector<std::unique_ptr<User>> users_;
   std::size_t live_users_ = 0;

@@ -1,6 +1,9 @@
 #include "workload/trace.h"
 
+#include <charconv>
 #include <istream>
+#include <iterator>
+#include <limits>
 #include <ostream>
 
 #include "common/check.h"
@@ -8,7 +11,9 @@
 namespace proteus::workload {
 
 std::string page_key(std::size_t page_id) {
-  return "page:" + std::to_string(page_id);
+  char buf[5 + std::numeric_limits<std::size_t>::digits10 + 1] = "page:";
+  const char* end = std::to_chars(buf + 5, std::end(buf), page_id).ptr;
+  return std::string(buf, static_cast<std::size_t>(end - buf));
 }
 
 std::vector<TraceEvent> generate_trace(const TraceConfig& config) {

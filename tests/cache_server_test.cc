@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <iterator>
 #include <list>
 #include <map>
+#include <new>
 #include <optional>
 #include <string>
 #include <utility>
@@ -15,6 +19,20 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+
+// Counts every allocation in this binary, so a test can check that a
+// call makes none.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace proteus::cache {
 namespace {
@@ -435,6 +453,55 @@ TEST(CacheServer, UnstampedItemsAreNotVerified) {
   EXPECT_FALSE(meta.crc.has_value());
 }
 
+TEST(CacheServer, GetIntoHitReusesTheBufferWithoutAllocating) {
+  CacheServer cache(small_config());
+  const std::string value(100, 'v');  // past the small-string buffer
+  cache.set("k", value, 0, /*charge=*/0, /*flags=*/7, crc32c(value));
+  std::string out;
+  out.reserve(256);
+  const char* buffer = out.data();
+  CacheServer::ItemMeta meta;
+  const std::uint64_t before = g_allocations.load();
+  const bool hit = cache.get_into("k", 1, out, &meta);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(out, value);
+  EXPECT_EQ(out.data(), buffer);
+  EXPECT_EQ(meta.flags, 7u);
+  EXPECT_EQ(meta.crc, crc32c(value));
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(CacheServer, GetIntoMissesLeaveTheBufferUntouched) {
+  CacheConfig cfg = small_config();
+  cfg.item_ttl = 10 * kSecond;
+  CacheServer cache(cfg);
+  const std::string kept = "what the buffer held before the get";
+  std::string out = kept;
+  CacheServer::ItemMeta meta;
+  meta.flags = 42;
+
+  EXPECT_FALSE(cache.get_into("absent", 0, out, &meta));
+
+  cache.set("old", "v", 0);
+  EXPECT_FALSE(cache.get_into("old", 30 * kSecond, out, &meta));
+  EXPECT_EQ(cache.stats().expirations, 1u);
+
+  const std::string value = "payload-guarded-by-crc32c";
+  cache.set("ck", value, 30 * kSecond, /*charge=*/0, /*flags=*/0,
+            crc32c(value));
+  ASSERT_TRUE(cache.corrupt_value_for_test("ck", 13));
+  EXPECT_FALSE(cache.get_into("ck", 31 * kSecond, out, &meta));
+  EXPECT_EQ(cache.stats().corrupt_drops, 1u);
+
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(out, kept);
+  EXPECT_EQ(meta.flags, 42u);
+  EXPECT_FALSE(meta.crc.has_value());
+}
+
 // The LRU policy written the obvious way, as a reference for the
 // randomized differential test below: one std::list per segment and a
 // std::map from key to list position, with the CacheServer rules restated
@@ -600,7 +667,8 @@ class ReferenceLru {
 // (backward shifts). With `max_items` set, every item is charged the same
 // and the budget holds exactly that many: a cap just under a growth point
 // keeps a small table near half full, where runs are long and many wrap
-// past its end. With `max_items` 0, sizes vary.
+// past its end. With `max_items` 0, sizes vary. Gets alternate between
+// get() and get_into().
 void run_differential(bool segmented, std::size_t key_space,
                       std::size_t max_items, int ops, std::uint64_t seed) {
   constexpr std::size_t kItemCharge = 64;
@@ -646,7 +714,16 @@ void run_differential(bool segmented, std::size_t key_space,
                 model.set(key, value, now, charge, crc))
           << "op " << op;
     } else if (dice < 620) {
-      ASSERT_EQ(cache.get(key, now), model.get(key, now)) << "op " << op;
+      const std::optional<std::string> want = model.get(key, now);
+      if (op % 2 == 0) {
+        ASSERT_EQ(cache.get(key, now), want) << "op " << op;
+      } else {
+        // get_into: a hit overwrites the buffer, a miss leaves it alone.
+        std::string out = "stale";
+        ASSERT_EQ(cache.get_into(key, now, out), want.has_value())
+            << "op " << op;
+        ASSERT_EQ(out, want.value_or("stale")) << "op " << op;
+      }
     } else if (dice < 900) {
       const bool erased = model.erase(key);
       deletes += erased;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -161,6 +163,59 @@ TEST(Rbe, PopulationShrinksWhenRateDrops) {
   sim.run_until(40 * kSecond);  // near the valley
   const std::size_t at_valley = rbe.live_users();
   EXPECT_GT(at_peak, 2 * at_valley);
+}
+
+// A user below the retire floor skips the model's sin and hash, so the
+// floor must never exceed the population the model asks for. Swept every
+// millisecond over one full period, which holds every jitter slot and the
+// exact trough, for the default experiment's shape, no jitter, amplitude
+// and jitter near 1, and means whose valley lands by a rounding boundary.
+TEST(Rbe, RetireFloorNeverExceedsTargetPopulation) {
+  struct Case {
+    double mean_rate;
+    double amplitude;
+    double jitter;
+    std::uint64_t seed;
+  };
+  const Case cases[] = {
+      {300, 1.0 / 3.0, 0.05, 1},
+      {300, 1.0 / 3.0, 0, 2},
+      // Valley targets a hair under and over round's tie at 50.5: a floor
+      // computed even slightly high rounds up past the trough's target.
+      {(50.5 - 1e-9) / 0.75 / 0.5, 0.25, 0, 3},
+      {(50.5 + 1e-9) / 0.75 / 0.5, 0.25, 0, 4},
+      {(50.5 - 1e-9) / 0.75 / 0.9 / 0.5, 0.25, 0.1, 8},
+      {500, 0.999, 0.05, 5},
+      {40, 0.999999, 0.2, 6},  // the valley target rounds below 1
+      {80, 0.5, 0.99, 7},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.seed);
+    DiurnalConfig cfg;
+    cfg.mean_rate = c.mean_rate;
+    cfg.amplitude = c.amplitude;
+    cfg.jitter = c.jitter;
+    cfg.seed = c.seed;
+    cfg.period = 1000 * kSecond;
+    cfg.phase = 137 * kSecond;
+    cfg.jitter_slot = 10 * kSecond;  // 100 slots per period
+    sim::Simulation sim;
+    RbeCluster rbe(sim, small_rbe(), DiurnalModel(cfg),
+                   [](const std::string&, RbeCluster::Done) {});
+    const std::size_t floor = rbe.retire_floor();
+    ASSERT_GE(floor, 1u);
+    std::size_t least = SIZE_MAX;
+    for (SimTime t = 0; t <= cfg.period; t += kMillisecond) {
+      const std::size_t target = rbe.target_population(t);
+      ASSERT_LE(floor, target) << "t = " << t;
+      least = std::min(least, target);
+    }
+    // Without jitter the sweep reaches the trough itself: the floor is the
+    // least target, not just a bound on it.
+    if (c.jitter == 0) {
+      EXPECT_EQ(floor, least);
+    }
+  }
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ class Script {
                         std::string(obs::span_kind_name(a.kind)));
           const auto it = replies_.find({a.server, a.kind});
           const Reply r = it == replies_.end() ? Reply::kMiss : it->second;
-          a = m.got(r, r == Reply::kHit ? "cached" : "");
+          a = m.got(r, std::string(r == Reply::kHit ? "cached" : ""));
           break;
         }
         case Step::kProbe:

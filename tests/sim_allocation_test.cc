@@ -1,12 +1,13 @@
 // Allocation guard for the simulator's request path. This binary replaces
 // the global operator new with a counting one and runs a whole mini
 // scenario. With in-place event cells, queue jobs kept in the station's own
-// cells, move-only continuations between the tiers and a flat cache key
-// index, a request allocates about 1.3 times (1.28 measured), for copies of
-// its value and the cache's LRU list nodes; wrapping the continuations in
-// nested std::functions cost about 8. The bound of 2 sits below 1.3 + 1, so
-// one std::function that allocates once per request anywhere on the path
-// fails it.
+// cells, move-only continuations between the tiers, a flat cache key index,
+// pooled web requests and cache-tier operations, and hits copied into
+// their reused buffers, a request allocates about 0.36 times (measured):
+// the database's value, and the value and LRU list node of each item a
+// fill or migration stores. A heap copy of every hit cost about 0.9 more,
+// nested std::function continuations about 8. The bound of 0.5 sits below
+// 0.36 + 0.2, so a copy on the path of even one request in five fails it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,7 +34,7 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace proteus::cluster {
 namespace {
 
-TEST(SimAllocations, AtMostTwoPerCompletedRequest) {
+TEST(SimAllocations, AtMostHalfPerCompletedRequest) {
   const ScenarioConfig cfg = mini_config(ScenarioKind::kProteus);
   const std::uint64_t before = g_allocations.load();
   const ScenarioResult r = run_scenario(cfg);
@@ -44,7 +45,7 @@ TEST(SimAllocations, AtMostTwoPerCompletedRequest) {
   std::printf("%llu allocations over %llu requests: %.2f per request\n",
               static_cast<unsigned long long>(allocations),
               static_cast<unsigned long long>(r.total_requests), per_request);
-  EXPECT_LE(per_request, 2.0);
+  EXPECT_LE(per_request, 0.5);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "cluster/cache_cluster.h"
 #include "hashring/proteus_placement.h"
@@ -237,6 +240,75 @@ TEST(WebTier, CrashMidTransitionDropsDigestInsteadOfPhantomFallback) {
                 .get(victim_key, rig.sim.now())
                 .value_or(""),
             rig.db.value_for(victim_key));
+}
+
+TEST(WebTier, CacheOperationRecordsAreRecycled) {
+  Rig rig;
+  // One request at a time: a get, then at most a fill still in flight.
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 40; ++i) rig.request("page:" + std::to_string(i));
+  }
+  rig.sim.run();
+  EXPECT_LE(rig.tier.ops_pooled(), 2u);
+  EXPECT_EQ(rig.tier.ops_in_flight(), 0u);
+
+  // Bursts of 40 concurrent hits: the pool grows to the burst's peak of
+  // gets in flight once, then serves every later burst from its records.
+  int completed = 0;
+  for (int i = 0; i < 40; ++i) {
+    rig.web.handle("page:" + std::to_string(i), [&] { ++completed; });
+  }
+  rig.sim.run();
+  const std::size_t peak = rig.tier.ops_pooled();
+  EXPECT_GT(peak, 2u);
+  EXPECT_LE(peak, 40u);
+  for (int burst = 0; burst < 5; ++burst) {
+    for (int i = 0; i < 40; ++i) {
+      rig.web.handle("page:" + std::to_string(i), [&] { ++completed; });
+    }
+    rig.sim.run();
+  }
+  EXPECT_EQ(completed, 6 * 40);
+  EXPECT_EQ(rig.web.stats().new_server_hits, 40u + 6 * 40);
+  EXPECT_EQ(rig.tier.ops_pooled(), peak);
+  EXPECT_EQ(rig.tier.ops_in_flight(), 0u);
+}
+
+TEST(WebTier, GetWhoseServerPowersOffInFlightReadsAsMiss) {
+  Rig rig;
+  rig.request("page:3");
+  rig.sim.run();  // the fill lands
+  const int server = rig.router->decide("page:3").primary;
+  const SimTime hop = rig.tier.config().hop_latency;
+
+  // Undisturbed, the get hits and the view holds the stored value.
+  std::optional<std::string> got;
+  int replies = 0;
+  const auto get = [&] {
+    rig.tier.async_get(server, "page:3",
+                       [&](std::optional<std::string_view> v) {
+                         ++replies;
+                         got = v ? std::optional<std::string>(*v)
+                                 : std::nullopt;
+                       });
+  };
+  get();
+  rig.sim.run();
+  ASSERT_EQ(replies, 1);
+  EXPECT_EQ(got, rig.db.value_for("page:3"));
+
+  // The server powers off after the request hop, before the service.
+  const std::size_t pooled = rig.tier.ops_pooled();
+  get();
+  rig.sim.run_until(rig.sim.now() + hop);
+  EXPECT_EQ(replies, 1);
+  EXPECT_EQ(rig.tier.ops_in_flight(), 1u);
+  rig.tier.server(server).power_off();
+  rig.sim.run();
+  ASSERT_EQ(replies, 2);
+  EXPECT_EQ(got, std::nullopt);
+  EXPECT_EQ(rig.tier.ops_in_flight(), 0u);
+  EXPECT_EQ(rig.tier.ops_pooled(), pooled);
 }
 
 TEST(WebTier, StatsAccounting) {

@@ -1,12 +1,17 @@
 // Microbenchmarks — discrete-event simulator throughput. A full Fig. 9 run
 // is ~10M events; the event loop must stay in the tens of nanoseconds per
 // event for the whole 4-scenario suite to regenerate in seconds.
+// BM_ClusterRequest times the cluster model above the event core: one
+// simulated user request through every tier.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 
+#include "cluster/scenario.h"
 #include "sim/queueing_server.h"
 #include "sim/simulation.h"
 
@@ -145,5 +150,33 @@ void BM_FarTimerMix(benchmark::State& state) {
                           kRequests);
 }
 BENCHMARK(BM_FarTimerMix);
+
+// The cluster model's request path: RBE think loop, web tier, Algorithm 2,
+// pooled cache-tier gets and sets, database fetches, reply. Runs the
+// default experiment's Proteus scenario for its first `range(0)`
+// provisioning slots (two simulated minutes each, about 25 k requests per
+// slot) and reports wall nanoseconds per completed request as
+// ns_per_request. The scenario's setup (placement, routers, empty caches)
+// is inside the timing; it is a small share of a three-slot run.
+void BM_ClusterRequest(benchmark::State& state) {
+  cluster::ScenarioConfig cfg =
+      cluster::default_experiment_config(cluster::ScenarioKind::kProteus);
+  cfg.schedule.resize(static_cast<std::size_t>(state.range(0)));
+  std::uint64_t requests = 0;
+  std::chrono::nanoseconds elapsed{0};
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const cluster::ScenarioResult r = cluster::run_scenario(cfg);
+    elapsed += std::chrono::steady_clock::now() - t0;
+    benchmark::DoNotOptimize(r.total_energy_kwh);
+    requests += r.total_requests;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(requests));
+  state.counters["ns_per_request"] =
+      requests ? static_cast<double>(elapsed.count()) /
+                     static_cast<double>(requests)
+               : 0.0;
+}
+BENCHMARK(BM_ClusterRequest)->Arg(3)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,17 +1,21 @@
 #!/usr/bin/env bash
 # Observability benchmark export: runs the obs micro-benchmarks
 # (micro_metrics + micro_spans + micro_audit + micro_tsdb +
-# micro_integrity) and the cache data-plane micro-benchmarks (micro_cache)
-# with Google Benchmark's JSON reporter, plus the crash-recovery extension
-# experiment (ext_failure_recovery --json), and merges them into one
-# machine-readable artifact, BENCH_obs.json:
+# micro_integrity), the cache data-plane micro-benchmarks (micro_cache) and
+# the simulator micro-benchmarks (micro_sim) with Google Benchmark's JSON
+# reporter, plus the crash-recovery extension experiment
+# (ext_failure_recovery --json), and merges them into one machine-readable
+# artifact, BENCH_obs.json:
 #
 #   { "micro_metrics": {...}, "micro_spans": {...}, "micro_audit": {...},
 #     "micro_tsdb": {...}, "micro_integrity": {...}, "micro_cache": {...},
-#     "ext_failure_recovery": {...}, "ext_shard_scaling": {...} }
+#     "micro_sim": {...}, "ext_failure_recovery": {...},
+#     "ext_shard_scaling": {...} }
 #
-# micro_cache is recorded only (its index-size sweep is the reference for
-# CacheServer lookup cost); no budget applies to it.
+# micro_cache and micro_sim are recorded only (micro_cache's index-size
+# sweep is the reference for CacheServer lookup cost, micro_sim's
+# BM_ClusterRequest ns_per_request for the simulated request path); no
+# budget applies to them.
 #
 # Also checks the acceptance budgets of the off-path costs:
 #   * should_sample() with sampling disabled must cost <= 5 ns/op
@@ -57,7 +61,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
 for bin in micro_metrics micro_spans micro_audit micro_tsdb \
-           micro_integrity micro_cache ext_failure_recovery \
+           micro_integrity micro_cache micro_sim ext_failure_recovery \
            ext_shard_scaling; do
   if [[ ! -x "$BUILD_DIR/bench/$bin" ]]; then
     echo "bench_json.sh: $BUILD_DIR/bench/$bin not built" >&2
@@ -87,6 +91,9 @@ echo "== micro_integrity =="
 echo "== micro_cache =="
 "$BUILD_DIR/bench/micro_cache" \
   --benchmark_out="$TMP/micro_cache.json" --benchmark_out_format=json
+echo "== micro_sim =="
+"$BUILD_DIR/bench/micro_sim" \
+  --benchmark_out="$TMP/micro_sim.json" --benchmark_out_format=json
 echo "== ext_failure_recovery =="
 "$BUILD_DIR/bench/ext_failure_recovery" --json \
   > "$TMP/ext_failure_recovery.json"
@@ -112,6 +119,8 @@ echo "== ext_shard_scaling =="
   cat "$TMP/micro_integrity.json"
   printf ',\n"micro_cache":\n'
   cat "$TMP/micro_cache.json"
+  printf ',\n"micro_sim":\n'
+  cat "$TMP/micro_sim.json"
   printf ',\n"ext_failure_recovery":\n'
   cat "$TMP/ext_failure_recovery.json"
   printf ',\n"ext_shard_scaling":\n'

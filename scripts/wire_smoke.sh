@@ -5,11 +5,14 @@
 #   1. a set/get round trip;
 #   2. a C<hex8>-stamped set, echoed on an opted-in get (and a wrong stamp
 #      refused with SERVER_ERROR bad-checksum);
-#   3. a binary-protocol GET frame sees EOF, not a reply;
-#   4. a set larger than the budget gets SERVER_ERROR object too large for
+#   3. a stamped noreply set answers nothing and a get returns its value,
+#      while a wrong-stamp noreply set is refused silently and a get then
+#      answers END;
+#   4. a binary-protocol GET frame sees EOF, not a reply;
+#   5. a set larger than the budget gets SERVER_ERROR object too large for
 #      cache, and the connection stays usable;
-#   5. a 128 KiB line with no CRLF gets CLIENT_ERROR line too long, then EOF;
-#   6. a fresh connection is still served afterwards.
+#   6. a 128 KiB line with no CRLF gets CLIENT_ERROR line too long, then EOF;
+#   7. a fresh connection is still served afterwards.
 #
 #   scripts/wire_smoke.sh [--build-dir=build]
 set -euo pipefail
@@ -113,6 +116,18 @@ expect("opted-in get echoes the stamp", read_until(s, b"END\r\n"),
 s.sendall(b"set ck 0 0 5 C%08x\r\nhello\r\n" % (crc32c(b"hello") ^ 1))
 expect("wrong stamp is refused", read_until(s, b"\r\n"),
        b"SERVER_ERROR bad-checksum\r\n")
+
+# A client fill: noreply, then its meta tokens. The get's reply must be the
+# first bytes the connection sees after it.
+s.sendall(b"set nk 0 0 5 noreply " + stamp + b" E%016x\r\nhello\r\n" % 1)
+s.sendall(b"get nk\r\n")
+expect("stamped noreply set answers nothing, get returns it",
+       read_until(s, b"END\r\n"), b"VALUE nk 0 5\r\nhello\r\nEND\r\n")
+s.sendall(b"set nb 0 0 5 noreply C%08x E%016x\r\nhello\r\n" %
+          (crc32c(b"hello") ^ 1, 1))
+s.sendall(b"get nb\r\n")
+expect("wrong-stamp noreply set is refused silently",
+       read_until(s, b"END\r\n"), b"END\r\n")
 
 b = connect()
 start = time.monotonic()

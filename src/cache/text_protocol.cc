@@ -83,6 +83,11 @@ std::string_view strip_meta_tokens(std::string_view line, TextCommand& cmd) {
   }
 }
 
+bool is_storage(TextCommand::Op op) {
+  return op == TextCommand::Op::kSet || op == TextCommand::Op::kAdd ||
+         op == TextCommand::Op::kReplace;
+}
+
 // The verbs whose lines may carry meta tokens.
 bool takes_meta_tokens(std::string_view verb) {
   return verb == "get" || verb == "gets" || verb == "set" || verb == "add" ||
@@ -188,12 +193,23 @@ bool is_background_line(std::string_view line) {
   return first_key == kSetBloomFilterKey || first_key == kGetBloomFilterKey;
 }
 
-namespace {
-
-bool is_storage(TextCommand::Op op) {
-  return op == TextCommand::Op::kSet || op == TextCommand::Op::kAdd ||
-         op == TextCommand::Op::kReplace;
+bool wants_shed_reply(std::string_view batch) {
+  if (batch.empty()) return true;
+  while (!batch.empty()) {
+    const std::size_t eol = batch.find("\r\n");
+    const TextCommand cmd = parse_command_line(batch.substr(0, eol));
+    if (!cmd.noreply) return true;
+    if (eol == std::string_view::npos) break;
+    batch.remove_prefix(eol + 2);
+    // A noreply store's data block is not a command line: step over it.
+    // The parser caps <bytes> at SIZE_MAX - 2, so the sum cannot wrap.
+    const std::size_t block = is_storage(cmd.op) ? cmd.bytes + 2 : 0;
+    batch.remove_prefix(std::min(block, batch.size()));
+  }
+  return false;
 }
+
+namespace {
 
 static_assert(static_cast<int>(TextCommand::Op::kGet) ==
                   static_cast<int>(Command::Op::kGet) &&
@@ -377,7 +393,10 @@ std::string TextProtocolSession::handle_keyed(const TextCommand& cmd,
   c.payload = std::move(payload);
   c.charge = charge;
   const CommandResult r = exec_.execute(c, now);
-  if (cmd.noreply) return {};
+  if (cmd.noreply) {
+    stale_noreply_ |= r.status == CommandStatus::kStaleEpoch;
+    return {};
+  }
   if (r.status == CommandStatus::kOk && (cmd.op == TextCommand::Op::kIncr ||
                                          cmd.op == TextCommand::Op::kDecr)) {
     return std::to_string(r.counter) + "\r\n";
@@ -387,6 +406,12 @@ std::string TextProtocolSession::handle_keyed(const TextCommand& cmd,
 
 std::string TextProtocolSession::handle_get(const TextCommand& cmd,
                                             SimTime now) {
+  if (stale_noreply_ && !ShardedCacheServer::is_reserved_key(cmd.keys[0])) {
+    // A fenced noreply mutation had no reply to carry its refusal: the
+    // connection's next data-plane get carries it instead, once.
+    stale_noreply_ = false;
+    return std::string(reply_line(cmd.op, CommandStatus::kStaleEpoch));
+  }
   Command c = command_for(cmd);
   std::string out;
   for (const std::string& key : cmd.keys) {

@@ -47,6 +47,11 @@
 // checksums as a trailing `C<hex8>` on each VALUE line; clients that did
 // not opt in (including stock clients) see unchanged VALUE lines.
 //
+// A noreply mutation refused as stale-epoch has no reply to say so; the
+// connection's next get of a data key (not a reserved one) is answered
+// `SERVER_ERROR stale-epoch` in its place, once, so a client that writes
+// fire-and-forget still learns that its epoch is old.
+//
 // The meta tokens (`bg`, `O…`, `E…`, `C…`) trail the command line in ANY
 // order — the parser strips recognized tokens from the tail until none
 // match, so instrumented clients may append them independently.
@@ -152,6 +157,12 @@ TextCommand parse_command_line(std::string_view line);
 // BLOOM_FILTER) — §IV maintenance traffic either way.
 bool is_background_line(std::string_view line);
 
+// Admission's view of a batch it sheds whole: false when every command in
+// it is a noreply one (a storage command's data block is stepped over), so
+// the shed stays as silent as the per-command refusals those commands get.
+// A batch that wants a reply gets one shed line, however many it holds.
+bool wants_shed_reply(std::string_view batch);
+
 // One client connection worth of protocol state over a ShardedCacheServer.
 // Each command routes to its key's shard and takes ONLY that shard's mutex,
 // bounded by `pipeline.lock_deadline_us` (0 = wait forever); a timed-out
@@ -221,6 +232,9 @@ class TextProtocolSession {
   std::size_t discard_ = 0;
   // Pending storage command waiting for its data block.
   std::optional<TextCommand> pending_;
+  // A noreply mutation was refused as stale-epoch and the next data-plane
+  // get has not yet answered `SERVER_ERROR stale-epoch` in its place.
+  bool stale_noreply_ = false;
 };
 
 }  // namespace proteus::cache

@@ -458,7 +458,7 @@ std::optional<std::string> MemcacheConnection::get(std::string_view key,
 bool MemcacheConnection::set(std::string_view key, std::string_view value,
                              std::uint32_t flags, std::uint64_t trace_id,
                              bool background, std::uint64_t epoch,
-                             bool with_checksum) {
+                             bool with_checksum, bool noreply) {
   if (!ok()) return false;
   last_error_ = net::NetError::kNone;
   const SimTime deadline = op_deadline();
@@ -468,6 +468,7 @@ bool MemcacheConnection::set(std::string_view key, std::string_view value,
   cmd += std::to_string(flags);
   cmd += " 0 ";
   cmd += std::to_string(value.size());
+  if (noreply) cmd += " noreply";
   append_meta_tokens(cmd, epoch, trace_id, background,
                      with_checksum ? std::optional<std::uint32_t>(crc32c(value))
                                    : std::nullopt);
@@ -475,6 +476,11 @@ bool MemcacheConnection::set(std::string_view key, std::string_view value,
   cmd.append(value);
   cmd += "\r\n";
   if (!send_all(cmd, deadline)) return false;
+  // The daemon answers a noreply store nothing, not even a refusal. One
+  // non-blocking read still catches a daemon that has closed or reset the
+  // connection, so a store into a dead daemon fails here, not at the next
+  // request; any bytes it finds are left for the next reply parser.
+  if (noreply) return fill_nonblocking() >= 0;
   const auto reply = read_line(deadline);
   if (!reply.has_value()) return false;
   if (*reply == "STORED") return true;
@@ -1058,16 +1064,18 @@ ProteusClient::FetchResult ProteusClient::hedged_get(int primary, int backup,
 
 bool ProteusClient::cache_set(int server, std::string_view key,
                               std::string_view value, SimTime now,
-                              std::uint64_t trace_id, bool background) {
+                              bool noreply, bool background) {
   MemcacheConnection* c = acquire(server, now);
   if (c == nullptr) return false;
   const SimTime t0 = mono_usec();
   // Every store stamps its payload's CRC32C: the daemon refuses values
   // corrupted on the way in (bad-checksum) and keeps the stamp for at-rest
   // and read-side verification.
-  const bool stored = c->set(key, value, 0, trace_id, background, epoch_,
-                             /*with_checksum=*/true);
-  settle(server, *c, t0, now);
+  const bool stored = c->set(key, value, 0, /*trace_id=*/0, background,
+                             epoch_, /*with_checksum=*/true, noreply);
+  // A noreply store's send time is not a round trip: only a failed send
+  // reaches the health detector.
+  if (!noreply || !stored) settle(server, *c, t0, now);
   return stored;
 }
 
@@ -1234,9 +1242,10 @@ std::string ProteusClient::get_inner(std::string_view key, SimTime now,
       case Step::kBackend:
         a = fetch_backend(key, retrieval);
         break;
-      case Step::kStore:  // migration write-backs are `bg` maintenance
+      case Step::kStore:  // line 12 never holds up the response; migration
+                          // write-backs are `bg` maintenance
         a = retrieval.stored(cache_set(
-            a.server, key, retrieval.value(), now, ctx.trace_id,
+            a.server, key, retrieval.value(), now, /*noreply=*/true,
             /*background=*/a.kind == obs::SpanKind::kMigrationStore));
         break;
       case Step::kDone:

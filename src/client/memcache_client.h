@@ -28,6 +28,13 @@
 // deviations), a budgeted (≤ hedge_rate of load) backup GET races it on
 // the key's replica location and the first well-formed answer wins.
 //
+// Algorithm 2 line 12 does not hold up the response: backend fills and
+// migration stores go out as `noreply` sets, so get() returns without
+// waiting a round trip for them. Per-connection FIFO still serves any later
+// get on that connection after the store. A store the daemon refuses (shed,
+// fenced, corrupt, too large) is dropped silently and costs a later miss;
+// put() and erases stay acknowledged.
+//
 // End-to-end payload integrity: every fill/put stamps the value's CRC32C
 // on the wire (C<hex8> meta-token, docs/PROTOCOL.md); every get asks the
 // daemon to echo the stored checksum and re-verifies it at arrival. A
@@ -114,10 +121,17 @@ class MemcacheConnection {
   // `with_checksum` stamps the value's CRC32C as a C meta-token; this
   // repo's daemons verify it at arrival (refusing corrupted frames with
   // `SERVER_ERROR bad-checksum`) and store it for at-rest verification.
+  // `noreply` writes memcached's `noreply` flag and returns once the
+  // command is sent: true means sent on a connection the peer has not
+  // closed, not stored. The daemon answers nothing, so a refusal (bad
+  // checksum, stale epoch, shed, too large) is silent, and FIFO order on
+  // the connection still serves a later get on it after the store. Leave
+  // `trace_id` 0 on such a store: its daemon span would close after the
+  // request that sent it.
   bool set(std::string_view key, std::string_view value,
            std::uint32_t flags = 0, std::uint64_t trace_id = 0,
            bool background = false, std::uint64_t epoch = 0,
-           bool with_checksum = false);
+           bool with_checksum = false, bool noreply = false);
   bool erase(std::string_view key, std::uint64_t epoch = 0);
   std::string version();
 
@@ -431,9 +445,12 @@ class ProteusClient {
   // (reconnect failed), spanned as such.
   FetchResult skipped(int server, std::string_view key,
                       obs::TraceContext& ctx, obs::SpanKind kind);
+  // An acknowledged store, or with `noreply` a fire-and-forget one (the
+  // Algorithm 2 line-12 fills and migration stores): true then means sent,
+  // and a store the daemon refuses only costs a later miss. Stores carry no
+  // trace token, so a daemon span never outlives the get that caused it.
   bool cache_set(int server, std::string_view key, std::string_view value,
-                 SimTime now, std::uint64_t trace_id = 0,
-                 bool background = false);
+                 SimTime now, bool noreply = false, bool background = false);
   // The guarded miss path: backend_ behind the optional singleflight group
   // and AIMD limiter, its answer (value, coalesced, or shed) fed to the
   // retrieval.

@@ -59,8 +59,12 @@ bool batch_is_background(std::string_view bytes) {
 }
 
 // Shed replies never touch the cache: one SERVER_ERROR line for the whole
-// batch.
-constexpr std::string_view kShedReply = "SERVER_ERROR overloaded\r\n";
+// batch, none for a batch of noreply commands (a client's fire-and-forget
+// fills), so its next reply stays its own.
+std::string shed_reply(std::string_view bytes) {
+  return cache::wants_shed_reply(bytes) ? "SERVER_ERROR overloaded\r\n"
+                                        : std::string{};
+}
 
 // One connection's text session, built with the connection. Cache access is
 // serialized per SHARD by the session itself (each command takes only its
@@ -108,10 +112,10 @@ class TextProtocolHandler final : public ConnectionHandler {
           break;
         case core::Admission::kShedOverCap:
           sheds_->over_cap.fetch_add(1, std::memory_order_relaxed);
-          return std::string(kShedReply);
+          return shed_reply(bytes);
         case core::Admission::kShedBackground:
           sheds_->background.fetch_add(1, std::memory_order_relaxed);
-          return std::string(kShedReply);
+          return shed_reply(bytes);
       }
     }
     // No daemon-level lock: the session takes each command's shard lock

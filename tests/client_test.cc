@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,8 +33,39 @@ class Fleet : public ::testing::Test {
   }
 
   void TearDown() override {
-    for (auto& d : daemons_) d->stop();
-    for (auto& t : threads_) t.join();
+    for (auto& d : daemons_) {
+      if (d != nullptr) d->stop();
+    }
+    for (auto& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  // Stops daemon `i` and closes its sockets, as a dead process would.
+  void kill(int i) {
+    const auto s = static_cast<std::size_t>(i);
+    daemons_[s]->stop();
+    threads_[s].join();
+    daemons_[s].reset();
+  }
+
+  bool resident(int server, const std::string& key) const {
+    return daemons_[static_cast<std::size_t>(server)]->cache().contains(
+        key, net::monotonic_now());
+  }
+
+  // Keys whose primary changes when the fleet shrinks 3 -> 2.
+  static std::vector<std::string> moving_keys(int count) {
+    ring::ProteusPlacement placement(kServers);
+    std::vector<std::string> keys;
+    for (int i = 0; static_cast<int>(keys.size()) < count; ++i) {
+      const std::string k = "page:" + std::to_string(i);
+      if (placement.server_for(hash_bytes(k), kServers) !=
+          placement.server_for(hash_bytes(k), kServers - 1)) {
+        keys.push_back(k);
+      }
+    }
+    return keys;
   }
 
   ProteusClient::Options client_options(SimTime ttl = 60 * kSecond) {
@@ -170,23 +202,132 @@ TEST_F(Fleet, OverlappingResizeEmitsOneResizeEndPerBegin) {
 TEST_F(Fleet, PutInvalidatesOldLocationDuringTransition) {
   ProteusClient client(client_options(),
                        [](std::string_view) { return std::string("stale"); });
-  // Find a key that moves when shrinking 3 -> 2.
-  ring::ProteusPlacement placement(3);
-  std::string moving;
-  for (int i = 0; i < 200; ++i) {
-    const std::string k = "page:" + std::to_string(i);
-    if (placement.server_for(hash_bytes(k), 3) !=
-        placement.server_for(hash_bytes(k), 2)) {
-      moving = k;
-      break;
-    }
-  }
-  ASSERT_FALSE(moving.empty());
+  const std::string moving = moving_keys(1).front();
   client.get(moving, 0);  // cache the backend value on the old server
   client.resize(2, kSecond);
   client.put(moving, "fresh", 2 * kSecond);
   EXPECT_EQ(client.get(moving, 3 * kSecond), "fresh");
   EXPECT_EQ(client.get(moving, 100 * kSecond), "fresh");
+}
+
+// Algorithm 2 line 12 stores are noreply: get() returns without waiting for
+// them. Each check below follows a later round trip on the same connection,
+// which the daemon serves only after the store.
+
+TEST_F(Fleet, MissFillLandsOnTheCurrentPrimary) {
+  std::uint64_t backend = 0;
+  ProteusClient client(client_options(), [&](std::string_view key) {
+    ++backend;
+    return "db:" + std::string(key);
+  });
+  ring::ProteusPlacement placement(kServers);
+  for (int i = 0; i < 30; ++i) {
+    const std::string k = "page:" + std::to_string(i);
+    ASSERT_EQ(client.get(k, 0), "db:" + k);  // miss: fill sent
+    ASSERT_EQ(client.get(k, 0), "db:" + k);  // hit on the primary
+    const int primary = placement.server_for(hash_bytes(k), kServers);
+    for (int s = 0; s < kServers; ++s) {
+      EXPECT_EQ(resident(s, k), s == primary) << k << " on " << s;
+    }
+  }
+  EXPECT_EQ(backend, 30u);
+  EXPECT_EQ(client.stats().new_server_hits, 30u);
+}
+
+TEST_F(Fleet, OldServerHitMigratesToTheNewServer) {
+  std::uint64_t backend = 0;
+  ProteusClient client(client_options(), [&](std::string_view key) {
+    ++backend;
+    return "db:" + std::string(key);
+  });
+  const std::vector<std::string> keys = moving_keys(20);
+  for (const std::string& k : keys) client.get(k, 0);
+  ASSERT_TRUE(client.resize(kServers - 1, kSecond));
+  ring::ProteusPlacement placement(kServers);
+  for (const std::string& k : keys) {
+    ASSERT_EQ(client.get(k, 2 * kSecond), "db:" + k);  // old-server hit
+    ASSERT_EQ(client.get(k, 2 * kSecond), "db:" + k);  // new-server hit
+    EXPECT_TRUE(
+        resident(placement.server_for(hash_bytes(k), kServers - 1), k))
+        << k;
+  }
+  EXPECT_EQ(backend, keys.size());
+  EXPECT_EQ(client.stats().old_server_hits, keys.size());
+  EXPECT_EQ(client.stats().new_server_hits, keys.size());
+}
+
+TEST_F(Fleet, ResizeDigestIncludesTheFillsBeforeIt) {
+  std::uint64_t backend = 0;
+  ProteusClient client(client_options(), [&](std::string_view key) {
+    ++backend;
+    return "db:" + std::string(key);
+  });
+  const std::vector<std::string> keys = moving_keys(20);
+  // The digest pulls follow the fills on each connection with no other
+  // round trip in between.
+  for (const std::string& k : keys) client.get(k, 0);
+  ASSERT_TRUE(client.resize(kServers - 1, kSecond));
+  for (const std::string& k : keys) client.get(k, 2 * kSecond);
+  EXPECT_EQ(backend, keys.size()) << "a fill missing from its digest";
+  EXPECT_EQ(client.stats().old_server_hits, keys.size());
+  EXPECT_EQ(client.stats().digest_false_positives, 0u);
+}
+
+TEST_F(Fleet, FillsFeedTheHealthDetectorNoLatencySample) {
+  ring::ProteusPlacement placement(kServers);
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 5; ++i) {
+    const std::string k = "page:" + std::to_string(i);
+    if (placement.server_for(hash_bytes(k), kServers) == 0) keys.push_back(k);
+  }
+  ProteusClient::Options opt = client_options();
+  opt.health.warmup_samples = static_cast<int>(keys.size()) + 1;
+  ProteusClient client(opt, [](std::string_view key) {
+    return "db:" + std::string(key);
+  });
+  for (const std::string& k : keys) client.get(k, 0);
+  EXPECT_FALSE(client.endpoint_health(0).warmed_up())
+      << "a fill fed the detector a latency sample";
+  client.get(keys.front(), 0);
+  EXPECT_TRUE(client.endpoint_health(0).warmed_up())
+      << "each get feeds one sample";
+}
+
+// A fill carries no trace token: the daemon would close its span after the
+// get that sent it had returned. Each traced get is one daemon op.
+TEST_F(Fleet, FillsCarryNoTraceToken) {
+  obs::SpanCollector spans(1u << 12, /*sample_every=*/1);
+  ProteusClient::Options opt = client_options();
+  opt.spans = &spans;
+  ProteusClient client(opt, [](std::string_view key) {
+    return "db:" + std::string(key);
+  });
+  constexpr int kKeys = 30;
+  for (int pass = 0; pass < 2; ++pass) {  // misses, then hits after fills
+    for (int i = 0; i < kKeys; ++i) client.get("page:" + std::to_string(i), 0);
+  }
+  ASSERT_EQ(client.stats().new_server_hits, static_cast<std::uint64_t>(kKeys));
+  std::map<std::uint64_t, int> ops;  // daemon ops per trace
+  for (const auto& d : daemons_) {
+    for (const obs::SpanRecord& s : d->spans().snapshot()) {
+      if (s.kind == obs::SpanKind::kServerOp) ++ops[s.trace_id];
+    }
+  }
+  EXPECT_EQ(ops.size(), static_cast<std::size_t>(2 * kKeys));
+  for (const auto& [trace, n] : ops) EXPECT_EQ(n, 1) << trace;
+}
+
+TEST_F(Fleet, FillToAStoppedDaemonRecordsAFailure) {
+  const std::string key = "page:0";
+  const int primary =
+      ring::ProteusPlacement(kServers).server_for(hash_bytes(key), kServers);
+  ProteusClient client(client_options(), [&](std::string_view k) {
+    kill(primary);  // between the get's miss and its fill
+    return "db:" + std::string(k);
+  });
+  EXPECT_EQ(client.get(key, 0), "db:" + key);
+  EXPECT_EQ(client.stats().resets, 1u);
+  EXPECT_EQ(client.endpoint_health(primary).consecutive_errors(), 1);
 }
 
 }  // namespace

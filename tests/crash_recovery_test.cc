@@ -417,6 +417,47 @@ TEST_F(LiveFleet, StaleEpochMutationsAreFencedWithZeroAcks) {
   EXPECT_EQ(b.stats().breaker_open_skips, 0u);
 }
 
+// Fills are noreply, so a fenced fill is refused without a word; the
+// connection's next get carries the refusal and teaches the newer epoch.
+TEST_F(LiveFleet, FencedFillTeachesTheEpochOnTheNextGet) {
+  std::uint64_t backend = 0;
+  const auto db = [&](std::string_view key) {
+    ++backend;
+    return backend_of(key);
+  };
+  ProteusClient a(fast_options(), db);
+  ASSERT_TRUE(a.resize(2, 0));  // epoch 1, fleet-wide
+  ProteusClient b(fast_options(), db);  // routes on all three servers
+  const std::string warm = "fence:warm";
+  std::string key;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string k = "fence:" + std::to_string(i);
+    if (primary_of(k) == primary_of(warm)) key = k;
+  }
+  // B's connection to the primary is open, and its hello synced epoch 1.
+  ASSERT_EQ(b.get(warm, 0), backend_of(warm));
+  ASSERT_EQ(b.cluster_epoch(), 1u);
+  for (int i = 0; i < kServers; ++i) {
+    MemcacheConnection conn(ports_[static_cast<std::size_t>(i)]);
+    ASSERT_TRUE(conn.push_epoch(2));
+  }
+
+  ASSERT_EQ(b.get(key, kSecond), backend_of(key));  // its E1 fill is fenced
+  EXPECT_EQ(b.cluster_epoch(), 1u);
+  EXPECT_EQ(b.stats().stale_epoch_rejects, 0u);
+  // The next get reads the refusal as a miss, adopts epoch 2 and refills.
+  ASSERT_EQ(b.get(key, kSecond), backend_of(key));
+  EXPECT_EQ(b.cluster_epoch(), 2u);
+  EXPECT_EQ(b.stats().stale_epoch_rejects, 1u);
+  EXPECT_EQ(backend, 3u);
+  // That refill carried epoch 2 and was stored.
+  ASSERT_EQ(b.get(key, kSecond), backend_of(key));
+  EXPECT_EQ(backend, 3u);
+  EXPECT_EQ(b.stats().new_server_hits, 1u);
+  EXPECT_EQ(b.stats().retries, 0u);
+  EXPECT_EQ(b.stats().breaker_open_skips, 0u);
+}
+
 TEST_F(LiveFleet, ColdRestartDropsDeadDigestInsteadOfPhantomProbes) {
   std::uint64_t backend = 0;
   ProteusClient web(fast_options(), [&](std::string_view key) {

@@ -334,7 +334,7 @@ TEST_P(TraceTokenProtocolFuzz, TokenedScriptMatchesUntokenedReplies) {
     } else if (choice == 1) {
       keep_tok = " " + invalid[rng.next_below(std::size(invalid))];
     }
-    switch (rng.next_below(4)) {
+    switch (rng.next_below(5)) {
       case 0: {
         const auto len = static_cast<std::size_t>(rng.next_below(32));
         const std::string payload(len, 'x');
@@ -343,6 +343,20 @@ TEST_P(TraceTokenProtocolFuzz, TokenedScriptMatchesUntokenedReplies) {
         // Invalid tokens would change `set` arity on a stock parser, so
         // only valid (strippable) tokens ride storage commands.
         tokened += head + tok + "\r\n" + payload + "\r\n";
+        reference += head + "\r\n" + payload + "\r\n";
+        break;
+      }
+      case 4: {
+        // A client fill: `noreply`, then its C and E tokens (one epoch
+        // throughout, so none is stale) and sometimes `bg`.
+        const auto len = static_cast<std::size_t>(rng.next_below(32));
+        const std::string payload(len, 'y');
+        const std::string head =
+            "set " + key + " 0 0 " + std::to_string(len) + " noreply";
+        const std::string bg = rng.next_below(2) == 0 ? " bg" : "";
+        tokened += head + " " + obs::encode_checksum_token(crc32c(payload)) +
+                   " " + obs::encode_epoch_token(1) + tok + bg + "\r\n" +
+                   payload + "\r\n";
         reference += head + "\r\n" + payload + "\r\n";
         break;
       }

@@ -18,8 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "net/memcache_daemon.h"
 #include "net/metrics_http.h"
+#include "obs/span.h"
 #include "obs/tsdb/tsdb.h"
 
 namespace proteus::net {
@@ -213,6 +215,34 @@ TEST_F(DaemonFixture, OversizedSetIsRefusedAndTheConnectionKept) {
   // Nothing stored, the older copy dropped, the stream still in sync.
   client.send("get big\r\n");
   EXPECT_EQ(client.recv_until("END\r\n"), "END\r\n");
+}
+
+// ProteusClient's fills: `noreply` with C and E meta tokens. Each get
+// after one must read exactly its own reply, stored or refused.
+TEST_F(DaemonFixture, NoreplyStoresAnswerNothingAndKeepTheStreamInSync) {
+  Client client(daemon_->port());
+  ASSERT_TRUE(client.connected());
+  client.set_recv_timeout(5);
+  const std::string value = "filled";
+  const auto store = [&](std::string_view key, std::uint32_t crc) {
+    return "set " + std::string(key) + " 0 0 " +
+           std::to_string(value.size()) + " noreply " +
+           obs::encode_checksum_token(crc) + " " + obs::encode_epoch_token(1) +
+           "\r\n" + value + "\r\n";
+  };
+  client.send(store("good", crc32c(value)));
+  client.send("get good\r\n");
+  EXPECT_EQ(client.recv_until("END\r\n"),
+            "VALUE good 0 6\r\nfilled\r\nEND\r\n");
+  client.send(store("bad", crc32c(value) ^ 1u));
+  client.send("get bad\r\n");
+  EXPECT_EQ(client.recv_until("END\r\n"), "END\r\n");
+  // Too large for the whole budget: refused, its data block dropped unread.
+  const std::size_t size = (8 << 20) + 1;
+  client.send("set big 0 0 " + std::to_string(size) + " noreply\r\n" +
+              std::string(size, 'x') + "\r\nget good\r\n");
+  EXPECT_EQ(client.recv_until("END\r\n"),
+            "VALUE good 0 6\r\nfilled\r\nEND\r\n");
 }
 
 TEST_F(DaemonFixture, UnterminatedLineIsRefusedThenClosed) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -416,6 +417,27 @@ TEST_F(OverloadedDaemon, TextGetsDigestPullSheds) {
   raw.send("gets BLOOM_FILTER\r\n");
   EXPECT_EQ(raw.recv_line(), "SERVER_ERROR overloaded\r\n");
   EXPECT_GE(daemon_->shed_background(), 1u);
+}
+
+// A shed batch of noreply stores (the client's fire-and-forget migration
+// stores are `bg`) is as silent as the stores: the connection's next get
+// reads exactly its own reply.
+TEST_F(OverloadedDaemon, ShedNoreplyStoreIsSilent) {
+  client::MemcacheConnection conn(daemon_->port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.set("k", "v", 0, 0, /*background=*/true, 0,
+                       /*with_checksum=*/true, /*noreply=*/true));
+  // The get must arrive in a batch of its own, after the store's was shed.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (daemon_->shed_background() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(daemon_->shed_background(), 1u);
+  EXPECT_FALSE(conn.get("k").has_value());
+  EXPECT_EQ(conn.last_error(), net::NetError::kNone) << "a clean miss";
+  EXPECT_TRUE(conn.ok());
 }
 
 // --- client: degraded responses and dogpile suppression ----------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -399,6 +400,115 @@ TEST(TextProtocol, BadChecksumSetCountsTheReject) {
   EXPECT_EQ(rig.run("get ck\r\n"), "END\r\n");
   const std::string stats = rig.run("stats\r\n");
   EXPECT_NE(stats.find("STAT corrupt_set_rejects 1\r\n"), std::string::npos);
+}
+
+// --- noreply stores: silent, and never a desynced reply stream ---------------
+
+// A store line the way ProteusClient writes a migration store: `noreply`,
+// then its C, E and bg meta tokens.
+std::string noreply_store(std::string_view key, std::string_view value,
+                          std::uint32_t crc, std::uint64_t epoch) {
+  return "set " + std::string(key) + " 0 0 " + std::to_string(value.size()) +
+         " noreply " + obs::encode_checksum_token(crc) + " " +
+         obs::encode_epoch_token(epoch) + " bg\r\n" + std::string(value) +
+         "\r\n";
+}
+
+TEST(ParseCommandLine, NoreplyStoreKeepsItsMetaTokens) {
+  const TextCommand cmd = parse_command_line(
+      "set k 0 0 5 noreply " + obs::encode_checksum_token(0xabcdef01u) + " " +
+      obs::encode_epoch_token(3) + " bg");
+  EXPECT_EQ(cmd.op, TextCommand::Op::kSet);
+  EXPECT_TRUE(cmd.noreply);
+  EXPECT_EQ(cmd.bytes, 5u);
+  EXPECT_EQ(cmd.checksum, 0xabcdef01u);
+  EXPECT_EQ(cmd.epoch, 3u);
+  EXPECT_TRUE(cmd.background);
+}
+
+TEST(TextProtocol, NoreplyStoreWithMetaTokensIsStoredSilently) {
+  Rig rig;
+  ASSERT_TRUE(rig.server.adopt_epoch(4));
+  const std::string value = "fire-and-forget";
+  EXPECT_EQ(rig.run(noreply_store("k", value, crc32c(value), 4)), "");
+  const std::string crc_tok = obs::encode_checksum_token(crc32c(value));
+  EXPECT_EQ(rig.run("get k C00000000\r\n"),
+            "VALUE k 0 " + std::to_string(value.size()) + " " + crc_tok +
+                "\r\n" + value + "\r\nEND\r\n");
+}
+
+TEST(TextProtocol, RefusedNoreplyStoresAreSilentAndKeepTheStreamInSync) {
+  CacheConfig cfg = proto_config();
+  cfg.memory_budget_bytes = 1024;
+  ShardedCacheServer server(cfg, 1);
+  TextProtocolSession session(server);
+  ASSERT_TRUE(server.adopt_epoch(7));
+  const std::string value = "refused";
+  const std::string too_large(4096, 'x');
+  const std::string stale = "SERVER_ERROR stale-epoch\r\n";
+  struct Case {
+    const char* why;
+    std::string wire;
+    std::string next_reply;  // what the following `get k` reads
+  };
+  const Case cases[] = {
+      {"wrong stamp", noreply_store("k", value, crc32c(value) ^ 1u, 7),
+       "END\r\n"},
+      // The one refusal that is not silent for ever: the next data get
+      // answers it in place of its own reply.
+      {"stale epoch", noreply_store("k", value, crc32c(value), 3), stale},
+      {"too large", noreply_store("k", too_large, crc32c(too_large), 7),
+       "END\r\n"},
+  };
+  for (const Case& c : cases) {
+    // The refusal and the next get share one batch: the get's reply is the
+    // only byte string on the wire.
+    EXPECT_EQ(session.feed(c.wire + "get k\r\n", 0), c.next_reply) << c.why;
+    EXPECT_EQ(session.feed("get k\r\n", 0), "END\r\n") << c.why;
+    // The same refusal split from its get, byte by byte.
+    std::string out;
+    for (const char ch : c.wire) {
+      out += session.feed(std::string_view(&ch, 1), 0);
+    }
+    EXPECT_EQ(out, "") << c.why;
+    EXPECT_EQ(session.feed("get k\r\n", 0), c.next_reply) << c.why;
+    EXPECT_EQ(session.feed("get k\r\n", 0), "END\r\n") << c.why;
+  }
+  EXPECT_EQ(server.stats().corrupt_set_rejects, 2u);
+  EXPECT_EQ(server.stale_epoch_rejects(), 2u);
+  EXPECT_FALSE(session.closed());
+}
+
+TEST(TextProtocol, FencedNoreplyStoreIsAnsweredByTheNextDataGetOnly) {
+  Rig rig;
+  ASSERT_TRUE(rig.server.adopt_epoch(7));
+  ASSERT_EQ(rig.run("set k 0 0 1\r\nx\r\n"), "STORED\r\n");
+  EXPECT_EQ(rig.run(noreply_store("k", "y", crc32c("y"), 3)), "");
+  // Reserved reads (the epoch hello, digest pulls) pass it by.
+  EXPECT_EQ(rig.run("get PROTEUS_EPOCH\r\n").rfind("VALUE PROTEUS_EPOCH ", 0),
+            0u);
+  EXPECT_EQ(rig.run("get k\r\n"), "SERVER_ERROR stale-epoch\r\n");
+  EXPECT_EQ(rig.run("get k\r\n"), "VALUE k 0 1\r\nx\r\nEND\r\n");
+  // An acknowledged fenced store carries its own refusal.
+  EXPECT_EQ(rig.run("set k 0 0 1 " + obs::encode_epoch_token(3) +
+                    "\r\ny\r\nget k\r\n"),
+            "SERVER_ERROR stale-epoch\r\nVALUE k 0 1\r\nx\r\nEND\r\n");
+}
+
+TEST(TextProtocol, ShedBatchWantsAReplyUnlessEveryCommandIsNoreply) {
+  const std::string store = noreply_store("k", "v", crc32c("v"), 1);
+  EXPECT_FALSE(wants_shed_reply(store));
+  EXPECT_FALSE(wants_shed_reply(store + store));
+  EXPECT_FALSE(wants_shed_reply("delete k noreply\r\n" + store));
+  // A data block that reads like a command line is still data.
+  EXPECT_FALSE(wants_shed_reply("set k 0 0 7 noreply\r\nget k\r\n\r\n"));
+  // The largest block the parser takes is stepped over without wrapping.
+  EXPECT_FALSE(wants_shed_reply("set k 0 0 " + std::to_string(SIZE_MAX - 2) +
+                                " noreply\r\nget k\r\n"));
+  EXPECT_TRUE(wants_shed_reply(store + "get k\r\n"));
+  EXPECT_TRUE(wants_shed_reply("get k\r\n"));
+  EXPECT_TRUE(wants_shed_reply("set k 0 0 1\r\nx\r\n"));
+  EXPECT_TRUE(wants_shed_reply(""));
 }
 
 // --- epoch push integrity ----------------------------------------------------

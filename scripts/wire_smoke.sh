@@ -7,7 +7,8 @@
 #      refused with SERVER_ERROR bad-checksum);
 #   3. a stamped noreply set answers nothing and a get returns its value,
 #      while a wrong-stamp noreply set is refused silently and a get then
-#      answers END;
+#      answers END; a noreply set and a get of its key in one write (the
+#      bytes a corked client fill puts on the wire) answer the get alone;
 #   4. a binary-protocol GET frame sees EOF, not a reply;
 #   5. a set larger than the budget gets SERVER_ERROR object too large for
 #      cache, and the connection stays usable;
@@ -128,6 +129,12 @@ s.sendall(b"set nb 0 0 5 noreply C%08x E%016x\r\nhello\r\n" %
 s.sendall(b"get nb\r\n")
 expect("wrong-stamp noreply set is refused silently",
        read_until(s, b"END\r\n"), b"END\r\n")
+# A corked fill leaves in the same transmit as the connection's next request.
+cork = b"C%08x" % crc32c(b"corked")
+s.sendall(b"set ok 0 0 6 noreply " + cork + b" E%016x\r\ncorked\r\n" % 1 +
+          b"get ok\r\n")
+expect("noreply set and get in one write answer only the get",
+       read_until(s, b"END\r\n"), b"VALUE ok 0 6\r\ncorked\r\nEND\r\n")
 
 b = connect()
 start = time.monotonic()

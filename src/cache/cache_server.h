@@ -205,7 +205,7 @@ class CacheServer {
     std::size_t charge;       // accounted bytes (key + value-or-override + overhead)
     SimTime last_access;
     std::uint32_t flags;      // opaque client metadata (memcached semantics)
-    bool protected_seg;       // segmented LRU: lives in the protected list
+    bool protected_seg = false;  // segmented LRU: in the protected list
     bool has_crc = false;     // item carries an end-to-end checksum
     std::uint32_t crc = 0;    // CRC32C of `value`, stamped at SET time
     std::uint64_t hash = 0;   // KeyIndex::hash(key), kept for unlink

@@ -214,13 +214,14 @@ bool MemcacheConnection::await_io(short events, SimTime deadline) {
   }
 }
 
-bool MemcacheConnection::send_all(std::string_view bytes, SimTime deadline) {
+bool MemcacheConnection::send_all(std::string_view bytes, SimTime deadline,
+                                  int flags) {
   std::size_t off = 0;
   while (off < bytes.size()) {
     // MSG_NOSIGNAL: a daemon that died mid-conversation must produce EPIPE,
     // not a process-killing SIGPIPE.
     const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                             MSG_NOSIGNAL);
+                             MSG_NOSIGNAL | flags);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       continue;
@@ -475,7 +476,8 @@ bool MemcacheConnection::set(std::string_view key, std::string_view value,
   cmd += "\r\n";
   cmd.append(value);
   cmd += "\r\n";
-  if (!send_all(cmd, deadline)) return false;
+  // Corked: the connection's next request carries a noreply store out.
+  if (!send_all(cmd, deadline, noreply ? MSG_MORE : 0)) return false;
   // The daemon answers a noreply store nothing, not even a refusal. One
   // non-blocking read still catches a daemon that has closed or reset the
   // connection, so a store into a dead daemon fails here, not at the next

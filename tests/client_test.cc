@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -315,6 +316,67 @@ TEST_F(Fleet, FillsCarryNoTraceToken) {
   }
   EXPECT_EQ(ops.size(), static_cast<std::size_t>(2 * kKeys));
   for (const auto& [trace, n] : ops) EXPECT_EQ(n, 1) << trace;
+}
+
+// Fills are corked (MSG_MORE) until the connection's next request. With no
+// next request the kernel flushes them by itself after its cork ceiling.
+TEST_F(Fleet, CorkedFillReachesTheDaemonWithoutALaterRequest) {
+  const std::string key = "page:0";
+  const int primary =
+      ring::ProteusPlacement(kServers).server_for(hash_bytes(key), kServers);
+  ProteusClient client(client_options(), [](std::string_view k) {
+    return "db:" + std::string(k);
+  });
+  ASSERT_EQ(client.get(key, 0), "db:" + key);  // miss: the fill is held
+  MemcacheConnection other(ports_[static_cast<std::size_t>(primary)]);
+  const SimTime deadline = net::monotonic_now() + 2 * kSecond;
+  std::optional<std::string> seen;
+  while (!seen.has_value() && net::monotonic_now() < deadline) {
+    seen = other.get(key);
+    ASSERT_TRUE(other.ok());
+  }
+  EXPECT_EQ(seen, std::optional<std::string>("db:" + key))
+      << "a corked fill never left the client's socket";
+}
+
+// put() is acknowledged, hence uncorked: it pushes the held fill ahead of
+// itself, so the daemon stores the fill first and the put's value last.
+TEST_F(Fleet, FillThenPutOfTheSameKeyLeavesThePutsValue) {
+  const std::string key = "page:0";
+  const int primary =
+      ring::ProteusPlacement(kServers).server_for(hash_bytes(key), kServers);
+  ProteusClient client(client_options(), [](std::string_view k) {
+    return "db:" + std::string(k);
+  });
+  ASSERT_EQ(client.get(key, 0), "db:" + key);  // miss: the fill is held
+  client.put(key, "fresh", 0);
+  MemcacheConnection other(ports_[static_cast<std::size_t>(primary)]);
+  EXPECT_EQ(other.get(key), std::optional<std::string>("fresh"));
+  EXPECT_EQ(client.get(key, 0), "fresh");
+}
+
+// Every migration store of the pass below waits in the new server's socket
+// until the second pass's first get there; each later get must hit.
+TEST_F(Fleet, CorkedMigrationStoresAreServedBeforeTheNextGet) {
+  std::uint64_t backend = 0;
+  ProteusClient client(client_options(), [&](std::string_view key) {
+    ++backend;
+    return "db:" + std::string(key);
+  });
+  const std::vector<std::string> keys = moving_keys(20);
+  for (const std::string& k : keys) client.get(k, 0);
+  ASSERT_TRUE(client.resize(kServers - 1, kSecond));
+  for (const std::string& k : keys) {
+    ASSERT_EQ(client.get(k, 2 * kSecond), "db:" + k);  // old-server hit
+  }
+  ASSERT_EQ(client.stats().old_server_hits, keys.size());
+  ASSERT_EQ(client.stats().new_server_hits, 0u);
+  for (const std::string& k : keys) {
+    ASSERT_EQ(client.get(k, 2 * kSecond), "db:" + k);  // new-server hit
+  }
+  EXPECT_EQ(client.stats().new_server_hits, keys.size());
+  EXPECT_EQ(client.stats().old_server_hits, keys.size());
+  EXPECT_EQ(backend, keys.size());
 }
 
 TEST_F(Fleet, FillToAStoppedDaemonRecordsAFailure) {

@@ -1,6 +1,7 @@
 #include "cache/text_protocol.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdint>
 
@@ -42,9 +43,19 @@ bool valid_key(std::string_view key) {
   });
 }
 
-bool consume_noreply(std::vector<std::string_view>& tokens,
-                     std::size_t expected_args) {
-  if (tokens.size() == expected_args + 1 && tokens.back() == "noreply") {
+// The tokens (verb included) a command takes before its optional trailing
+// `noreply`; 0 for verbs that never take one.
+std::size_t noreply_arity(std::string_view verb) {
+  if (verb == "set" || verb == "add" || verb == "replace") return 5;
+  if (verb == "incr" || verb == "decr" || verb == "touch") return 3;
+  if (verb == "delete") return 2;
+  if (verb == "flush_all") return 1;
+  return 0;
+}
+
+bool consume_noreply(std::vector<std::string_view>& tokens) {
+  const std::size_t arity = noreply_arity(tokens[0]);
+  if (arity > 0 && tokens.size() == arity + 1 && tokens.back() == "noreply") {
     tokens.pop_back();
     return true;
   }
@@ -116,7 +127,7 @@ TextCommand parse_command_line(std::string_view line) {
   }
 
   if (verb == "set" || verb == "add" || verb == "replace") {
-    cmd.noreply = consume_noreply(tokens, 5);
+    cmd.noreply = consume_noreply(tokens);
     if (tokens.size() != 5 || !valid_key(tokens[1])) return cmd;
     if (!parse_number(tokens[2], cmd.flags) ||
         !parse_number(tokens[3], cmd.exptime) ||
@@ -132,7 +143,7 @@ TextCommand parse_command_line(std::string_view line) {
   }
 
   if (verb == "delete") {
-    cmd.noreply = consume_noreply(tokens, 2);
+    cmd.noreply = consume_noreply(tokens);
     if (tokens.size() != 2 || !valid_key(tokens[1])) return cmd;
     cmd.keys.emplace_back(tokens[1]);
     cmd.op = TextCommand::Op::kDelete;
@@ -140,7 +151,7 @@ TextCommand parse_command_line(std::string_view line) {
   }
 
   if (verb == "incr" || verb == "decr") {
-    cmd.noreply = consume_noreply(tokens, 3);
+    cmd.noreply = consume_noreply(tokens);
     if (tokens.size() != 3 || !valid_key(tokens[1])) return cmd;
     if (!parse_number(tokens[2], cmd.delta)) return cmd;
     cmd.keys.emplace_back(tokens[1]);
@@ -149,7 +160,7 @@ TextCommand parse_command_line(std::string_view line) {
   }
 
   if (verb == "touch") {
-    cmd.noreply = consume_noreply(tokens, 3);
+    cmd.noreply = consume_noreply(tokens);
     if (tokens.size() != 3 || !valid_key(tokens[1])) return cmd;
     if (!parse_number(tokens[2], cmd.exptime)) return cmd;
     cmd.keys.emplace_back(tokens[1]);
@@ -158,7 +169,7 @@ TextCommand parse_command_line(std::string_view line) {
   }
 
   if (verb == "flush_all") {
-    cmd.noreply = consume_noreply(tokens, 1);
+    cmd.noreply = consume_noreply(tokens);
     if (tokens.size() != 1) return cmd;
     cmd.op = TextCommand::Op::kFlushAll;
     return cmd;
@@ -193,20 +204,56 @@ bool is_background_line(std::string_view line) {
   return first_key == kSetBloomFilterKey || first_key == kGetBloomFilterKey;
 }
 
-bool wants_shed_reply(std::string_view batch) {
-  if (batch.empty()) return true;
-  while (!batch.empty()) {
-    const std::size_t eol = batch.find("\r\n");
-    const TextCommand cmd = parse_command_line(batch.substr(0, eol));
-    if (!cmd.noreply) return true;
-    if (eol == std::string_view::npos) break;
-    batch.remove_prefix(eol + 2);
-    // A noreply store's data block is not a command line: step over it.
-    // The parser caps <bytes> at SIZE_MAX - 2, so the sum cannot wrap.
-    const std::size_t block = is_storage(cmd.op) ? cmd.bytes + 2 : 0;
-    batch.remove_prefix(std::min(block, batch.size()));
+namespace {
+
+// The bytes the command at the head of `batch` spans, its data block
+// included, when it is a noreply command; 0 when it expects a reply. It
+// reads `noreply` where parse_command_line does, without allocating.
+std::size_t noreply_command_span(std::string_view batch) {
+  const std::size_t eol = batch.find("\r\n");
+  std::string_view line = batch.substr(0, eol);
+  const std::string_view verb = line.substr(0, line.find(' '));
+  const std::size_t arity = noreply_arity(verb);
+  if (arity == 0) return 0;
+  if (takes_meta_tokens(verb)) {
+    TextCommand meta;  // only its token fields are written: no allocation
+    line = strip_meta_tokens(line, meta);
   }
-  return false;
+  // tokenize()'s split, into a fixed array one longer than `noreply` needs.
+  std::array<std::string_view, 6> tokens;
+  std::size_t n = 0;
+  for (std::size_t pos = 0; pos < line.size();) {
+    if (n == tokens.size()) return 0;
+    const std::size_t space = std::min(line.find(' ', pos), line.size());
+    tokens[n++] = line.substr(pos, space - pos);
+    pos = space + 1;
+  }
+  if (n != arity + 1 || tokens[arity] != "noreply") return 0;
+  if (eol == std::string_view::npos) return batch.size();
+  // A noreply store's data block is not a command line: step over it.
+  // The parser caps <bytes> at SIZE_MAX - 2, so the sum cannot wrap.
+  std::size_t block = 0;
+  if (arity == 5 && parse_number(tokens[4], block) && block <= SIZE_MAX - 2) {
+    block += 2;
+  } else {
+    block = 0;
+  }
+  return eol + 2 + std::min(block, batch.size() - eol - 2);
+}
+
+}  // namespace
+
+std::optional<std::string_view> first_reply_line(std::string_view batch) {
+  while (!batch.empty()) {
+    const std::size_t span = noreply_command_span(batch);
+    if (span == 0) return batch.substr(0, batch.find("\r\n"));
+    batch.remove_prefix(span);
+  }
+  return std::nullopt;
+}
+
+bool wants_shed_reply(std::string_view batch) {
+  return batch.empty() || first_reply_line(batch).has_value();
 }
 
 namespace {

@@ -157,10 +157,17 @@ TextCommand parse_command_line(std::string_view line);
 // BLOOM_FILTER) — §IV maintenance traffic either way.
 bool is_background_line(std::string_view line);
 
+// The first command line of `batch` (CRLF excluded) that expects a reply,
+// past any leading noreply commands and their stores' data blocks; nullopt
+// when every command in the batch is a noreply one. Allocation-free:
+// admission classifies every batch by this line, since a client's corked
+// fire-and-forget store rides at the head of its next request.
+std::optional<std::string_view> first_reply_line(std::string_view batch);
+
 // Admission's view of a batch it sheds whole: false when every command in
-// it is a noreply one (a storage command's data block is stepped over), so
-// the shed stays as silent as the per-command refusals those commands get.
-// A batch that wants a reply gets one shed line, however many it holds.
+// it is a noreply one (first_reply_line is nullopt), so the shed stays as
+// silent as the per-command refusals those commands get. A batch that
+// wants a reply gets one shed line, however many it holds.
 bool wants_shed_reply(std::string_view batch);
 
 // One client connection worth of protocol state over a ShardedCacheServer.

@@ -47,15 +47,20 @@ const obs::SloSeries kSloSeries{
     "proteus_slo_p999_latency_bad",      "proteus_slo_power_budget_bad"};
 
 // Cheap, allocation-free batch classification for two-priority admission.
-// A batch is background when its first command is tagged with the `bg`
-// meta token (instrumented clients mark migration fetches that way) or is
-// a digest pull — both are §IV maintenance work that must yield to
-// foreground gets under pressure. The line is read by the parser's own
-// tail scan, so admission and the parser never disagree on `bg`.
+// A batch is background when its first command that expects a reply is
+// tagged with the `bg` meta token (instrumented clients mark migration
+// fetches that way) or is a digest pull — both are §IV maintenance work
+// that must yield to foreground gets under pressure. Leading noreply
+// commands are stepped over: a client corks its fire-and-forget fills and
+// migration stores into its next request, so a `bg` store ahead of a user
+// get must not shed the get, nor a plain fill let a digest pull in as
+// foreground. A batch of noreply commands only (a held store flushed on
+// its own) is classified by its first line. Lines are read by the parser's
+// own tail scan, so admission and the parser never disagree on `bg`.
 bool batch_is_background(std::string_view bytes) {
-  const std::size_t eol = bytes.find("\r\n");
-  return cache::is_background_line(
-      eol == std::string_view::npos ? bytes : bytes.substr(0, eol));
+  const std::string_view line = cache::first_reply_line(bytes).value_or(
+      bytes.substr(0, bytes.find("\r\n")));
+  return cache::is_background_line(line);
 }
 
 // Shed replies never touch the cache: one SERVER_ERROR line for the whole

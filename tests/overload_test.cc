@@ -440,6 +440,31 @@ TEST_F(OverloadedDaemon, ShedNoreplyStoreIsSilent) {
   EXPECT_TRUE(conn.ok());
 }
 
+// A client corks its noreply stores into its next request, so admission
+// classifies a batch by its first command that expects a reply: a `bg`
+// migration store at the head of a user get does not shed the get.
+TEST_F(OverloadedDaemon, CorkedBackgroundStoreDoesNotShedTheGetBehindIt) {
+  RawClient raw(daemon_->port());
+  ASSERT_TRUE(raw.connected());
+  raw.send("set k 0 0 1 noreply bg\r\nv\r\nget k\r\n");
+  ASSERT_EQ(raw.recv_line(), "VALUE k 0 1\r\n");
+  EXPECT_EQ(raw.recv_line(), "v\r\n");
+  EXPECT_EQ(raw.recv_line(), "END\r\n");
+  EXPECT_EQ(daemon_->shed_background(), 0u);
+}
+
+// ... and a plain fill at the head of a digest pull or a `bg` get does not
+// let the maintenance work in as foreground.
+TEST_F(OverloadedDaemon, CorkedFillDoesNotAdmitTheBackgroundGetBehindIt) {
+  RawClient raw(daemon_->port());
+  ASSERT_TRUE(raw.connected());
+  for (const char* request : {"get k bg", "gets BLOOM_FILTER"}) {
+    raw.send(std::string("set k 0 0 1 noreply\r\nv\r\n") + request + "\r\n");
+    ASSERT_EQ(raw.recv_line(), "SERVER_ERROR overloaded\r\n") << request;
+  }
+  EXPECT_EQ(daemon_->shed_background(), 2u);
+}
+
 // --- client: degraded responses and dogpile suppression ----------------------
 
 class LiveDaemon : public ::testing::Test {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -509,6 +510,57 @@ TEST(TextProtocol, ShedBatchWantsAReplyUnlessEveryCommandIsNoreply) {
   EXPECT_TRUE(wants_shed_reply("get k\r\n"));
   EXPECT_TRUE(wants_shed_reply("set k 0 0 1\r\nx\r\n"));
   EXPECT_TRUE(wants_shed_reply(""));
+}
+
+TEST(TextProtocol, FirstReplyLineStepsOverLeadingNoreplyCommands) {
+  const std::string store = noreply_store("k", "v", crc32c("v"), 1);
+  EXPECT_EQ(first_reply_line(store + "get k bg\r\n"), "get k bg");
+  EXPECT_EQ(first_reply_line(store + store + "gets BLOOM_FILTER\r\n"),
+            "gets BLOOM_FILTER");
+  EXPECT_EQ(first_reply_line("delete k noreply\r\nincr n 1 noreply\r\n"
+                             "touch k 5 noreply\r\nflush_all noreply\r\n"
+                             "version\r\n"),
+            "version");
+  // The reply-expecting command may still be waiting for its CRLF.
+  EXPECT_EQ(first_reply_line(store + "get k"), "get k");
+  // A data block that reads like a command line is still data.
+  EXPECT_EQ(first_reply_line("set k 0 0 7 noreply\r\nget k\r\n\r\nget j\r\n"),
+            "get j");
+  // `noreply` counts only where the parser reads it: last, after exactly
+  // the command's own arguments and before any meta tokens.
+  for (const char* line :
+       {"set k 0 0 1", "set k 0 0 noreply", "set k 0 0 1 2 noreply",
+        "delete k 0 noreply", "get k noreply", "set k 0 0 1 bg noreply x"}) {
+    EXPECT_EQ(first_reply_line(std::string(line) + "\r\n"), line) << line;
+    EXPECT_EQ(parse_command_line(line).noreply, false) << line;
+  }
+  EXPECT_EQ(first_reply_line(store), std::nullopt);
+  EXPECT_EQ(first_reply_line(""), std::nullopt);
+}
+
+// first_reply_line reads `noreply` where the parser does, over lines drawn
+// from the verbs, arguments and meta tokens that decide it.
+TEST(TextProtocol, FirstReplyLineAgreesWithTheParserOnNoreply) {
+  const std::vector<std::string> vocab = {
+      "set",     "add", "delete", "incr", "touch", "flush_all", "get",
+      "version", "k",   "0",      "5",    "noreply", "bg",      "",
+      obs::encode_checksum_token(7), obs::encode_epoch_token(3)};
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    std::string line = vocab[next() % 7];  // a verb first
+    for (std::uint64_t n = next() % 8; n > 0; --n) {
+      line += ' ' + vocab[next() % vocab.size()];
+    }
+    EXPECT_EQ(first_reply_line(line + "\r\n").has_value(),
+              !parse_command_line(line).noreply)
+        << line;
+  }
 }
 
 // --- epoch push integrity ----------------------------------------------------

@@ -240,72 +240,43 @@ bool MemcacheConnection::send_all(std::string_view bytes, SimTime deadline,
   return true;
 }
 
-std::optional<std::string> MemcacheConnection::read_line(SimTime deadline) {
-  for (;;) {
-    const std::size_t eol = buffer_.find("\r\n");
-    if (eol != std::string::npos) {
-      if (eol > kMaxLineBytes) {
-        fail(net::NetError::kProtocol);
-        return std::nullopt;
-      }
-      std::string line = buffer_.substr(0, eol);
-      buffer_.erase(0, eol + 2);
-      return line;
-    }
-    if (buffer_.size() > kMaxLineBytes) {
-      fail(net::NetError::kProtocol);
-      return std::nullopt;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) {
-      fail(net::NetError::kReset);
-      return std::nullopt;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (!await_io(POLLIN, deadline)) {
-        fail(net::NetError::kTimeout);
-        return std::nullopt;
-      }
-      continue;
-    }
-    fail(net::NetError::kReset);
+std::optional<std::string_view> MemcacheConnection::front_line() {
+  const std::size_t eol = buffer_.find("\r\n");
+  if (eol == std::string::npos ? buffer_.size() > kMaxLineBytes
+                               : eol > kMaxLineBytes) {
+    fail(net::NetError::kProtocol);
     return std::nullopt;
   }
+  if (eol == std::string::npos) return std::nullopt;
+  return std::string_view(buffer_.data(), eol);
 }
 
-bool MemcacheConnection::read_exact(std::size_t n, std::string& out,
-                                    SimTime deadline) {
-  while (buffer_.size() < n) {
-    char chunk[4096];
-    const ssize_t r = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (r > 0) {
-      buffer_.append(chunk, static_cast<std::size_t>(r));
-      continue;
-    }
-    if (r == 0) {
-      fail(net::NetError::kReset);
-      return false;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (!await_io(POLLIN, deadline)) {
-        fail(net::NetError::kTimeout);
-        return false;
-      }
-      continue;
-    }
-    fail(net::NetError::kReset);
+bool MemcacheConnection::refused(std::string_view reply) {
+  if (reply.starts_with(kOverloadedReply)) {
+    last_error_ = net::NetError::kOverloaded;
+  } else if (reply.starts_with(kStaleEpochReply)) {
+    last_error_ = net::NetError::kStaleEpoch;
+  } else {
     return false;
   }
-  out = buffer_.substr(0, n);
-  buffer_.erase(0, n);
   return true;
+}
+
+std::optional<std::string> MemcacheConnection::read_line(SimTime deadline) {
+  for (;;) {
+    if (const auto line = front_line()) {
+      std::string out(*line);
+      buffer_.erase(0, out.size() + 2);
+      return out;
+    }
+    if (!ok()) return std::nullopt;
+    const int n = fill_nonblocking();
+    if (n < 0) return std::nullopt;
+    if (n == 0 && !await_io(POLLIN, deadline)) {
+      fail(net::NetError::kTimeout);
+      return std::nullopt;
+    }
+  }
 }
 
 bool MemcacheConnection::begin_get(std::string_view key,
@@ -351,34 +322,23 @@ MemcacheConnection::GetProgress MemcacheConnection::step_get(
       case GetStage::kIdle:
         return GetProgress::kDone;
       case GetStage::kHeader: {
-        const std::size_t eol = buffer_.find("\r\n");
-        if (eol == std::string::npos) {
-          if (buffer_.size() > kMaxLineBytes) {
-            fail(net::NetError::kProtocol);
-            get_stage_ = GetStage::kIdle;
-            return GetProgress::kDone;
-          }
-          return GetProgress::kPending;
+        const auto line = front_line();
+        if (!line.has_value()) {
+          if (ok()) return GetProgress::kPending;
+          get_stage_ = GetStage::kIdle;
+          return GetProgress::kDone;
         }
         // Parse the line where it lies; it is erased once the outcome is
-        // known, and `header` dangles from then on.
-        const std::string_view header(buffer_.data(), eol);
+        // known. END is a miss (last_error_ == kNone); a shed or fence is a
+        // healthy, well-formed refusal (the daemon consumed the batch, the
+        // stream stays in sync, so keep the socket); anything else is a
+        // desynced stream this connection can never trust again.
         std::optional<std::size_t> bytes;
-        if (header == "END") {
-          // miss (last_error_ == kNone)
-        } else if (header.starts_with(kOverloadedReply)) {
-          // Admission-control shed: a healthy, well-formed refusal. The
-          // stream stays in sync (the daemon consumed the batch), so keep
-          // the socket.
-          last_error_ = net::NetError::kOverloaded;
-        } else if (header.starts_with(kStaleEpochReply)) {
-          last_error_ = net::NetError::kStaleEpoch;
-        } else if (!(bytes = parse_value_header(header, value_checksum_))) {
-          // Anything else means the stream is desynced and this connection
-          // can never be trusted again.
+        if (*line != "END" && !refused(*line) &&
+            !(bytes = parse_value_header(*line, value_checksum_))) {
           fail(net::NetError::kProtocol);
         }
-        buffer_.erase(0, eol + 2);
+        buffer_.erase(0, line->size() + 2);
         if (!bytes) {
           get_stage_ = GetStage::kIdle;
           return GetProgress::kDone;
@@ -400,17 +360,14 @@ MemcacheConnection::GetProgress MemcacheConnection::step_get(
         break;
       }
       case GetStage::kEnd: {
-        const std::size_t eol = buffer_.find("\r\n");
-        if (eol == std::string::npos) {
-          if (buffer_.size() > kMaxLineBytes) {
-            fail(net::NetError::kProtocol);
-            get_stage_ = GetStage::kIdle;
-            return GetProgress::kDone;
-          }
-          return GetProgress::kPending;
+        const auto line = front_line();
+        if (!line.has_value()) {
+          if (ok()) return GetProgress::kPending;
+          get_stage_ = GetStage::kIdle;
+          return GetProgress::kDone;
         }
-        const bool is_end = eol == 3 && buffer_.compare(0, 3, "END") == 0;
-        buffer_.erase(0, eol + 2);
+        const bool is_end = *line == "END";
+        buffer_.erase(0, line->size() + 2);
         get_stage_ = GetStage::kIdle;
         if (!is_end) fail(net::NetError::kProtocol);
         if (is_end) value = std::move(pending_value_);
@@ -487,14 +444,7 @@ bool MemcacheConnection::set(std::string_view key, std::string_view value,
   if (!reply.has_value()) return false;
   if (*reply == "STORED") return true;
   // Well-formed negative replies keep the connection; garbage kills it.
-  if (reply->rfind(kOverloadedReply, 0) == 0) {
-    last_error_ = net::NetError::kOverloaded;
-    return false;
-  }
-  if (reply->rfind(kStaleEpochReply, 0) == 0) {
-    last_error_ = net::NetError::kStaleEpoch;
-    return false;
-  }
+  if (refused(*reply)) return false;
   if (*reply == "NOT_STORED" || *reply == "EXISTS" || *reply == "NOT_FOUND" ||
       *reply == "ERROR" || reply->rfind("SERVER_ERROR", 0) == 0 ||
       reply->rfind("CLIENT_ERROR", 0) == 0) {
@@ -516,14 +466,7 @@ bool MemcacheConnection::erase(std::string_view key, std::uint64_t epoch) {
   const auto reply = read_line(deadline);
   if (!reply.has_value()) return false;
   if (*reply == "DELETED") return true;
-  if (reply->rfind(kOverloadedReply, 0) == 0) {
-    last_error_ = net::NetError::kOverloaded;
-    return false;
-  }
-  if (reply->rfind(kStaleEpochReply, 0) == 0) {
-    last_error_ = net::NetError::kStaleEpoch;
-    return false;
-  }
+  if (refused(*reply)) return false;
   if (*reply == "NOT_FOUND" || *reply == "ERROR") return false;
   fail(net::NetError::kProtocol);
   return false;
@@ -629,8 +572,7 @@ ProteusClient::ProteusClient(Options options, Backend backend)
       placement_(std::make_shared<ring::ProteusPlacement>(
           static_cast<int>(options_.endpoints.size()))),
       rng_(options_.jitter_seed),
-      retry_jitter_(/*base=*/kMillisecond, /*cap=*/20 * kMillisecond),
-      hedge_budget_(options_.hedge_rate, options_.hedge_burst) {
+      retry_jitter_(/*base=*/kMillisecond, /*cap=*/20 * kMillisecond) {
   PROTEUS_CHECK(backend_ != nullptr);
   PROTEUS_CHECK(!options_.endpoints.empty());
   PROTEUS_CHECK(options_.max_attempts >= 1);
@@ -776,44 +718,6 @@ bool ProteusClient::value_corrupt(int server, MemcacheConnection& c,
   return true;
 }
 
-ProteusClient::FetchResult ProteusClient::cache_get(int server,
-                                                    std::string_view key,
-                                                    SimTime now,
-                                                    obs::TraceContext& ctx,
-                                                    obs::SpanKind kind) {
-  // Per-endpoint load accounting for the audit feed (one get per call,
-  // however many attempts it takes).
-  ++endpoints_[static_cast<std::size_t>(server)].gets;
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      ++stats_.retries;
-      // Decorrelated-jitter spacing between attempts: a fleet of clients
-      // that lost the same server in the same instant wanders its retry
-      // times across [base, 3*prev] instead of resending in lockstep.
-      const SimTime pause = retry_jitter_.next(rng_);
-      ::poll(nullptr, 0,
-             static_cast<int>((pause + kMillisecond - 1) / kMillisecond));
-    }
-    const obs::SpanKind child_kind =
-        attempt == 0 ? kind : obs::SpanKind::kRetry;
-    MemcacheConnection* c = acquire(server, now);
-    if (c == nullptr) return skipped(server, key, ctx, child_kind);
-    // Migration fetches are maintenance traffic: tag them `bg` so the
-    // daemon's two-priority admission sheds them before foreground gets.
-    const bool background = kind == obs::SpanKind::kMigrationFetch;
-    // Stamping the read teaches the daemon our epoch (reads observe, they
-    // are never fenced — a draining server must answer old-view reads).
-    // The C token asks for the stored checksum back for end-to-end verify.
-    const SimTime t0 = mono_usec();
-    auto value = c->get(key, ctx.trace_id, background, epoch_,
-                        /*want_checksum=*/true);
-    FetchResult r = read_reply(server, *c, value, mono_usec() - t0, key, now,
-                               ctx, child_kind);
-    if (r.status != FetchStatus::kDown) return r;
-  }
-  return {FetchStatus::kDown, {}};
-}
-
 ProteusClient::FetchResult ProteusClient::read_reply(
     int server, MemcacheConnection& c, std::optional<std::string>& value,
     SimTime latency, std::string_view key, SimTime now, obs::TraceContext& ctx,
@@ -877,191 +781,186 @@ int ProteusClient::pick_backup(std::string_view key, int primary) const {
   return -1;
 }
 
-ProteusClient::FetchResult ProteusClient::hedged_get(int primary, int backup,
-                                                     std::string_view key,
-                                                     SimTime now,
-                                                     obs::TraceContext& ctx) {
-  Endpoint& pep = endpoints_[static_cast<std::size_t>(primary)];
-  ++pep.gets;
-  hedge_budget_.on_request();
+ProteusClient::FetchResult ProteusClient::fetch(int server, std::string_view key,
+                                                SimTime now,
+                                                obs::TraceContext& ctx,
+                                                obs::SpanKind kind) {
+  Endpoint& ep = endpoints_[static_cast<std::size_t>(server)];
+  // Per-endpoint load accounting for the audit feed (one get per call,
+  // however many attempts it takes).
+  ++ep.gets;
+  // Only a ring-0 current-location get hedges, and only it pays into the
+  // hedge budget. A failover get already is the backup; a migration fetch
+  // is maintenance traffic, tagged `bg` so the daemon's two-priority
+  // admission sheds it before foreground gets.
+  const bool hedged = kind == obs::SpanKind::kCacheGet;
+  const bool background = kind == obs::SpanKind::kMigrationFetch;
+  const int backup = hedged ? pick_backup(key, server) : -1;
+  if (hedged) hedge_budget_.on_request();
 
-  MemcacheConnection* pc = acquire(primary, now);
-  if (pc == nullptr) {
-    return skipped(primary, key, ctx, obs::SpanKind::kCacheGet);
-  }
-  if (!pc->begin_get(key, ctx.trace_id, false, epoch_,
-                     /*want_checksum=*/true)) {
-    record_failure(primary, pc->last_error(), now);
-    if (ctx.active()) {
-      ctx.child(obs::span_clock_now(), obs::SpanKind::kCacheGet, primary,
-                cause_of(pc->last_error()), key);
+  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
+    if (attempt > 0) {
+      ++stats_.retries;
+      // Decorrelated-jitter spacing between attempts: a fleet of clients
+      // that lost the same server in the same instant wanders its retry
+      // times across [base, 3*prev] instead of resending in lockstep.
+      const SimTime pause = retry_jitter_.next(rng_);
+      ::poll(nullptr, 0,
+             static_cast<int>((pause + kMillisecond - 1) / kMillisecond));
     }
-    return {FetchStatus::kDown, {}};
-  }
+    const obs::SpanKind span_kind =
+        attempt == 0 ? kind : obs::SpanKind::kRetry;
+    MemcacheConnection* pc = acquire(server, now);
+    if (pc == nullptr) return skipped(server, key, ctx, span_kind);
+    // Stamping the read teaches the daemon our epoch (reads observe, they
+    // are never fenced — a draining server must answer old-view reads).
+    // The C token asks for the stored checksum back for end-to-end verify.
+    // A failed send leaves the parser idle, so the first poll books it.
+    const SimTime t0 = mono_usec();
+    pc->begin_get(key, ctx.trace_id, background, epoch_,
+                  /*want_checksum=*/true);
+    const SimTime deadline = t0 + options_.op_timeout;
+    const SimTime hedge_at = t0 + ep.health.hedge_delay();
+    bool hedge_decided = !hedged;  // the delay elapsed and we chose fire/skip
+    bool primary_alive = true;
+    MemcacheConnection* bc = nullptr;
+    SimTime hedge_t0 = 0;
+    std::optional<std::string> pvalue;
+    std::optional<std::string> bvalue;
 
-  SimTime t0 = mono_usec();
-  const SimTime deadline = t0 + options_.op_timeout;
-  const SimTime hedge_at = t0 + pep.health.hedge_delay();
-  bool hedge_decided = false;  // the delay elapsed and we chose fire/skip
-  MemcacheConnection* bc = nullptr;
-  SimTime hedge_t0 = 0;
-  bool primary_alive = true;
-  int attempt = 0;
-  std::optional<std::string> pvalue;
-  std::optional<std::string> bvalue;
-
-  // One pass per poll wakeup: drive both parsers, fire the hedge when the
-  // adaptive delay elapses, first well-formed answer wins, the loser's
-  // stream (now carrying an answer nobody will read) is abandoned.
-  for (;;) {
-    if (primary_alive && pc->poll_get(pvalue) ==
-                             MemcacheConnection::GetProgress::kDone) {
-      const bool clean = pc->last_error() == net::NetError::kNone;
-      FetchResult r = read_reply(
-          primary, *pc, pvalue, mono_usec() - t0, key, now, ctx,
-          attempt == 0 ? obs::SpanKind::kCacheGet : obs::SpanKind::kRetry);
-      if (r.status != FetchStatus::kDown) {
-        if (bc != nullptr) {
-          bc->abandon();
-          if (clean && r.status != FetchStatus::kCorrupt) {
-            ++stats_.hedge_losses;
-            obs::emit(options_.trace, now, obs::TraceEventKind::kHedge,
-                      primary, backup, /*primary won*/ 0, key);
+    // One pass per poll wakeup: drive both parsers, fire the hedge when the
+    // adaptive delay elapses, first well-formed answer wins, the loser's
+    // stream (now carrying an answer nobody will read) is abandoned. A
+    // `break` ends a failed attempt: the primary died or timed out and no
+    // backup is left to ride.
+    for (;;) {
+      if (primary_alive && pc->poll_get(pvalue) ==
+                               MemcacheConnection::GetProgress::kDone) {
+        const bool clean = pc->last_error() == net::NetError::kNone;
+        FetchResult r = read_reply(server, *pc, pvalue, mono_usec() - t0,
+                                   key, now, ctx, span_kind);
+        if (r.status != FetchStatus::kDown) {
+          if (bc != nullptr) {
+            bc->abandon();
+            if (clean && r.status != FetchStatus::kCorrupt) {
+              ++stats_.hedge_losses;
+              obs::emit(options_.trace, now, obs::TraceEventKind::kHedge,
+                        server, backup, /*primary won*/ 0, key);
+            }
           }
+          return r;
         }
-        return r;
+        // Transport death: ride a racing backup, else retry.
+        primary_alive = false;
+        if (bc == nullptr) break;
       }
-      // Transport death. With no hedge in flight, fall back to the classic
-      // bounded retry (reconnect + resend, decorrelated-jitter spacing);
-      // with one racing, just ride the backup.
-      primary_alive = false;
-      if (bc == nullptr) {
-        if (++attempt >= options_.max_attempts) return {FetchStatus::kDown, {}};
-        ++stats_.retries;
-        const SimTime pause = retry_jitter_.next(rng_);
-        ::poll(nullptr, 0,
-               static_cast<int>((pause + kMillisecond - 1) / kMillisecond));
-        pc = acquire(primary, now);
-        if (pc == nullptr ||
-            !pc->begin_get(key, ctx.trace_id, false, epoch_, true)) {
-          if (pc != nullptr) record_failure(primary, pc->last_error(), now);
-          return {FetchStatus::kDown, {}};
-        }
-        t0 = mono_usec();
-        primary_alive = true;
-      }
-    }
 
-    if (bc != nullptr &&
-        bc->poll_get(bvalue) == MemcacheConnection::GetProgress::kDone) {
-      const SimTime blat = mono_usec() - hedge_t0;
-      const net::NetError err = bc->last_error();
-      if (err == net::NetError::kNone &&
-          !(bvalue.has_value() &&
-            value_corrupt(backup, *bc, key, *bvalue, now))) {
-        record_success(backup, now, blat);
-        ++stats_.hedge_wins;
-        if (primary_alive) pc->abandon();
-        obs::emit(options_.trace, now, obs::TraceEventKind::kHedge, primary,
-                  backup, /*hedge won*/ 1, key);
-        if (bvalue.has_value()) {
-          ++endpoints_[static_cast<std::size_t>(backup)].hits;
+      if (bc != nullptr &&
+          bc->poll_get(bvalue) == MemcacheConnection::GetProgress::kDone) {
+        const SimTime blat = mono_usec() - hedge_t0;
+        const net::NetError err = bc->last_error();
+        if (err == net::NetError::kNone &&
+            !(bvalue.has_value() &&
+              value_corrupt(backup, *bc, key, *bvalue, now))) {
+          record_success(backup, now, blat);
+          ++stats_.hedge_wins;
+          if (primary_alive) pc->abandon();
+          obs::emit(options_.trace, now, obs::TraceEventKind::kHedge, server,
+                    backup, /*hedge won*/ 1, key);
+          if (bvalue.has_value()) {
+            ++endpoints_[static_cast<std::size_t>(backup)].hits;
+          }
           if (ctx.active()) {
-            ctx.child(obs::span_clock_now(), obs::SpanKind::kCacheGet, backup,
-                      obs::SpanCause::kHedged, key);
+            ctx.child(obs::span_clock_now(), span_kind, backup,
+                      bvalue.has_value() ? obs::SpanCause::kHedged
+                                         : obs::SpanCause::kMiss,
+                      key);
           }
+          if (!bvalue.has_value()) return {FetchStatus::kMiss, {}};
           return {FetchStatus::kHit, std::move(*bvalue)};
         }
-        if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), obs::SpanKind::kCacheGet, backup,
-                    obs::SpanCause::kMiss, key);
+        // The backup refused, died, or answered corrupt bytes: drop out of
+        // the race and keep riding the primary.
+        if (err == net::NetError::kNone) {
+          record_success(backup, now, blat);  // corrupt payload, clean wire
+        } else {
+          record_failure(backup, err, now);
         }
-        return {FetchStatus::kMiss, {}};
+        bc = nullptr;
+        if (!primary_alive) break;
       }
-      // The backup refused, died, or answered corrupt bytes: drop out of
-      // the race and keep riding the primary (if it too is gone, the caller
-      // takes the failover/database path).
-      if (err == net::NetError::kNone) {
-        record_success(backup, now, blat);  // corrupt payload, clean wire
-      } else {
-        record_failure(backup, err, now);
-      }
-      bc = nullptr;
-      if (!primary_alive) return {FetchStatus::kDown, {}};
-    }
 
-    const SimTime mono = mono_usec();
-    if (mono >= deadline) {
-      if (primary_alive) {
-        pc->abandon();
-        record_failure(primary, net::NetError::kTimeout, now);
-        if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), obs::SpanKind::kCacheGet, primary,
-                    obs::SpanCause::kTimeout, key);
+      const SimTime mono = mono_usec();
+      if (mono >= deadline) {
+        if (primary_alive) {
+          pc->abandon();
+          record_failure(server, net::NetError::kTimeout, now);
+          if (ctx.active()) {
+            ctx.child(obs::span_clock_now(), span_kind, server,
+                      obs::SpanCause::kTimeout, key);
+          }
         }
+        if (bc != nullptr) {
+          bc->abandon();
+          record_failure(backup, net::NetError::kTimeout, now);
+        }
+        break;
       }
-      if (bc != nullptr) {
-        bc->abandon();
-        record_failure(backup, net::NetError::kTimeout, now);
-      }
-      return {FetchStatus::kDown, {}};
-    }
 
-    if (!hedge_decided && primary_alive && mono >= hedge_at) {
-      hedge_decided = true;
-      if (backup < 0 && pep.health.state() ==
-                            core::EndpointHealth::State::kHealthy) {
-        // With no distinct replica the only hedge target is the database.
-        // A lone outlier from an on-baseline endpoint is noise (scheduler
-        // jitter, a compaction pause on this side) — diverting it to the
-        // backend trades a warm hit for DB load. Divert only once the
-        // endpoint has accrued suspicion; otherwise ride the primary out.
-      } else if (!hedge_budget_.try_acquire()) {
-        ++stats_.hedges_suppressed;  // over the extra-load budget
-      } else if (backup < 0) {
-        // No distinct replica holds this key: the only useful hedge is to
-        // stop waiting on the outlier and read-repair from the database.
-        ++stats_.hedges_fired;
-        ++stats_.hedges_to_backend;
-        pc->abandon();
-        obs::emit(options_.trace, now, obs::TraceEventKind::kHedge, primary,
-                  -1, 1, key);
-        if (ctx.active()) {
-          ctx.child(obs::span_clock_now(), obs::SpanKind::kCacheGet, primary,
-                    obs::SpanCause::kHedged, key);
-        }
-        return {FetchStatus::kMiss, {}};
-      } else {
-        MemcacheConnection* cand = acquire(backup, now);
-        if (cand != nullptr &&
-            cand->begin_get(key, ctx.trace_id, false, epoch_, true)) {
-          bc = cand;
-          hedge_t0 = mono_usec();
+      if (!hedge_decided && primary_alive && mono >= hedge_at) {
+        hedge_decided = true;
+        if (backup < 0 &&
+            ep.health.state() == core::EndpointHealth::State::kHealthy) {
+          // With no distinct replica the only hedge target is the database.
+          // A lone outlier from an on-baseline endpoint is noise (scheduler
+          // jitter, a compaction pause on this side) — diverting it to the
+          // backend trades a warm hit for DB load. Divert only once the
+          // endpoint has accrued suspicion; otherwise ride the primary out.
+        } else if (!hedge_budget_.try_acquire()) {
+          ++stats_.hedges_suppressed;  // over the extra-load budget
+        } else if (backup < 0) {
+          // No distinct replica holds this key: the only useful hedge is to
+          // stop waiting on the outlier and read-repair from the database.
           ++stats_.hedges_fired;
-          ++endpoints_[static_cast<std::size_t>(backup)].gets;
-        } else if (cand != nullptr) {
-          record_failure(backup, cand->last_error(), now);
+          ++stats_.hedges_to_backend;
+          pc->abandon();
+          obs::emit(options_.trace, now, obs::TraceEventKind::kHedge, server,
+                    -1, 1, key);
+          if (ctx.active()) {
+            ctx.child(obs::span_clock_now(), span_kind, server,
+                      obs::SpanCause::kHedged, key);
+          }
+          return {FetchStatus::kMiss, {}};
+        } else {
+          MemcacheConnection* cand = acquire(backup, now);
+          if (cand != nullptr &&
+              cand->begin_get(key, ctx.trace_id, false, epoch_, true)) {
+            bc = cand;
+            hedge_t0 = mono_usec();
+            ++stats_.hedges_fired;
+            ++endpoints_[static_cast<std::size_t>(backup)].gets;
+          } else if (cand != nullptr) {
+            record_failure(backup, cand->last_error(), now);
+          }
         }
       }
-    }
 
-    pollfd fds[2];
-    nfds_t nfds = 0;
-    if (primary_alive) fds[nfds++] = {pc->fd(), POLLIN, 0};
-    if (bc != nullptr) fds[nfds++] = {bc->fd(), POLLIN, 0};
-    if (nfds == 0) return {FetchStatus::kDown, {}};
-    SimTime wait_until = deadline;
-    if (!hedge_decided && primary_alive) {
-      wait_until = std::min(wait_until, hedge_at);
+      pollfd fds[2];
+      nfds_t nfds = 0;
+      if (primary_alive) fds[nfds++] = {pc->fd(), POLLIN, 0};
+      if (bc != nullptr) fds[nfds++] = {bc->fd(), POLLIN, 0};
+      const SimTime wait_until =
+          hedge_decided ? deadline : std::min(deadline, hedge_at);
+      const SimTime remaining = wait_until - mono_usec();
+      const int timeout_ms =
+          remaining <= 0 ? 0
+                         : static_cast<int>(std::min<SimTime>(
+                               (remaining + kMillisecond - 1) / kMillisecond,
+                               60 * 1000));
+      ::poll(fds, nfds, timeout_ms);  // EINTR/timeout: the loop re-examines
     }
-    const SimTime remaining = wait_until - mono_usec();
-    const int timeout_ms =
-        remaining <= 0 ? 0
-                       : static_cast<int>(std::min<SimTime>(
-                             (remaining + kMillisecond - 1) / kMillisecond,
-                             60 * 1000));
-    ::poll(fds, nfds, timeout_ms);  // EINTR/timeout: the loop re-examines
   }
+  return {FetchStatus::kDown, {}};
 }
 
 bool ProteusClient::cache_set(int server, std::string_view key,
@@ -1226,14 +1125,7 @@ std::string ProteusClient::get_inner(std::string_view key, SimTime now,
                                  .decide(key));
         break;
       case Step::kGet: {
-        // The foreground fetch is hedged: past the primary's adaptive delay
-        // a budgeted backup GET races it on the key's replica location (or,
-        // with no replica, the slow primary is abandoned for the database).
-        FetchResult r =
-            options_.hedging && a.kind == obs::SpanKind::kCacheGet
-                ? hedged_get(a.server, pick_backup(key, a.server), key, now,
-                             ctx)
-                : cache_get(a.server, key, now, ctx, a.kind);
+        FetchResult r = fetch(a.server, key, now, ctx, a.kind);
         a = retrieval.got(r.status, std::move(r.value));
         break;
       }

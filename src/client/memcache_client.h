@@ -23,10 +23,15 @@
 // failures: a digest that cannot be fetched is recorded as absent — the
 // transition still completes, that server is never consulted as "hot".
 //
-// Tail defense: foreground gets are HEDGED — once the primary has been
+// Every cache get (current location, migration fetch, failover) runs one
+// streaming attempt loop: each attempt has a full op_timeout, and a reset,
+// desync, failed send or timeout is retried on a fresh connection while
+// max_attempts allows; a shed or stale-epoch reply never is. Tail defense
+// is one branch of that loop: once a ring-0 current-location get has been
 // outstanding past its endpoint's adaptive delay (baseline mean + k
-// deviations), a budgeted (≤ hedge_rate of load) backup GET races it on
-// the key's replica location and the first well-formed answer wins.
+// deviations), a budgeted (at most 5% of those gets, burst 8: the
+// core::HedgeBudget defaults) backup GET races it on the key's replica
+// location and the first well-formed answer wins.
 //
 // Algorithm 2 line 12 does not hold up the response: backend fills and
 // migration stores go out as `noreply` sets, so get() returns without
@@ -69,11 +74,11 @@
 
 namespace proteus::client {
 
-// One TCP connection speaking the memcached text protocol, with bounded
-// blocking: connect and every operation complete within their deadline or
-// fail with net::NetError::kTimeout. After any transport or protocol error
-// the connection is dead (ok() == false) — a desynced byte stream must
-// never be read again — and the owner reconnects.
+// One TCP connection speaking the memcached text protocol over a
+// non-blocking socket: connect and every operation complete within their
+// deadline or fail with net::NetError::kTimeout. After any transport or
+// protocol error the connection is dead (ok() == false) — a desynced byte
+// stream must never be read again — and the owner reconnects.
 class MemcacheConnection {
  public:
   struct Options {
@@ -197,7 +202,15 @@ class MemcacheConnection {
   bool send_all(std::string_view bytes, SimTime deadline, int flags = 0);
   // Reads until buffer_ contains a full line; returns it without CRLF.
   std::optional<std::string> read_line(SimTime deadline);
-  bool read_exact(std::size_t n, std::string& out, SimTime deadline);
+  // The complete line at the front of buffer_, CRLF excluded, viewed in
+  // place (erase size() + 2 bytes once done with it). nullopt while the
+  // line is still arriving, or after a line past the reply bound failed
+  // the connection (kProtocol; ok() tells the two apart).
+  std::optional<std::string_view> front_line();
+  // A daemon refusal that keeps the stream in sync — the admission shed
+  // (kOverloaded) or the fence (kStaleEpoch) — is recorded in last_error_;
+  // false for any other reply.
+  bool refused(std::string_view reply);
   SimTime op_deadline() const noexcept;
   void fail(net::NetError error);
   void close_now();
@@ -254,13 +267,12 @@ class ProteusClient {
     // gains, hedge-delay shaping).
     core::EndpointHealth::Policy health;
     std::uint64_t jitter_seed = 0x9e3779b97f4a7c15ULL;
-    // Hedged reads: after the primary's adaptive delay, race a backup GET
-    // against the key's replica location (needs replicas > 1 for a distinct
-    // backup). `hedge_rate` bounds the extra load (0.05 = at most 5% more
-    // GETs); `hedging` turns the mechanism off entirely for A/B drills.
-    bool hedging = true;
-    double hedge_rate = 0.05;
-    double hedge_burst = 8.0;
+    // Hedged reads are always on: past the primary's adaptive delay
+    // (`health`'s hedge-delay dials) a ring-0 get races a backup GET on
+    // the key's replica location (needs replicas > 1 for a distinct
+    // backup), within core::HedgeBudget's fixed budget of 5% extra GETs. A
+    // hedge delay floor above op_timeout means the deadline always comes
+    // first, i.e. no hedge.
     // §III-E replication degree. With r > 1 every fill/put writes all r
     // ring locations and reads fail over to them when the primary is down.
     int replicas = 1;
@@ -387,7 +399,7 @@ class ProteusClient {
     // memory — and any transition digest describing it — died with it.
     std::uint64_t incarnation = 0;
     // Client-observed per-endpoint load, the audit feed's fleet view:
-    // cache_get calls routed here and how many answered with a hit.
+    // fetch calls routed here and how many answered with a hit.
     std::uint64_t gets = 0;
     std::uint64_t hits = 0;
     // health's transition counters already surfaced as Stats/trace events.
@@ -425,11 +437,17 @@ class ProteusClient {
   bool value_corrupt(int server, MemcacheConnection& c, std::string_view key,
                      std::string_view value, SimTime now);
 
-  // Wire ops with retry + health bookkeeping. `ctx`/`kind`: each attempt
-  // becomes a tiled child span (first attempt = `kind`, retries = kRetry)
-  // and the trace id rides the wire to the daemon.
-  FetchResult cache_get(int server, std::string_view key, SimTime now,
-                        obs::TraceContext& ctx, obs::SpanKind kind);
+  // Every Algorithm 2 cache get (`kind`: kCacheGet, kMigrationFetch or
+  // kFailover), with retry + health bookkeeping. Each attempt has a full
+  // op_timeout and becomes a tiled child span (first attempt = `kind`,
+  // retries = kRetry); the trace id rides the wire to the daemon. Transport
+  // deaths retry while max_attempts allows; a shed or fence never does. A
+  // kCacheGet also hedges: past the primary's adaptive delay it spends the
+  // hedge budget on a backup GET at the key's replica location (first
+  // well-formed answer wins, the loser's connection is abandoned) or, with
+  // no distinct replica, abandons a suspect primary for the database.
+  FetchResult fetch(int server, std::string_view key, SimTime now,
+                    obs::TraceContext& ctx, obs::SpanKind kind);
   // Books one completed GET reply from `server` (health, hit count,
   // CRC32C verify, one `kind` span) and classifies it; a transport failure
   // comes back kDown for the caller to retry or give up on.
@@ -437,14 +455,6 @@ class ProteusClient {
                          std::optional<std::string>& value, SimTime latency,
                          std::string_view key, SimTime now,
                          obs::TraceContext& ctx, obs::SpanKind kind);
-  // The hedged foreground fetch: race the primary against `backup` (fired
-  // after the primary's adaptive hedge delay, spending the hedge budget);
-  // first well-formed answer wins, the loser's connection is abandoned.
-  // backup < 0 means "no distinct replica": the only hedge then is to
-  // abandon a too-slow primary and let the caller fall through to the
-  // database. Single attempt by design — the hedge IS the retry.
-  FetchResult hedged_get(int primary, int backup, std::string_view key,
-                         SimTime now, obs::TraceContext& ctx);
   // The first non-quarantined ring >= 1 location of `key` other than
   // `primary`, or -1.
   int pick_backup(std::string_view key, int primary) const;

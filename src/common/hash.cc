@@ -1,7 +1,13 @@
 #include "common/hash.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
+// GCC 12's _mm512_extracti32x4_epi32 passes _mm_undefined_si128(), a
+// self-initialised variable, and -Wmaybe-uninitialized flags it inside the
+// header (GCC bug 105593); nothing in this file reads it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #define PROTEUS_CRC32C_X86 1
 #endif
 

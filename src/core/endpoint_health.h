@@ -59,6 +59,10 @@ class DecorrelatedJitter {
 // become the overload source the admission layer defends against.
 class HedgeBudget {
  public:
+  // The live client's budget: at most 5% extra GETs, bursts of 8.
+  static constexpr double kDefaultRate = 0.05;
+  static constexpr double kDefaultBurst = 8.0;
+
   HedgeBudget() = default;
   HedgeBudget(double rate, double burst) noexcept : rate_(rate), burst_(burst) {
     PROTEUS_CHECK(rate >= 0.0 && burst >= 1.0);
@@ -76,8 +80,8 @@ class HedgeBudget {
   double rate() const noexcept { return rate_; }
 
  private:
-  double rate_ = 0.05;
-  double burst_ = 8.0;
+  double rate_ = kDefaultRate;
+  double burst_ = kDefaultBurst;
   double tokens_ = 1.0;  // allow one early hedge, then pay as you go
 };
 
@@ -135,6 +139,8 @@ class EndpointHealth {
     PROTEUS_CHECK(policy_.error_threshold >= 1);
     PROTEUS_CHECK(policy_.probation_successes >= 1);
     PROTEUS_CHECK(policy_.warmup_samples >= 1);
+    // hedge_delay() clamps into [floor, cap], undefined for floor > cap.
+    PROTEUS_CHECK(policy_.hedge_delay_floor <= policy_.hedge_delay_cap);
   }
 
   // May the caller route a request to this endpoint now? Quarantined

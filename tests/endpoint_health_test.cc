@@ -1,7 +1,7 @@
 // Unit tests for the gray-failure primitives in core/endpoint_health.h:
 // the decorrelated-jitter retry scheduler, the hedge token budget, and the
 // phi-accrual EndpointHealth state machine (warmup, latency accrual,
-// fail-stop fast path, probation re-admission, flap damping).
+// fail-stop fast path, probation re-admission, flap damping, policy checks).
 #include "core/endpoint_health.h"
 
 #include <gtest/gtest.h>
@@ -228,6 +228,18 @@ TEST(EndpointHealth, HedgeDelayTracksTheBaseline) {
     h.record_success(now += kMillisecond, 60000, rng);
   }
   EXPECT_GT(h.hedge_delay(), 60000);
+}
+
+TEST(EndpointHealthDeathTest, HedgeDelayFloorAboveCapIsRejected) {
+  // hedge_delay() clamps into [floor, cap]; a floor above the cap would be
+  // undefined behaviour, so the constructor refuses the policy.
+  EndpointHealth::Policy p;
+  p.hedge_delay_floor = 2 * kSecond;
+  p.hedge_delay_cap = kSecond;
+  EXPECT_DEATH(EndpointHealth{p}, "hedge_delay_floor <= ");
+  // floor == cap pins the delay: the way to push the hedge past a deadline.
+  p.hedge_delay_cap = p.hedge_delay_floor;
+  EXPECT_EQ(EndpointHealth(p).hedge_delay(), 2 * kSecond);
 }
 
 TEST(EndpointHealth, SuspectHysteresisRecoversWithoutQuarantine) {

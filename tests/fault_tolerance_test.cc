@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -256,7 +257,9 @@ TEST_F(LiveFleet, ReplicaFailoverServesWithoutBackend) {
 TEST_F(LiveFleet, ColdRestartedPrimaryIsServedFromRingOneAndRepaired) {
   auto opt = fast_options();
   opt.replicas = 2;
-  opt.hedging = false;
+  // No hedge: the deadline always comes before the hedge delay.
+  opt.health.hedge_delay_floor = 2 * opt.op_timeout;
+  opt.health.hedge_delay_cap = 2 * opt.op_timeout;
   obs::SpanCollector spans(256, /*sample_every=*/1);
   opt.spans = &spans;
   std::uint64_t backend = 0;
@@ -340,6 +343,77 @@ TEST_F(LiveFleet, StalledServerIsBoundedByDeadline) {
   EXPECT_GE(web.stats().timeouts, 1u);
   EXPECT_GE(web.stats().degraded_misses, 1u);
 }
+
+// --- one retry rule for every cache get --------------------------------------
+
+struct FirstAttemptFault {
+  const char* name;
+  net::FaultKind fault;
+  bool migration;  // the get is a migration fetch during a 3 -> 2 shrink
+};
+
+void PrintTo(const FirstAttemptFault& param, std::ostream* os) {
+  *os << param.name;
+}
+
+class RetriedFirstAttempt
+    : public LiveFleet,
+      public ::testing::WithParamInterface<FirstAttemptFault> {};
+
+// A get whose first attempt dies (stalled past op_timeout, or cut) is
+// retried once on a fresh connection and served warm: no degraded miss and
+// no backend fetch, whether it is a ring-0 get or a migration fetch.
+TEST_P(RetriedFirstAttempt, IsServedWarm) {
+  const FirstAttemptFault& param = GetParam();
+  constexpr int kFaulted = kServers - 1;  // the server a 3 -> 2 shrink drains
+  net::FaultInjector injector;
+  daemons_[kFaulted]->set_handler_wrapper(
+      [&](std::unique_ptr<net::ConnectionHandler> inner) {
+        return injector.wrap(std::move(inner));
+      });
+  auto opt = fast_options();
+  opt.op_timeout = 100 * kMillisecond;
+  std::uint64_t backend = 0;
+  ProteusClient web(opt, [&](std::string_view key) {
+    ++backend;
+    return "db:" + std::string(key);
+  });
+
+  std::string key;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string candidate = "page:" + std::to_string(i);
+    if (primary_of(candidate) == kFaulted) key = candidate;
+  }
+  web.put(key, "warm:" + key, 0);
+  ASSERT_EQ(web.get(key, 0), "warm:" + key);
+  if (param.migration) {
+    ASSERT_TRUE(web.resize(kServers - 1, 0));
+  }
+
+  injector.inject(param.fault, 1);
+  const ProteusClient::Stats before = web.stats();
+  EXPECT_EQ(web.get(key, kSecond), "warm:" + key);
+  const ProteusClient::Stats& after = web.stats();
+  EXPECT_EQ(injector.faults_injected(), 1u);
+  EXPECT_EQ(after.retries - before.retries, 1u);
+  EXPECT_EQ(after.degraded_misses - before.degraded_misses, 0u);
+  EXPECT_EQ(backend, 0u) << "the retried get must be served warm";
+  if (param.migration) {
+    EXPECT_EQ(after.old_server_hits - before.old_server_hits, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Faults, RetriedFirstAttempt,
+    ::testing::Values(
+        FirstAttemptFault{"RingZeroStall", net::FaultKind::kStall, false},
+        FirstAttemptFault{"RingZeroDrop", net::FaultKind::kDropConnection,
+                          false},
+        FirstAttemptFault{"MigrationFetchStall", net::FaultKind::kStall,
+                          true}),
+    [](const ::testing::TestParamInfo<FirstAttemptFault>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- MemcacheConnection host/endpoint handling -------------------------------
 

@@ -485,7 +485,7 @@ TEST_P(MetaTokenPermutations, SetAcceptsEveryTokenOrderAndStamps) {
   } while (std::next_permutation(toks.begin(), toks.end()));
 
   // A mismatched checksum is refused no matter where it sits in the tail.
-  for (const std::string tail :
+  for (const std::string& tail :
        {" " + bad + " " + o + " " + e, " " + o + " " + bad + " " + e,
         " " + o + " " + e + " " + bad}) {
     EXPECT_EQ(session.feed("set rot 0 0 " + std::to_string(value.size()) +

@@ -126,11 +126,13 @@ TEST_F(GrayFleet, LatencyRampHedgingCutsTheTailWithinBudget) {
     return "v:" + std::string(key);
   });
 
-  // Defense OFF: the pre-gray-failure client — no hedging, latency-blind
-  // health (deviation floor parks phi at zero), errors only.
+  // Defense OFF: the pre-gray-failure client — no hedge (its delay sits
+  // past the op deadline), latency-blind health (deviation floor parks phi
+  // at zero), errors only.
   ProteusClient::Options off_opt = base_options();
   off_opt.replicas = 2;
-  off_opt.hedging = false;
+  off_opt.health.hedge_delay_floor = 2 * off_opt.op_timeout;
+  off_opt.health.hedge_delay_cap = 2 * off_opt.op_timeout;
   off_opt.health.min_deviation_usec = 1e9;
   off_opt.health.error_threshold = 1000;
   ProteusClient web_off(off_opt, [](std::string_view key) {
@@ -199,7 +201,8 @@ TEST_F(GrayFleet, LatencyRampHedgingCutsTheTailWithinBudget) {
   // The extra-load guarantee: hedges never exceed rate * load + burst.
   EXPECT_LE(s.hedges_fired,
             static_cast<std::uint64_t>(0.05 * static_cast<double>(s.gets)) +
-                static_cast<std::uint64_t>(on_opt.hedge_burst) + 1)
+                static_cast<std::uint64_t>(core::HedgeBudget::kDefaultBurst) +
+                1)
       << "hedge budget must bound extra load to ~5%";
 }
 
@@ -263,7 +266,10 @@ TEST_F(GrayFleet, BitFlippedRepliesAreNeverServedAndAreReadRepaired) {
 
 TEST_F(GrayFleet, QuarantinedEndpointReadmitsThroughProbationProbes) {
   ProteusClient::Options opt = base_options();
-  opt.hedging = false;  // keep the failure accounting on the classic path
+  // No hedge: the deadline always comes first, so the failure accounting
+  // stays on the plain retry path.
+  opt.health.hedge_delay_floor = 2 * opt.op_timeout;
+  opt.health.hedge_delay_cap = 2 * opt.op_timeout;
   opt.health.error_threshold = 3;
   opt.health.quarantine_base = 500 * kMillisecond;
   opt.health.quarantine_cap = 2 * kSecond;

@@ -108,7 +108,9 @@ TEST(StackDistance, CapacityForHitRatio) {
   const std::size_t c = a.capacity_for_hit_ratio(0.7);
   ASSERT_GT(c, 0u);
   EXPECT_GE(a.hit_ratio_at(c), 0.7);
-  if (c > 1) EXPECT_LT(a.hit_ratio_at(c - 1), 0.7);
+  if (c > 1) {
+    EXPECT_LT(a.hit_ratio_at(c - 1), 0.7);
+  }
   // Unreachable targets return 0.
   EXPECT_EQ(a.capacity_for_hit_ratio(0.9999), 0u);
 }

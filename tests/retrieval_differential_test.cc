@@ -1,6 +1,6 @@
 // Differential test: one scripted sequence of gets, puts, resizes and
 // crash/restarts, run through the in-process facade and through a live
-// loopback fleet (ProteusClient over real daemons, hedging off), at r = 1
+// loopback fleet (ProteusClient over real daemons, no hedge), at r = 1
 // and r = 2. Both run Algorithm 2 through core::Retrieval, so per request
 // they must agree on the value, the server that served it, whether the
 // backend was fetched, and the repair set. The span trees supply all four.
@@ -130,10 +130,12 @@ class FleetSide {
     opt.endpoints = ports_;
     opt.replicas = replicas;
     opt.ttl = kDrain;
-    opt.hedging = false;
     opt.spans = &spans_;
     opt.connect_timeout = 200 * kMillisecond;
     opt.op_timeout = 2 * kSecond;
+    // No hedge: the deadline always comes before the hedge delay.
+    opt.health.hedge_delay_floor = 2 * opt.op_timeout;
+    opt.health.hedge_delay_cap = 2 * opt.op_timeout;
     // A retry reconnects after a restart; the health gate never
     // quarantines (the facade's detector does not either), so a restarted
     // daemon answers at once on both sides.

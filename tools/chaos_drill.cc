@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
   const std::uint64_t budget_cap =
       static_cast<std::uint64_t>(0.05 *
                                  static_cast<double>(web.stats().gets)) +
-      static_cast<std::uint64_t>(opt.hedge_burst) + 1;
+      static_cast<std::uint64_t>(core::HedgeBudget::kDefaultBurst) + 1;
   ok &= check(web.stats().hedges_fired <= budget_cap,
               "hedge extra load exceeded the 5% budget");
 

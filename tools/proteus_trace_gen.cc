@@ -1,8 +1,8 @@
 // proteus_trace_gen — write a synthetic Wikipedia-like request trace in the
 // "<microseconds> <key>" format consumed by trace_replay and read_trace().
 //
-//   proteus_trace_gen --hours=4 --rate=500 --pages=50000 --alpha=0.9 \
-//                     --seed=7 > trace.txt
+//   proteus_trace_gen --hours=4 --rate=500 --pages=50000 --alpha=0.9 --seed=7
+//       > trace.txt
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -114,7 +114,6 @@ void hit_ratio_ab(double& flat_ratio, double& sharded_ratio) {
 void wrap_fn_ab(int& flat_fn, int& sharded_fn) {
   cache::CacheConfig cfg;
   cfg.memory_budget_bytes = 1 << 20;
-  cfg.auto_size_digest = false;
   cfg.digest.num_counters = 64;
   cfg.digest.counter_bits = 2;
   cfg.digest.num_hashes = 2;

@@ -17,7 +17,6 @@ using namespace proteus::cache;
 CacheConfig bench_config() {
   CacheConfig cfg;
   cfg.memory_budget_bytes = 256u << 20;
-  cfg.auto_size_digest = false;
   cfg.digest.num_counters = 1 << 20;
   cfg.digest.counter_bits = 3;
   cfg.digest.num_hashes = 4;

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Seeded simulator outputs gate. The paper-figure benches (fig04..fig11),
 # ext_crash_latency (r = 1 and r = 2 through a crash) and the
-# ablation_dogpile, ablation_feedback_loop, ablation_provisioning_order and
-# ablation_ttl ablations are single-threaded and seeded, so their stdout
-# is a pure function of the code. bench/golden/<bench>.txt holds that
-# stdout; any byte difference means the simulator's Algorithm 1/2, web
-# tier, cache tier or event core changed behaviour.
+# ablation_dogpile, ablation_feedback_loop, ablation_provisioning_order,
+# ablation_ttl and ablation_object_sizes ablations are single-threaded and
+# seeded, so their stdout is a pure function of the code.
+# bench/golden/<bench>.txt holds that stdout; any byte difference means the
+# simulator's Algorithm 1/2, web tier, cache tier (ablation_object_sizes
+# drives CacheServer's LRU eviction under exact and slab accounting) or
+# event core changed behaviour.
 #
 #   scripts/sim_golden.sh --check  [--build-dir=build]   compare, exit 1 on diff
 #   scripts/sim_golden.sh --update [--build-dir=build]   rewrite the goldens
@@ -36,7 +38,8 @@ GOLDEN="bench/golden"
 BENCHES=(fig04_workload_provisioning fig05_load_balance fig06_hit_ratio
          fig07_false_positive fig08_false_negative fig09_response_time
          fig10_power fig11_total_energy ext_crash_latency ablation_dogpile
-         ablation_feedback_loop ablation_provisioning_order ablation_ttl)
+         ablation_feedback_loop ablation_provisioning_order ablation_ttl
+         ablation_object_sizes)
 
 for b in "${BENCHES[@]}"; do
   [[ -x "$BUILD_DIR/bench/$b" ]] || {

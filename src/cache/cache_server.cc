@@ -14,15 +14,6 @@ namespace proteus::cache {
 
 namespace {
 
-// Digest auto-sizing assumes the paper's 4 KB fixed object size (§II, §VI-B)
-// to estimate the resident key count kappa from the memory budget, then
-// applies the §IV-B optimizer with the evaluation's h = 4 and the worked
-// example's 1e-4 false positive/negative bounds.
-bloom::BloomParams default_digest_for(std::size_t budget_bytes) {
-  const std::size_t kappa = std::max<std::size_t>(1024, budget_bytes / 4096);
-  return bloom::optimize(kappa, /*h=*/4, /*pp=*/1e-4, /*pn=*/1e-4);
-}
-
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[8];
   std::memcpy(buf, &v, 8);
@@ -116,6 +107,17 @@ void CacheServer::KeyIndex::grow() {
   }
 }
 
+// Auto-sizing assumes the paper's 4 KB fixed object size (§II, §VI-B) to
+// estimate the resident key count kappa from the memory budget, then applies
+// the §IV-B optimizer with the evaluation's h = 4 and the worked example's
+// 1e-4 false positive/negative bounds.
+bloom::BloomParams digest_params_for(const CacheConfig& config) {
+  if (config.digest.num_counters != 0) return config.digest;
+  const std::size_t kappa =
+      std::max<std::size_t>(1024, config.memory_budget_bytes / 4096);
+  return bloom::optimize(kappa, /*h=*/4, /*pp=*/1e-4, /*pn=*/1e-4);
+}
+
 std::string encode_digest(const bloom::BloomFilter& filter) {
   std::string out;
   out.reserve(24 + filter.words().size() * 8);
@@ -143,18 +145,14 @@ bloom::BloomFilter decode_digest(std::string_view bytes) {
 CacheServer::CacheServer(CacheConfig config)
     : config_(std::move(config)),
       slab_sizer_(config_.slab_accounting
-                      ? std::optional<SlabSizer>(SlabSizer(config_.slab))
+                      ? std::optional<SlabSizer>(std::in_place)
                       : std::nullopt),
-      digest_(
-          [&]() -> bloom::CountingBloomFilter {
-            if (config_.auto_size_digest || config_.digest.num_counters == 0) {
-              config_.digest = default_digest_for(config_.memory_budget_bytes);
-            }
-            return bloom::CountingBloomFilter(
-                config_.digest.num_counters, config_.digest.counter_bits,
-                config_.digest.num_hashes, config_.digest_seed,
-                config_.digest_policy);
-          }()) {
+      digest_([&] {
+        config_.digest = digest_params_for(config_);
+        return bloom::CountingBloomFilter(
+            config_.digest.num_counters, config_.digest.counter_bits,
+            config_.digest.num_hashes, /*seed=*/0, config_.digest_policy);
+      }()) {
   PROTEUS_CHECK(config_.memory_budget_bytes > 0);
 }
 
@@ -203,7 +201,7 @@ bool CacheServer::get_into(std::string_view key, SimTime now,
   }
   ++stats_.hits;
   it->last_access = now;
-  touch_lru(it);
+  lru_.splice(lru_.begin(), lru_, it);  // move to MRU
   if (meta != nullptr) {
     meta->flags = it->flags;
     meta->crc = it->has_crc ? std::optional(it->crc) : std::nullopt;
@@ -258,8 +256,6 @@ bool CacheServer::erase(std::string_view key) {
 
 void CacheServer::flush() {
   lru_.clear();
-  protected_.clear();
-  protected_bytes_ = 0;
   index_.clear();
   bytes_used_ = 0;
   digest_.clear();
@@ -300,23 +296,18 @@ void CacheServer::power_on() {
 std::size_t CacheServer::hot_item_count(SimTime now, SimTime ttl) const {
   std::size_t n = 0;
   for (const Item& item : lru_) n += (now - item.last_access) <= ttl;
-  for (const Item& item : protected_) n += (now - item.last_access) <= ttl;
   return n;
 }
 
 std::size_t CacheServer::expire_idle(SimTime now, SimTime idle_limit) {
   std::size_t evicted = 0;
-  // Each list's tail holds its oldest last_access: sweep both tails until
-  // every remaining item is inside the idle limit.
-  const auto sweep = [&](LruList& list) {
-    while (!list.empty() && now - list.back().last_access > idle_limit) {
-      ++stats_.expirations;
-      unlink(std::prev(list.end()));
-      ++evicted;
-    }
-  };
-  sweep(lru_);
-  sweep(protected_);
+  // The tail holds the oldest last_access: sweep it until every remaining
+  // item is inside the idle limit.
+  while (!lru_.empty() && now - lru_.back().last_access > idle_limit) {
+    ++stats_.expirations;
+    unlink(std::prev(lru_.end()));
+    ++evicted;
+  }
   if (evicted > 0) {
     obs::emit(config_.trace, now, obs::TraceEventKind::kTtlExpiry,
               config_.trace_server_id, -1, evicted);
@@ -327,7 +318,6 @@ std::size_t CacheServer::expire_idle(SimTime now, SimTime idle_limit) {
 void CacheServer::link(Item item) {
   digest_.insert(item.key);  // do_item_link hook
   bytes_used_ += item.charge;
-  item.protected_seg = false;  // new items enter the probationary segment
   lru_.push_front(std::move(item));
   index_.insert(lru_.begin());
 }
@@ -336,53 +326,14 @@ void CacheServer::unlink(LruList::iterator it) {
   digest_.remove(it->key);  // do_item_unlink hook
   bytes_used_ -= it->charge;
   index_.erase(it);
-  if (it->protected_seg) {
-    protected_bytes_ -= it->charge;
-    protected_.erase(it);
-  } else {
-    lru_.erase(it);
-  }
-}
-
-void CacheServer::touch_lru(LruList::iterator it) {
-  if (!config_.segmented_lru) {
-    lru_.splice(lru_.begin(), lru_, it);  // move to MRU
-    return;
-  }
-  if (it->protected_seg) {
-    protected_.splice(protected_.begin(), protected_, it);
-    return;
-  }
-  // Promote: a probationary hit earns protected residency.
-  it->protected_seg = true;
-  protected_bytes_ += it->charge;
-  protected_.splice(protected_.begin(), lru_, it);
-  shrink_protected();
-}
-
-void CacheServer::shrink_protected() {
-  const auto cap = static_cast<std::size_t>(
-      config_.protected_ratio *
-      static_cast<double>(config_.memory_budget_bytes));
-  while (protected_bytes_ > cap && !protected_.empty()) {
-    // Demote the protected tail back to the probationary MRU position: it
-    // gets one more chance before eviction (memcached's COLD re-entry).
-    auto tail = std::prev(protected_.end());
-    tail->protected_seg = false;
-    protected_bytes_ -= tail->charge;
-    lru_.splice(lru_.begin(), protected_, tail);
-  }
+  lru_.erase(it);
 }
 
 void CacheServer::evict_to_fit(std::size_t incoming_charge) {
   while (bytes_used_ + incoming_charge > config_.memory_budget_bytes &&
-         (!lru_.empty() || !protected_.empty())) {
+         !lru_.empty()) {
     ++stats_.evictions;
-    if (!lru_.empty()) {
-      unlink(std::prev(lru_.end()));  // probationary tail first
-    } else {
-      unlink(std::prev(protected_.end()));
-    }
+    unlink(std::prev(lru_.end()));
   }
 }
 

@@ -13,9 +13,10 @@
 //     active / draining (transition, §IV) / off.
 //
 // Eviction is LRU under a byte budget, like memcached's slab LRU collapsed
-// to a single class (the paper assumes fixed-size objects, §II). Keys are
-// found through a flat open-addressing index over the LRU lists, in the
-// manner of memcached's own item hash table. Time is injected (SimTime) so
+// to a single class (the paper assumes fixed-size objects, §II): one list
+// per server, so the hot set is always a prefix of it. Keys are found
+// through a flat open-addressing index over that list, in the manner of
+// memcached's own item hash table. Time is injected (SimTime) so
 // the whole server is deterministic under simulation.
 #pragma once
 
@@ -85,11 +86,10 @@ struct CacheConfig {
   // Items untouched for longer than this are no longer "hot" (§II); they
   // lazily expire on access and during transitions. 0 disables expiry.
   SimTime item_ttl = 0;
-  // Digest configuration; defaults are re-derived from the budget if
-  // `auto_size_digest` is set (see CacheServer ctor).
+  // Digest geometry. Left at num_counters == 0 (the default), it is sized
+  // from the budget by the §IV-B optimizer (digest_params_for); any other
+  // value is used as given.
   bloom::BloomParams digest;
-  bool auto_size_digest = true;
-  std::uint64_t digest_seed = 0;
   // Counter overflow policy. Saturate (default) trades false negatives for
   // extra false positives; Wrap reproduces the paper's Eq. 5 / Fig. 8
   // false-negative analysis on a live server.
@@ -97,17 +97,10 @@ struct CacheConfig {
   // Per-item bookkeeping overhead charged against the budget, mirroring
   // memcached's ~48-56 byte item header.
   std::size_t per_item_overhead = 56;
-  // Charge items the chunk size of their slab class instead of their exact
-  // size (memcached's real accounting, including internal fragmentation).
+  // Charge items the chunk size of their slab class (SlabSizer's memcached
+  // defaults) instead of their exact size: memcached's real accounting,
+  // including internal fragmentation.
   bool slab_accounting = false;
-  SlabSizer::Options slab;
-  // Segmented LRU (memcached 1.5's LRU rework, simplified to two segments):
-  // new items enter a probationary segment; a hit promotes to a protected
-  // segment capped at `protected_ratio` of the budget; eviction drains the
-  // probationary tail first. Makes the cache scan-resistant — a one-pass
-  // sweep of cold keys cannot flush the hot set.
-  bool segmented_lru = false;
-  double protected_ratio = 0.8;
   // Observability (src/obs): when set, the server emits ttl_expiry trace
   // events — per key on lazy access-expiry, aggregated per expire_idle()
   // sweep — tagged with `trace_server_id`. Null disables tracing.
@@ -119,6 +112,10 @@ struct CacheConfig {
   // same address.
   std::uint64_t incarnation = 0;
 };
+
+// The digest geometry a server built from `config` uses: `config.digest` if
+// it sets num_counters, else the §IV-B optimum for the budget.
+bloom::BloomParams digest_params_for(const CacheConfig& config);
 
 class CacheServer {
  public:
@@ -205,7 +202,6 @@ class CacheServer {
     std::size_t charge;       // accounted bytes (key + value-or-override + overhead)
     SimTime last_access;
     std::uint32_t flags;      // opaque client metadata (memcached semantics)
-    bool protected_seg = false;  // segmented LRU: in the protected list
     bool has_crc = false;     // item carries an end-to-end checksum
     std::uint32_t crc = 0;    // CRC32C of `value`, stamped at SET time
     std::uint64_t hash = 0;   // KeyIndex::hash(key), kept for unlink
@@ -249,19 +245,13 @@ class CacheServer {
 
   void link(Item item);                 // insert + digest update
   void unlink(LruList::iterator it);    // remove + digest update
-  void touch_lru(LruList::iterator it); // hit: reorder / promote
   void evict_to_fit(std::size_t incoming_charge);
-  void shrink_protected();              // enforce the protected-ratio cap
   bool expired(const Item& item, SimTime now) const noexcept;
 
   CacheConfig config_;
   std::optional<SlabSizer> slab_sizer_;
   bloom::CountingBloomFilter digest_;
-  // Single-LRU mode uses only lru_; segmented mode treats lru_ as the
-  // probationary segment and protected_ as the hit-promoted segment.
-  LruList lru_;        // front = most recently used (probationary segment)
-  LruList protected_;  // segmented mode only
-  std::size_t protected_bytes_ = 0;
+  LruList lru_;  // front = most recently used
   KeyIndex index_;
   std::size_t bytes_used_ = 0;
   CacheStats stats_;

@@ -71,10 +71,10 @@ ShardedCacheServer::ShardedCacheServer(CacheConfig config, int num_shards) {
   // Resolve the digest geometry ONCE from the full budget, then pin it on
   // every shard: identical (num_counters, counter_bits, num_hashes, seed)
   // everywhere is what makes the merged snapshot an exact union and the
-  // wire blob byte-identical to the unsharded build. A probe CacheServer
-  // runs the same auto-sizing path the single-cache build runs, so the
-  // geometry cannot drift from CacheServer's own defaults.
-  const bloom::BloomParams geometry = CacheServer(config).config().digest;
+  // wire blob byte-identical to the unsharded build. digest_params_for is
+  // the rule every CacheServer sizes its own digest by, so the geometry
+  // cannot drift from the single-cache build's.
+  const bloom::BloomParams geometry = digest_params_for(config);
   if (config.incarnation != 0) incarnation_ = config.incarnation;
 
   const std::size_t per_shard =
@@ -90,7 +90,6 @@ ShardedCacheServer::ShardedCacheServer(CacheConfig config, int num_shards) {
           total_budget_ - per_shard * static_cast<std::size_t>(num_shards - 1);
     }
     shard_config.digest = geometry;
-    shard_config.auto_size_digest = false;
     shards_.push_back(std::make_unique<Shard>(std::move(shard_config)));
   }
 }
@@ -250,18 +249,7 @@ std::size_t ShardedCacheServer::digest_memory_bytes() const noexcept {
 }
 
 bool ShardedCacheServer::admit_epoch(std::uint64_t epoch) noexcept {
-  if (epoch == 0) return true;
-  std::uint64_t cur = cluster_epoch_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (epoch < cur) {
-      stale_epoch_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (cluster_epoch_.compare_exchange_weak(cur, epoch,
-                                             std::memory_order_relaxed)) {
-      return true;
-    }
-  }
+  return epoch == 0 || adopt_epoch(epoch);
 }
 
 bool ShardedCacheServer::adopt_epoch(std::uint64_t epoch) noexcept {

@@ -25,7 +25,6 @@ struct Fixture {
     CacheTierConfig cfg;
     cfg.num_servers = 10;
     cfg.per_server.memory_budget_bytes = 1 << 20;
-    cfg.per_server.auto_size_digest = false;
     cfg.per_server.digest.num_counters = 1 << 12;
     cfg.per_server.digest.counter_bits = 4;
     cfg.per_server.digest.num_hashes = 4;

@@ -44,7 +44,6 @@ namespace {
 CacheConfig small_config(std::size_t budget = 1 << 20) {
   CacheConfig cfg;
   cfg.memory_budget_bytes = budget;
-  cfg.auto_size_digest = false;
   cfg.digest.num_counters = 1 << 14;
   cfg.digest.counter_bits = 4;
   cfg.digest.num_hashes = 4;
@@ -319,107 +318,23 @@ TEST(CacheServer, ExpireIdleRespectsLruRefresh) {
   EXPECT_FALSE(cache.contains("b", 25 * kSecond));
 }
 
-// --- segmented LRU -----------------------------------------------------------
-
-CacheConfig segmented_config(std::size_t budget_items) {
-  CacheConfig cfg = small_config(budget_items * 12);
-  cfg.per_item_overhead = 0;
-  cfg.segmented_lru = true;
-  cfg.protected_ratio = 0.8;
-  return cfg;  // 2-char keys with a 10-byte charge override -> 12 B/item
-}
-
-TEST(CacheServer, SegmentedLruIsScanResistant) {
-  // Hot set of 5 keys, each hit twice (promoted to protected); then a scan
-  // of 100 one-touch keys. Plain LRU flushes the hot set; segmented keeps it.
-  const auto run = [](bool segmented) {
-    CacheConfig cfg = segmented_config(10);
-    cfg.segmented_lru = segmented;
-    CacheServer cache(cfg);
-    for (int i = 0; i < 5; ++i) {
-      cache.set("hot" + std::to_string(i), "", 0, 10);
-    }
-    for (int i = 0; i < 5; ++i) {
-      cache.get("hot" + std::to_string(i), 1);  // promote
-    }
-    for (int i = 0; i < 100; ++i) {
-      cache.set("scan" + std::to_string(i), "", 2, 10);
-    }
-    int hot_survivors = 0;
-    for (int i = 0; i < 5; ++i) {
-      hot_survivors += cache.contains("hot" + std::to_string(i), 3);
-    }
-    return hot_survivors;
-  };
-  EXPECT_EQ(run(false), 0) << "plain LRU should have flushed the hot set";
-  EXPECT_EQ(run(true), 5) << "segmented LRU should protect the hot set";
-}
-
-TEST(CacheServer, ProtectedSegmentIsCapped) {
-  // Budget 100 bytes, protected cap 80: promoting 10 x 10-byte items must
-  // demote the overflow back to probation rather than exceed the cap.
-  CacheServer cache(segmented_config(10));
-  for (int i = 0; i < 10; ++i) cache.set("k" + std::to_string(i), "", 0, 10);
-  for (int i = 0; i < 10; ++i) cache.get("k" + std::to_string(i), 1);
-  // All 10 items still resident (no eviction was needed)...
-  EXPECT_EQ(cache.item_count(), 10u);
-  // ...and a scan can displace at most the unprotected 20%.
-  for (int i = 0; i < 50; ++i) cache.set("s" + std::to_string(i), "", 2, 10);
-  int survivors = 0;
-  for (int i = 0; i < 10; ++i) {
-    survivors += cache.contains("k" + std::to_string(i), 3);
-  }
-  EXPECT_GE(survivors, 8);
-}
-
-TEST(CacheServer, SegmentedEvictionFallsBackToProtected) {
-  // When probation is empty, eviction must drain the protected tail rather
-  // than refuse to store.
-  CacheServer cache(segmented_config(5));
-  for (int i = 0; i < 5; ++i) cache.set("k" + std::to_string(i), "", 0, 10);
-  for (int i = 0; i < 5; ++i) cache.get("k" + std::to_string(i), 1);
-  // Everything is protected (50 <= 0.8*50? no: cap is 40, so one was
-  // demoted). Insert new items; the cache must keep functioning.
-  for (int i = 0; i < 3; ++i) cache.set("n" + std::to_string(i), "", 2, 10);
-  EXPECT_LE(cache.bytes_used(), cache.memory_budget());
-  EXPECT_TRUE(cache.contains("n2", 3));
-}
-
-TEST(CacheServer, SegmentedDigestStaysConsistent) {
-  CacheServer cache(segmented_config(10));
-  for (int i = 0; i < 20; ++i) cache.set("k" + std::to_string(i), "", 0, 10);
-  for (int i = 10; i < 20; ++i) cache.get("k" + std::to_string(i), 1);
-  for (int i = 0; i < 30; ++i) cache.set("x" + std::to_string(i), "", 2, 10);
-  // Digest answers yes for every resident key regardless of segment.
-  for (int i = 0; i < 20; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    if (cache.contains(key, 3)) {
-      EXPECT_TRUE(cache.digest().maybe_contains(key)) << key;
-    }
-  }
-}
-
-TEST(CacheServer, SegmentedExpireIdleSweepsBothSegments) {
-  CacheConfig cfg = segmented_config(10);
-  CacheServer cache(cfg);
-  cache.set("prot", "", 0, 10);
-  cache.get("prot", 1);  // promoted at t=1
-  cache.set("prob", "", 5 * kSecond, 10);
-  // At t=40s with a 20s limit both are idle.
-  EXPECT_EQ(cache.expire_idle(40 * kSecond, 20 * kSecond), 2u);
-  EXPECT_EQ(cache.item_count(), 0u);
-}
-
 TEST(CacheServer, AutoSizedDigestSatisfiesPaperBounds) {
   CacheConfig cfg;
   cfg.memory_budget_bytes = 64 << 20;  // ~16k 4KB objects
-  cfg.auto_size_digest = true;
   CacheServer cache(cfg);
   const auto& params = cache.config().digest;
   EXPECT_EQ(params.num_hashes, 4u);
   EXPECT_LE(bloom::false_positive_rate(params.expected_keys, params.num_hashes,
                                        params.num_counters),
             1e-4);
+
+  // Only a zero num_counters asks for auto-sizing: a geometry the caller
+  // sets is kept, whatever the budget.
+  cfg.digest = {1 << 12, 4, 4};
+  CacheServer fixed(cfg);
+  EXPECT_EQ(fixed.digest().num_counters(), std::size_t{1} << 12);
+  EXPECT_EQ(fixed.digest().counter_bits(), 4u);
+  EXPECT_EQ(fixed.digest().num_hashes(), 4u);
 }
 
 TEST(CacheServer, ServeTimeVerifyDropsCorruptStampedItems) {
@@ -507,10 +422,9 @@ TEST(CacheServer, GetIntoMissesLeaveTheBufferUntouched) {
 }
 
 // The LRU policy written the obvious way, as a reference for the
-// randomized differential test below: one std::list per segment and a
-// std::map from key to list position, with the CacheServer rules restated
-// (probationary tail evicted first, hit promotes, protected overflow
-// demotes to the probationary head, lazy TTL, serve-time CRC verify).
+// randomized differential test below: one std::list and a std::map from key
+// to list position, with the CacheServer rules restated (tail evicted
+// first, hit moves to the head, lazy TTL, serve-time CRC verify).
 class ReferenceLru {
  public:
   struct Entry {
@@ -518,7 +432,6 @@ class ReferenceLru {
     std::string value;
     std::size_t charge;
     SimTime last_access;
-    bool protected_seg = false;
     bool has_crc = false;
     std::uint32_t crc = 0;
   };
@@ -546,24 +459,7 @@ class ReferenceLru {
     }
     ++hits;
     it->last_access = now;
-    if (!cfg_.segmented_lru) {
-      lru_.splice(lru_.begin(), lru_, it);
-    } else if (it->protected_seg) {
-      protected_.splice(protected_.begin(), protected_, it);
-    } else {
-      it->protected_seg = true;
-      protected_bytes_ += it->charge;
-      protected_.splice(protected_.begin(), lru_, it);
-      const auto cap = static_cast<std::size_t>(
-          cfg_.protected_ratio *
-          static_cast<double>(cfg_.memory_budget_bytes));
-      while (protected_bytes_ > cap && !protected_.empty()) {
-        const auto tail = std::prev(protected_.end());
-        tail->protected_seg = false;
-        protected_bytes_ -= tail->charge;
-        lru_.splice(lru_.begin(), protected_, tail);
-      }
-    }
+    lru_.splice(lru_.begin(), lru_, it);
     return it->value;
   }
 
@@ -575,13 +471,12 @@ class ReferenceLru {
       unlink(found->second);
     }
     if (total > cfg_.memory_budget_bytes) return false;
-    while (bytes_used + total > cfg_.memory_budget_bytes &&
-           (!lru_.empty() || !protected_.empty())) {
+    while (bytes_used + total > cfg_.memory_budget_bytes && !lru_.empty()) {
       ++evictions;
-      unlink(std::prev(lru_.empty() ? protected_.end() : lru_.end()));
+      unlink(std::prev(lru_.end()));
     }
-    lru_.push_front(Entry{key, std::move(value), total, now, false,
-                          crc.has_value(), crc.value_or(0)});
+    lru_.push_front(Entry{key, std::move(value), total, now, crc.has_value(),
+                          crc.value_or(0)});
     index_[key] = lru_.begin();
     bytes_used += total;
     return true;
@@ -603,11 +498,9 @@ class ReferenceLru {
 
   std::size_t expire_idle(SimTime now, SimTime idle_limit) {
     std::size_t n = 0;
-    for (List* list : {&lru_, &protected_}) {
-      while (!list->empty() && now - list->back().last_access > idle_limit) {
-        unlink(std::prev(list->end()));
-        ++n;
-      }
+    while (!lru_.empty() && now - lru_.back().last_access > idle_limit) {
+      unlink(std::prev(lru_.end()));
+      ++n;
     }
     expirations += n;
     return n;
@@ -625,10 +518,8 @@ class ReferenceLru {
 
   void flush() {
     lru_.clear();
-    protected_.clear();
     index_.clear();
     bytes_used = 0;
-    protected_bytes_ = 0;
   }
 
   std::size_t size() const { return index_.size(); }
@@ -650,18 +541,11 @@ class ReferenceLru {
     unlinked.push_back(it->key);
     bytes_used -= it->charge;
     index_.erase(it->key);
-    if (it->protected_seg) {
-      protected_bytes_ -= it->charge;
-      protected_.erase(it);
-    } else {
-      lru_.erase(it);
-    }
+    lru_.erase(it);
   }
 
   CacheConfig cfg_;
   List lru_;
-  List protected_;
-  std::size_t protected_bytes_ = 0;
   std::map<std::string, List::iterator> index_;
 };
 
@@ -673,14 +557,13 @@ class ReferenceLru {
 // keeps a small table near half full, where runs are long and many wrap
 // past its end. With `max_items` 0, sizes vary. Gets alternate between
 // get() and get_into().
-void run_differential(bool segmented, std::size_t key_space,
-                      std::size_t max_items, int ops, std::uint64_t seed) {
+void run_differential(std::size_t key_space, std::size_t max_items, int ops,
+                      std::uint64_t seed) {
   constexpr std::size_t kItemCharge = 64;
   CacheConfig cfg =
       small_config(max_items ? max_items * kItemCharge : 26 * key_space);
   cfg.per_item_overhead = 8;
   cfg.digest.num_counters = 1 << 16;
-  cfg.segmented_lru = segmented;
   cfg.item_ttl = 400;
   CacheServer cache(cfg);
   ReferenceLru model(cfg);
@@ -787,7 +670,7 @@ void run_differential(bool segmented, std::size_t key_space,
   // Exact digest: counters equal a filter built from the resident keys.
   bloom::CountingBloomFilter expect(cfg.digest.num_counters,
                                     cfg.digest.counter_bits,
-                                    cfg.digest.num_hashes, cfg.digest_seed);
+                                    cfg.digest.num_hashes);
   for (const auto& [k, it] : model.index()) expect.insert(k);
   for (std::size_t i = 0; i < expect.num_counters(); ++i) {
     ASSERT_EQ(cache.digest().counter_at(i), expect.counter_at(i)) << i;
@@ -808,18 +691,8 @@ constexpr DifferentialRun kDifferentialRuns[] = {
 TEST(CacheServerDifferential, PlainLruMatchesReferenceModel) {
   for (const DifferentialRun& run : kDifferentialRuns) {
     SCOPED_TRACE(run.key_space);
-    ASSERT_NO_FATAL_FAILURE(run_differential(/*segmented=*/false,
-                                             run.key_space, run.max_items,
+    ASSERT_NO_FATAL_FAILURE(run_differential(run.key_space, run.max_items,
                                              run.ops, 101 + run.key_space));
-  }
-}
-
-TEST(CacheServerDifferential, SegmentedLruMatchesReferenceModel) {
-  for (const DifferentialRun& run : kDifferentialRuns) {
-    SCOPED_TRACE(run.key_space);
-    ASSERT_NO_FATAL_FAILURE(run_differential(/*segmented=*/true,
-                                             run.key_space, run.max_items,
-                                             run.ops, 202 + run.key_space));
   }
 }
 

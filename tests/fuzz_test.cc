@@ -157,7 +157,6 @@ TEST_P(FacadeFuzz, NeverServesStaleDataAcrossRandomResizes) {
   ProteusOptions opt;
   opt.max_servers = 8;
   opt.per_server.memory_budget_bytes = 32 << 20;  // no capacity evictions
-  opt.per_server.auto_size_digest = false;
   opt.per_server.digest.num_counters = 1 << 14;
   opt.per_server.digest.counter_bits = 4;
   opt.per_server.digest.num_hashes = 4;

@@ -53,7 +53,6 @@ TEST(Integration, DigestGatesFallbackByActualResidency) {
   // keys never stored must (almost) never be.
   cache::CacheConfig cc;
   cc.memory_budget_bytes = 16 << 20;
-  cc.auto_size_digest = true;
   cache::CacheServer server(cc);
   for (int i = 0; i < 2000; ++i) server.set("hot:" + std::to_string(i), "v", 0);
   const bloom::BloomFilter digest = server.snapshot_digest();

@@ -406,7 +406,6 @@ TEST_F(TimelineTest, DigestFalseNegativesAreDetectedAndTraced) {
   opt.ttl = 100 * kSecond;
   opt.trace = &ring;
   opt.per_server.memory_budget_bytes = 16 << 20;
-  opt.per_server.auto_size_digest = false;
   opt.per_server.digest.num_counters = 128;
   opt.per_server.digest.counter_bits = 1;
   opt.per_server.digest.num_hashes = 1;

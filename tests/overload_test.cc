@@ -247,7 +247,6 @@ TEST(MigrationThrottle, RateZeroDefersEverythingWhileOverloaded) {
 cache::CacheConfig proto_config() {
   cache::CacheConfig cfg;
   cfg.memory_budget_bytes = 4 << 20;
-  cfg.auto_size_digest = false;
   cfg.digest.num_counters = 1 << 14;
   cfg.digest.counter_bits = 4;
   cfg.digest.num_hashes = 4;
@@ -593,7 +592,6 @@ ProteusOptions facade_options() {
   ProteusOptions opt;
   opt.max_servers = 10;
   opt.per_server.memory_budget_bytes = 4 << 20;
-  opt.per_server.auto_size_digest = false;
   opt.per_server.digest.num_counters = 1 << 14;
   opt.per_server.digest.counter_bits = 4;
   opt.per_server.digest.num_hashes = 4;

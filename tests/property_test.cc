@@ -128,13 +128,9 @@ TEST_P(DigestProperty, DigestNeverFalselyNegativeForResidentKeys) {
   cache::CacheConfig cfg;
   cfg.memory_budget_bytes = 40'000;
   cfg.per_item_overhead = 0;
-  cfg.auto_size_digest = false;
   cfg.digest.num_counters = 1 << 14;
   cfg.digest.counter_bits = 4;
   cfg.digest.num_hashes = 4;
-  // Alternate eviction modes across seeds: the digest invariant must hold
-  // under segmented LRU's promote/demote churn too.
-  cfg.segmented_lru = (seed % 2) == 1;
   cache::CacheServer cache(cfg);
   Rng rng(seed);
 

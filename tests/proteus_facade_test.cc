@@ -14,7 +14,6 @@ ProteusOptions small_options(int servers = 10) {
   ProteusOptions opt;
   opt.max_servers = servers;
   opt.per_server.memory_budget_bytes = 4 << 20;
-  opt.per_server.auto_size_digest = false;
   opt.per_server.digest.num_counters = 1 << 14;
   opt.per_server.digest.counter_bits = 4;
   opt.per_server.digest.num_hashes = 4;

@@ -19,7 +19,6 @@ ProteusOptions small_options(int replicas = 2) {
   opt.max_servers = 10;
   opt.replicas = replicas;
   opt.per_server.memory_budget_bytes = 8 << 20;
-  opt.per_server.auto_size_digest = false;
   opt.per_server.digest.num_counters = 1 << 14;
   opt.per_server.digest.counter_bits = 4;
   opt.per_server.digest.num_hashes = 4;

@@ -29,7 +29,6 @@ cache::CacheConfig cache_config() {
   cfg.memory_budget_bytes = 8 << 20;
   // One digest shape on both sides, big enough that a few hundred keys see
   // no false positive on either.
-  cfg.auto_size_digest = false;
   cfg.digest.num_counters = 1 << 16;
   cfg.digest.counter_bits = 4;
   cfg.digest.num_hashes = 4;

@@ -149,7 +149,6 @@ TEST(ShardedCache, WrapPolicyFalseNegativesNoWorseThanUnsharded) {
   // must not produce more false negatives than the unsharded baseline. The
   // geometry is pinned tiny so the unsharded counters wrap a lot.
   CacheConfig cfg = small_config();
-  cfg.auto_size_digest = false;
   cfg.digest.num_counters = 64;
   cfg.digest.counter_bits = 2;  // wraps at 4
   cfg.digest.num_hashes = 2;

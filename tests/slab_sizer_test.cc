@@ -93,9 +93,9 @@ TEST(SlabAccounting, OversizedItemRejectedBySlabLimit) {
   CacheConfig cfg;
   cfg.memory_budget_bytes = 16 << 20;
   cfg.slab_accounting = true;
-  cfg.slab.max_chunk = 4096;
   CacheServer cache(cfg);
-  cache.set("big", std::string(8192, 'x'), 0);
+  // Above the default 1 MB largest class, well inside the 16 MB budget.
+  cache.set("big", std::string(2 << 20, 'x'), 0);
   EXPECT_EQ(cache.item_count(), 0u);
   cache.set("ok", std::string(1024, 'x'), 0);
   EXPECT_EQ(cache.item_count(), 1u);

@@ -25,7 +25,6 @@ namespace {
 cache::CacheConfig small_config() {
   cache::CacheConfig cfg;
   cfg.memory_budget_bytes = 4 << 20;
-  cfg.auto_size_digest = false;
   cfg.digest.num_counters = 1 << 12;
   cfg.digest.counter_bits = 4;
   cfg.digest.num_hashes = 4;

@@ -17,7 +17,6 @@ namespace {
 CacheConfig proto_config() {
   CacheConfig cfg;
   cfg.memory_budget_bytes = 4 << 20;
-  cfg.auto_size_digest = false;
   cfg.digest.num_counters = 1 << 14;
   cfg.digest.counter_bits = 4;
   cfg.digest.num_hashes = 4;

@@ -3,8 +3,13 @@
 // fetched through the memcached protocol, exactly as the paper deployed it.
 #include "client/memcache_client.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -12,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "cache/text_protocol.h"
+#include "common/rng.h"
 #include "net/memcache_daemon.h"
 #include "obs/trace.h"
 
@@ -390,6 +397,195 @@ TEST_F(Fleet, FillToAStoppedDaemonRecordsAFailure) {
   EXPECT_EQ(client.get(key, 0), "db:" + key);
   EXPECT_EQ(client.stats().resets, 1u);
   EXPECT_EQ(client.endpoint_health(primary).consecutive_errors(), 1);
+}
+
+// --- request bytes -------------------------------------------------------------
+//
+// The exact bytes MemcacheConnection puts on the wire, against literals. A
+// one-connection loopback listener records everything it receives and
+// answers through a real TextProtocolSession, so the client runs its normal
+// reply path. Each recv takes at most `read_chunk` bytes, so a large
+// request arrives in many pieces and the client's sends come back short.
+class CapturingListener {
+ public:
+  explicit CapturingListener(std::size_t read_chunk = 64 << 10)
+      : read_chunk_(read_chunk), engine_(config(), 1), session_(engine_) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+        ::listen(listen_fd_, 1) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                      &len) != 0) {
+      ADD_FAILURE() << "loopback listener failed";
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~CapturingListener() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes an accept nobody answered
+    if (thread_.joinable()) thread_.join();
+    ::close(listen_fd_);
+  }
+
+  std::uint16_t port() const { return port_; }
+
+  // Waits for the client to close its connection; every byte it sent.
+  std::string take() {
+    thread_.join();
+    return received_;
+  }
+
+ private:
+  static cache::CacheConfig config() {
+    cache::CacheConfig cfg;
+    cfg.memory_budget_bytes = 32 << 20;
+    return cfg;
+  }
+
+  void serve() {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) return;
+    std::vector<char> buf(read_chunk_);
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+      if (n <= 0) break;
+      const std::string_view bytes(buf.data(), static_cast<std::size_t>(n));
+      received_.append(bytes);
+      const std::string reply = session_.feed(bytes, 0);
+      for (std::size_t off = 0; off < reply.size();) {
+        const ssize_t w = ::send(fd, reply.data() + off, reply.size() - off,
+                                 MSG_NOSIGNAL);
+        if (w <= 0) break;
+        off += static_cast<std::size_t>(w);
+      }
+    }
+    ::close(fd);
+  }
+
+  std::size_t read_chunk_;
+  cache::ShardedCacheServer engine_;
+  cache::TextProtocolSession session_;
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::string received_;
+  std::thread thread_;
+};
+
+// What `op` sends on a fresh connection. Closing the connection flushes a
+// corked store and ends the capture.
+template <class Op>
+std::string bytes_sent(Op op) {
+  CapturingListener listener;
+  {
+    MemcacheConnection conn(listener.port());
+    EXPECT_TRUE(conn.ok());
+    op(conn);
+  }
+  return listener.take();
+}
+
+constexpr std::uint64_t kTraceId = 0x0123456789abcdefULL;
+
+TEST(RequestBytes, GetWithEachMetaTokenCombination) {
+  // Indexed by want_checksum | epoch << 1 | trace << 2 | background << 3.
+  const std::array<std::string_view, 16> expected = {
+      "get k\r\n",
+      "get k C00000000\r\n",
+      "get k E0000000000000007\r\n",
+      "get k C00000000 E0000000000000007\r\n",
+      "get k O0123456789abcdef\r\n",
+      "get k C00000000 O0123456789abcdef\r\n",
+      "get k E0000000000000007 O0123456789abcdef\r\n",
+      "get k C00000000 E0000000000000007 O0123456789abcdef\r\n",
+      "get k bg\r\n",
+      "get k C00000000 bg\r\n",
+      "get k E0000000000000007 bg\r\n",
+      "get k C00000000 E0000000000000007 bg\r\n",
+      "get k O0123456789abcdef bg\r\n",
+      "get k C00000000 O0123456789abcdef bg\r\n",
+      "get k E0000000000000007 O0123456789abcdef bg\r\n",
+      "get k C00000000 E0000000000000007 O0123456789abcdef bg\r\n",
+  };
+  for (unsigned mask = 0; mask < expected.size(); ++mask) {
+    const std::string sent = bytes_sent([mask](MemcacheConnection& c) {
+      EXPECT_FALSE(c.get("k", (mask & 4) != 0 ? kTraceId : 0,
+                         (mask & 8) != 0, (mask & 2) != 0 ? 7 : 0,
+                         (mask & 1) != 0)
+                       .has_value());
+      EXPECT_EQ(c.last_error(), net::NetError::kNone);
+    });
+    EXPECT_EQ(sent, expected[mask]) << "mask " << mask;
+  }
+}
+
+TEST(RequestBytes, Set) {
+  EXPECT_EQ(bytes_sent([](MemcacheConnection& c) {
+              EXPECT_TRUE(c.set("k", "hello", 5));
+            }),
+            "set k 5 0 5\r\nhello\r\n");
+  EXPECT_EQ(bytes_sent([](MemcacheConnection& c) {
+              EXPECT_TRUE(c.set("k", "hello", 0, kTraceId, true, 7, true));
+            }),
+            "set k 0 0 5 C9a71bb4c E0000000000000007 O0123456789abcdef bg"
+            "\r\nhello\r\n");
+  EXPECT_EQ(bytes_sent([](MemcacheConnection& c) {
+              EXPECT_TRUE(c.set("k", ""));
+            }),
+            "set k 0 0 0\r\n\r\n");
+}
+
+TEST(RequestBytes, CorkedNoreplySetLeavesWithTheNextRequest) {
+  EXPECT_EQ(bytes_sent([](MemcacheConnection& c) {
+              EXPECT_TRUE(c.set("k", "hello", 0, 0, false, 7, true, true));
+            }),
+            "set k 0 0 5 noreply C9a71bb4c E0000000000000007\r\nhello\r\n");
+  EXPECT_EQ(bytes_sent([](MemcacheConnection& c) {
+              EXPECT_TRUE(c.set("k", "hello", 0, 0, true, 7, true, true));
+              EXPECT_EQ(c.get("k", 0, false, 7, true), "hello");
+            }),
+            "set k 0 0 5 noreply C9a71bb4c E0000000000000007 bg\r\nhello\r\n"
+            "get k C00000000 E0000000000000007\r\n");
+}
+
+TEST(RequestBytes, Delete) {
+  EXPECT_EQ(bytes_sent([](MemcacheConnection& c) {
+              EXPECT_FALSE(c.erase("k"));
+              EXPECT_EQ(c.last_error(), net::NetError::kNone);
+            }),
+            "delete k\r\n");
+  EXPECT_EQ(bytes_sent([](MemcacheConnection& c) {
+              EXPECT_TRUE(c.set("k", "v"));
+              EXPECT_TRUE(c.erase("k", 7));
+            }),
+            "set k 0 0 1\r\nv\r\ndelete k E0000000000000007\r\n");
+}
+
+TEST(RequestBytes, ValueLargerThanTheSendBufferArrivesWhole) {
+  // 8 MiB against a reader taking 4 KiB per recv: the socket's send buffer
+  // fills, so the request leaves in many short sends.
+  std::string value(8u << 20, '\0');
+  Rng rng(42);
+  for (char& c : value) c = static_cast<char>(rng.next_below(256));
+  CapturingListener listener(/*read_chunk=*/4096);
+  {
+    MemcacheConnection::Options opt;
+    opt.op_timeout = 30 * kSecond;
+    MemcacheConnection conn(listener.port(), opt);
+    ASSERT_TRUE(conn.ok());
+    EXPECT_TRUE(conn.set("big", value, 0, 0, false, 0, true));
+    const auto back = conn.get("big", 0, false, 0, true);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_TRUE(*back == value);
+  }
+  const std::string header =
+      "set big 0 0 8388608 " + obs::encode_checksum_token(crc32c(value)) +
+      "\r\n";
+  const std::string sent = listener.take();
+  EXPECT_TRUE(sent == header + value + "\r\nget big C00000000\r\n")
+      << "sent " << sent.size() << " bytes";
 }
 
 }  // namespace

@@ -53,11 +53,10 @@ const auto kShardCounts = ::testing::Values(1, 4);
 
 class ProtocolSegmentation : public ::testing::TestWithParam<SeedAndShards> {};
 
-TEST_P(ProtocolSegmentation, ResponseInvariantUnderChunking) {
-  const auto [seed, shards] = GetParam();
+// A random but valid command script: sets, gets, multi-gets, deletes and
+// stats over 40 keys.
+std::string segmentation_script(std::uint64_t seed) {
   Rng rng(seed);
-
-  // Build a random but valid command script.
   std::string wire;
   for (int i = 0; i < 300; ++i) {
     const std::string key = "k" + std::to_string(rng.next_below(40));
@@ -78,6 +77,12 @@ TEST_P(ProtocolSegmentation, ResponseInvariantUnderChunking) {
       case 4: wire += "stats\r\n"; break;
     }
   }
+  return wire;
+}
+
+TEST_P(ProtocolSegmentation, ResponseInvariantUnderChunking) {
+  const auto [seed, shards] = GetParam();
+  const std::string wire = segmentation_script(seed);
 
   const auto run_chunked = [&](std::size_t max_chunk) {
     cache::ShardedCacheServer engine(small_cache(), shards);
@@ -503,17 +508,20 @@ INSTANTIATE_TEST_SUITE_P(Shards, MetaTokenPermutations, kShardCounts);
 
 class MetaTokenOrderFuzz : public ::testing::TestWithParam<SeedAndShards> {};
 
-TEST_P(MetaTokenOrderFuzz, ShuffledTokenTailsMatchAndEchoCorrectChecksums) {
-  const auto [seed, shards] = GetParam();
-  Rng rng(seed);
-
-  // Two scripts with identical commands and identical token SETS but
-  // independently shuffled token ORDER. Any-order parsing means their reply
-  // streams must be byte-identical; every echoed C token must match the CRC
-  // of the value it rides with.
+// Two scripts with identical commands and identical token SETS but
+// independently shuffled token ORDER, and the value each stored key holds.
+struct TokenScripts {
+  std::string a, b;
   std::map<std::string, std::string> model;  // each key set at most once
+};
+
+TokenScripts token_scripts(std::uint64_t seed) {
+  Rng rng(seed);
+  TokenScripts scripts;
+  std::map<std::string, std::string>& model = scripts.model;
   std::vector<std::string> stored;
-  std::string script_a, script_b;
+  std::string& script_a = scripts.a;
+  std::string& script_b = scripts.b;
   Rng shuffle_a(seed * 2 + 1), shuffle_b(seed * 7 + 5);
   const auto tail = [](std::vector<std::string> toks, Rng& r) {
     for (std::size_t i = toks.size(); i > 1; --i) {
@@ -554,6 +562,18 @@ TEST_P(MetaTokenOrderFuzz, ShuffledTokenTailsMatchAndEchoCorrectChecksums) {
       script_b += "get " + key + tail(toks, shuffle_b) + "\r\n";
     }
   }
+  return scripts;
+}
+
+TEST_P(MetaTokenOrderFuzz, ShuffledTokenTailsMatchAndEchoCorrectChecksums) {
+  const auto [seed, shards] = GetParam();
+  // Any-order parsing means the two scripts' reply streams must be
+  // byte-identical; every echoed C token must match the CRC of the value it
+  // rides with.
+  const TokenScripts scripts = token_scripts(seed);
+  const std::string& script_a = scripts.a;
+  const std::string& script_b = scripts.b;
+  const std::map<std::string, std::string>& model = scripts.model;
 
   const auto run = [&](const std::string& wire, std::size_t max_chunk) {
     cache::ShardedCacheServer engine(small_cache(), shards);
@@ -685,6 +705,67 @@ TEST_P(RawBytesFuzz, RepliesMatchAndTheSessionClosesPastTheBound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RawBytesFuzz,
                          ::testing::Values(1ull, 2ull, 3ull, 4ull, 5ull, 6ull));
+
+// --- parity: reply bytes pinned to recorded digests -------------------------
+//
+// The suites above compare feedings of one session with each other. These
+// digests pin the bytes themselves: the CRC32C of each script's reply
+// stream, fed whole to a 1- and a 4-shard engine, as recorded from the
+// session that buffered every chunk and built one string per reply, before
+// the session parsed in place. A change to any reply byte changes a digest.
+
+std::uint32_t whole_reply_digest(std::string_view wire, int shards) {
+  cache::ShardedCacheServer engine(small_cache(), shards);
+  cache::TextProtocolSession session(engine);
+  return crc32c(session.feed(wire, 0));
+}
+
+struct PinnedDigest {
+  std::uint64_t seed;
+  std::uint32_t crc;
+};
+
+TEST(ReplyDigests, SegmentationScripts) {
+  for (const PinnedDigest& pin : std::array<PinnedDigest, 4>{
+           {{1, 0xc630dd61},
+            {17, 0x731359a4},
+            {3333, 0x32317bd8},
+            {98765, 0x30c7f2d3}}}) {
+    for (const int shards : {1, 4}) {
+      EXPECT_EQ(whole_reply_digest(segmentation_script(pin.seed), shards),
+                pin.crc)
+          << "seed " << pin.seed << ", " << shards << " shards";
+    }
+  }
+}
+
+TEST(ReplyDigests, MetaTokenScripts) {
+  for (const PinnedDigest& pin : std::array<PinnedDigest, 3>{
+           {{11, 0x0c2bc95d}, {2024, 0xb1ea7dcf}, {777777, 0xcfe407e2}}}) {
+    const TokenScripts scripts = token_scripts(pin.seed);
+    for (const int shards : {1, 4}) {
+      EXPECT_EQ(whole_reply_digest(scripts.a, shards), pin.crc)
+          << "seed " << pin.seed << ", " << shards << " shards";
+      EXPECT_EQ(whole_reply_digest(scripts.b, shards), pin.crc)
+          << "seed " << pin.seed << ", " << shards << " shards";
+    }
+  }
+}
+
+TEST(ReplyDigests, RawByteScripts) {
+  for (const PinnedDigest& pin : std::array<PinnedDigest, 6>{
+           {{1, 0x63c4b467},
+            {2, 0xefc83b4c},
+            {3, 0},  // seeds 3 and 6 open with 0x80: no reply at all
+            {4, 0x87fb5ad1},
+            {5, 0x92d2a9dd},
+            {6, 0}}}) {
+    for (const int shards : {1, 4}) {
+      EXPECT_EQ(whole_reply_digest(raw_script(pin.seed), shards), pin.crc)
+          << "seed " << pin.seed << ", " << shards << " shards";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace proteus

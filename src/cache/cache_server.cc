@@ -169,13 +169,22 @@ std::optional<std::string> CacheServer::get(std::string_view key, SimTime now,
 
 bool CacheServer::get_into(std::string_view key, SimTime now,
                            std::string& out, ItemMeta* meta) {
+  const std::optional<std::string_view> value = get_view(key, now, meta);
+  if (!value.has_value()) return false;
+  out.assign(*value);
+  return true;
+}
+
+std::optional<std::string_view> CacheServer::get_view(std::string_view key,
+                                                      SimTime now,
+                                                      ItemMeta* meta) {
   PROTEUS_CHECK_MSG(power_state_ != PowerState::kOff,
                     "get() on a powered-off cache server");
   ++stats_.gets;
   const LruList::iterator* found = index_.find(key, index_.hash(key));
   if (found == nullptr) {
     ++stats_.misses;
-    return false;
+    return std::nullopt;
   }
   const LruList::iterator it = *found;
   if (expired(*it, now)) {
@@ -184,7 +193,7 @@ bool CacheServer::get_into(std::string_view key, SimTime now,
     obs::emit(config_.trace, now, obs::TraceEventKind::kTtlExpiry,
               config_.trace_server_id, -1, 1, key);
     unlink(it);
-    return false;
+    return std::nullopt;
   }
   // End-to-end integrity: items stamped with a CRC32C at SET time are
   // re-verified on every serve. A mismatch means the bytes rotted at rest
@@ -197,7 +206,7 @@ bool CacheServer::get_into(std::string_view key, SimTime now,
     obs::emit(config_.trace, now, obs::TraceEventKind::kCorruption,
               config_.trace_server_id, -1, /*n=at-rest*/ 1, key);
     unlink(it);
-    return false;
+    return std::nullopt;
   }
   ++stats_.hits;
   it->last_access = now;
@@ -206,8 +215,7 @@ bool CacheServer::get_into(std::string_view key, SimTime now,
     meta->flags = it->flags;
     meta->crc = it->has_crc ? std::optional(it->crc) : std::nullopt;
   }
-  out = it->value;
-  return true;
+  return std::string_view(it->value);
 }
 
 bool CacheServer::set(std::string_view key, std::string value, SimTime now,

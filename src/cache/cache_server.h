@@ -136,6 +136,11 @@ class CacheServer {
   // leaves `out` and `meta` untouched.
   bool get_into(std::string_view key, SimTime now, std::string& out,
                 ItemMeta* meta = nullptr);
+  // get() without a copy: on a hit, a view of the item's bytes, valid until
+  // the next call that mutates this server (a caller on another thread
+  // holds the server's lock across its use); nullopt on a miss.
+  std::optional<std::string_view> get_view(std::string_view key, SimTime now,
+                                           ItemMeta* meta = nullptr);
 
   // Stores (key, value); `charge` overrides the accounted value size so a
   // simulation can model 4 KB pages without materialising 4 KB payloads.

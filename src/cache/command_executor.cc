@@ -54,8 +54,10 @@ bool CommandExecutor::fits(std::string_view key, std::size_t bytes) const {
   return bytes <= engine_.shard(engine_.shard_index(key)).memory_budget();
 }
 
-SimTime CommandExecutor::parse_clock() const {
-  return spans_ != nullptr ? obs::span_clock_now() : 0;
+SimTime CommandExecutor::parse_clock(std::string_view line) const {
+  return spans_ != nullptr && line.find(" O") != std::string_view::npos
+             ? obs::span_clock_now()
+             : 0;
 }
 
 void CommandExecutor::parsed(std::uint64_t trace_id, SimTime parse_start) {
@@ -86,26 +88,28 @@ CommandResult CommandExecutor::execute(Command& cmd, SimTime now) {
 CommandResult CommandExecutor::get(const Command& cmd, SimTime now,
                                    std::uint64_t tid) {
   engine_.observe_epoch(cmd.epoch);  // reads teach the fence, never trip it
-  CommandResult r;
   if (ShardedCacheServer::is_reserved_key(cmd.key)) {
     // Admin reads (digest blob, epoch hello) take the engine's merged and
     // broadcast paths without a shard lock: the blob is the OR of every
     // shard's digest segment, byte-identical on the wire at any shard
     // count (§V-3). Counted as admin traffic, never as data-plane gets.
-    r.value = *engine_.get(cmd.key, now);
-    return r;
+    const std::string value = *engine_.get(cmd.key, now);
+    cmd.on_hit(Hit{value, 0, std::nullopt});
+    return CommandStatus::kOk;
   }
   ShardedCacheServer::Guard guard;
   CacheServer* cache = acquire(cmd.key, guard, tid);
   if (cache == nullptr) return CommandStatus::kBusy;
   CacheServer::ItemMeta meta;
-  auto value = cache->get(cmd.key, now, &meta);
+  const std::optional<std::string_view> value =
+      cache->get_view(cmd.key, now, &meta);
   if (!value.has_value()) return CommandStatus::kNotFound;
-  r.value = std::move(*value);
-  r.flags = meta.flags;
-  // Only a get that opted in echoes, and only a stamped item has a stamp.
-  if (cmd.checksum.has_value()) r.crc = meta.crc;
-  return r;
+  // Copied by the reader while the guard still holds the shard: the view
+  // dies with the next mutation of this shard. Only a get that opted in
+  // echoes, and only a stamped item has a stamp.
+  cmd.on_hit(Hit{*value, meta.flags,
+                 cmd.checksum.has_value() ? meta.crc : std::nullopt});
+  return CommandStatus::kOk;
 }
 
 CommandResult CommandExecutor::store(Command& cmd, SimTime now,

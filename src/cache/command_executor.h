@@ -14,6 +14,11 @@
 //   * server-side parse, lock-wait and op spans, with their causes;
 //   * the `stats` name/value list.
 //
+// A get hit is copied once: the executor hands a view of the item's bytes
+// to the command's HitReader while it still holds the key's shard lock, and
+// the reader copies them straight into its reply. Serve-time CRC32C
+// verification (CacheServer::get_view) runs before the view is handed out.
+//
 // Storage commands run their checks in one order:
 //   1. checksum verify — before the payload is interpreted and outside the
 //      shard lock (counting a reject takes the key's shard lock);
@@ -28,6 +33,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "cache/pipeline_policy.h"
@@ -41,6 +47,32 @@ enum class SpanCause;
 }  // namespace proteus::obs
 
 namespace proteus::cache {
+
+// A get hit as the executor hands it to its reader.
+struct Hit {
+  std::string_view value;            // the item's bytes
+  std::uint32_t flags = 0;           // the item's client flags
+  std::optional<std::uint32_t> crc;  // stored checksum, when asked for
+};
+
+// Reads a get hit in place, under the key's shard lock: `hit.value` views
+// the item and is valid only during the call. Borrows the callable it is
+// built from, which must outlive every call.
+class HitReader {
+ public:
+  HitReader() = default;
+  template <class F>
+    requires(!std::is_same_v<std::remove_cv_t<F>, HitReader>)
+  HitReader(F& read) noexcept  // NOLINT: implicit, like a function_ref
+      : obj_(&read), call_([](void* obj, const Hit& hit) {
+          (*static_cast<F*>(obj))(hit);
+        }) {}
+  void operator()(const Hit& hit) const { call_(obj_, hit); }
+
+ private:
+  void* obj_ = nullptr;
+  void (*call_)(void*, const Hit&) = nullptr;
+};
 
 // One decoded request against one key.
 struct Command {
@@ -68,6 +100,7 @@ struct Command {
   std::size_t charge = 0;
   std::uint64_t delta = 0;     // incr/decr
   std::uint64_t trace_id = 0;  // wire trace id; 0 = untraced
+  HitReader on_hit;            // get: receives a hit (required)
 };
 
 enum class CommandStatus : std::uint8_t {
@@ -88,10 +121,7 @@ struct CommandResult {
   CommandResult(CommandStatus s = CommandStatus::kOk) : status(s) {}
 
   CommandStatus status;
-  std::string value;                 // get: the hit's bytes
-  std::uint32_t flags = 0;           // get: the hit's client flags
-  std::optional<std::uint32_t> crc;  // get: stored checksum, when asked for
-  std::uint64_t counter = 0;         // incr/decr: the new value
+  std::uint64_t counter = 0;  // incr/decr: the new value
 };
 
 class CommandExecutor {
@@ -114,8 +144,10 @@ class CommandExecutor {
   bool fits(std::string_view key, std::size_t bytes) const;
 
   // --- spans ----------------------------------------------------------------
-  // Start of a parse span: the span clock when a collector is attached.
-  SimTime parse_clock() const;
+  // Start of `line`'s parse span: the span clock when a collector is
+  // attached and the line can carry a trace token (it holds " O"), else 0
+  // without reading the clock.
+  SimTime parse_clock(std::string_view line) const;
   // Notes a parsed command's wire trace id (0 = none) and records its parse
   // span from `parse_start`.
   void parsed(std::uint64_t trace_id, SimTime parse_start);
@@ -123,7 +155,9 @@ class CommandExecutor {
   std::uint64_t last_trace_id() const noexcept { return last_trace_id_; }
 
   // --- commands -------------------------------------------------------------
-  // Runs one command and records its op span. Consumes `cmd.payload`.
+  // Runs one command and records its op span. Consumes `cmd.payload`; a
+  // get hands its hit to `cmd.on_hit` under the shard lock and returns kOk,
+  // a miss kNotFound.
   CommandResult execute(Command& cmd, SimTime now);
   // Fan-outs under every shard lock; the caller holds none.
   void flush() { engine_.flush(); }

@@ -62,9 +62,14 @@
 // "Observability" lists the catalog).
 //
 // The session is push-parsed: feed() accepts arbitrary byte chunks (TCP
-// segmentation agnostic) and emits complete protocol responses. It only
-// frames: each command runs through the CommandExecutor
-// (cache/command_executor.h), which owns what a command means.
+// segmentation agnostic) and emits complete protocol responses. It parses
+// in place, straight out of the bytes it is handed, and keeps only an
+// unfinished tail between feeds (a partial line, or the last byte of a data
+// block's CRLF); a data block still arriving is copied once, into the value
+// that moves into the item. Every reply of a feed is appended to the one
+// string it returns. It only frames: each command runs through the
+// CommandExecutor (cache/command_executor.h), which owns what a command
+// means.
 //
 // Text is the only wire protocol (docs/PROTOCOL.md "Compatibility"). A
 // connection whose first byte is the binary protocol's 0x80 request magic
@@ -97,8 +102,33 @@ namespace proteus::cache {
 // client's line, with room for stock clients' multi-key gets.
 inline constexpr std::size_t kMaxLineBytes = 64 << 10;
 
+// The keys of a parsed line, viewed in that line: the first inline, a
+// multi-get's others on the heap, so a single-key command allocates
+// nothing.
+class KeyList {
+ public:
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
+  std::string_view operator[](std::size_t i) const noexcept {
+    return i == 0 ? first_ : more_[i - 1];
+  }
+  void push_back(std::string_view key) {
+    if (size_++ == 0) {
+      first_ = key;
+    } else {
+      more_.push_back(key);
+    }
+  }
+
+ private:
+  std::string_view first_;
+  std::vector<std::string_view> more_;
+  std::size_t size_ = 0;
+};
+
 // A parsed request line (exposed for tests and for servers that want to
-// route commands themselves).
+// route commands themselves). Its keys and stats argument view the line it
+// was parsed from, which must outlive it.
 struct TextCommand {
   // Opens with the executor's Command::Op values, in the same order.
   enum class Op {
@@ -117,13 +147,13 @@ struct TextCommand {
     kInvalid,
   };
   Op op = Op::kInvalid;
-  std::vector<std::string> keys;  // get: all keys; others: keys[0]
+  KeyList keys;  // get: all keys; others: keys[0]
   std::uint32_t flags = 0;
   std::int64_t exptime = 0;
   std::size_t bytes = 0;        // storage commands: payload length
   std::uint64_t delta = 0;      // incr/decr
   bool noreply = false;
-  std::string stats_arg;        // stats subcommand ("", "reset", "proteus")
+  std::string_view stats_arg;   // stats subcommand ("", "reset", "proteus")
   // Wire trace context: nonzero when the line carried a trailing O<hex64>
   // token (stripped before key handling).
   std::uint64_t trace_id = 0;
@@ -195,9 +225,10 @@ class TextProtocolSession {
                                PipelinePolicy pipeline = {})
       : exec_(engine, spans, server_id, pipeline), metrics_(metrics) {}
 
-  // Feeds raw bytes; appends any complete responses to the return value.
-  // "quit", a binary first byte or an over-long line sets closed(), and
-  // further input is ignored.
+  // Feeds raw bytes; returns the replies of every command they complete,
+  // in order. The bytes are parsed where they lie; only an unfinished tail
+  // is kept for the next feed. "quit", a binary first byte or an over-long
+  // line sets closed(), and further input is ignored.
   std::string feed(std::string_view bytes, SimTime now);
 
   bool closed() const noexcept { return closed_; }
@@ -218,18 +249,24 @@ class TextProtocolSession {
   }
 
  private:
-  std::string handle_line(std::string_view line, SimTime now);
-  // Runs a single-key command (storage commands carry their data block)
-  // and returns its reply, empty under noreply.
+  // Parses commands out of `in`, appending their replies to `out`; returns
+  // where parsing stopped (the start of an unfinished tail).
+  std::size_t consume(std::string_view in, SimTime now, std::string& out);
+  // Each handler appends its command's reply to `out` (nothing under
+  // noreply).
+  void handle_line(std::string_view line, SimTime now, std::string& out);
+  // Runs a single-key command (storage commands carry their data block).
   // `charge` stands in for a payload discarded unread (Command::charge).
-  std::string handle_keyed(const TextCommand& cmd, std::string payload,
-                           SimTime now, std::size_t charge = 0);
-  std::string handle_get(const TextCommand& cmd, SimTime now);
-  std::string handle_stats(const TextCommand& cmd);
+  void handle_keyed(const TextCommand& cmd, std::string payload, SimTime now,
+                    std::string& out, std::size_t charge = 0);
+  void handle_get(const TextCommand& cmd, SimTime now, std::string& out);
+  void handle_stats(const TextCommand& cmd, std::string& out);
 
   CommandExecutor exec_;
   const obs::MetricsRegistry* metrics_ = nullptr;
   std::function<void()> stats_reset_hook_;
+  // The unfinished tail of earlier feeds: a partial command line, or the
+  // start of a pending store's CRLF. Empty between whole commands.
   std::string buffer_;
   bool started_ = false;  // the connection's first byte has been seen
   bool closed_ = false;
@@ -237,8 +274,12 @@ class TextProtocolSession {
   // Data-block bytes (CRLF included) still to drop unread: an answered
   // store that was shed or can never fit.
   std::size_t discard_ = 0;
-  // Pending storage command waiting for its data block.
+  // Pending storage command waiting for its data block: its key lives in
+  // pending_key_ (the line it was parsed from may be gone by the next
+  // feed), the block's bytes so far in payload_ (CRLF excluded).
   std::optional<TextCommand> pending_;
+  std::string pending_key_;
+  std::string payload_;
   // A noreply mutation was refused as stale-epoch and the next data-plane
   // get has not yet answered `SERVER_ERROR stale-epoch` in its place.
   bool stale_noreply_ = false;

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -38,6 +39,8 @@ bool set_nonblocking(int fd) {
 
 // A reply line longer than this is not a memcached reply; treat as desync.
 constexpr std::size_t kMaxLineBytes = 64 * 1024;
+// The most one recv takes: a 4 KiB value's whole reply, or several.
+constexpr std::size_t kRecvChunk = 16 * 1024;
 // Upper bound on a single value a daemon may announce; anything larger is
 // a desynced length field, not data.
 constexpr std::size_t kMaxValueBytes = 256u << 20;
@@ -106,15 +109,15 @@ void append_meta_tokens(std::string& cmd, std::uint64_t epoch,
                         std::optional<std::uint32_t> checksum = std::nullopt) {
   if (checksum.has_value()) {
     cmd += ' ';
-    cmd += obs::encode_checksum_token(*checksum);
+    obs::append_checksum_token(cmd, *checksum);
   }
   if (epoch != 0) {
     cmd += ' ';
-    cmd += obs::encode_epoch_token(epoch);
+    obs::append_epoch_token(cmd, epoch);
   }
   if (trace_id != 0) {
     cmd += ' ';
-    cmd += obs::encode_trace_token(trace_id);
+    obs::append_trace_token(cmd, trace_id);
   }
   if (background) cmd += " bg";  // priority token goes last on the line
 }
@@ -168,12 +171,16 @@ MemcacheConnection::MemcacheConnection(MemcacheConnection&& other) noexcept
     : fd_(other.fd_),
       options_(std::move(other.options_)),
       last_error_(other.last_error_),
+      request_(std::move(other.request_)),
       buffer_(std::move(other.buffer_)),
+      read_pos_(other.read_pos_),
+      read_end_(other.read_end_),
       get_stage_(other.get_stage_),
       pending_bytes_(other.pending_bytes_),
       pending_value_(std::move(other.pending_value_)),
       value_checksum_(other.value_checksum_) {
   other.fd_ = -1;
+  other.read_pos_ = other.read_end_ = 0;
   other.get_stage_ = GetStage::kIdle;
 }
 
@@ -228,6 +235,7 @@ bool MemcacheConnection::send_all(std::string_view bytes, SimTime deadline,
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (deadline == 0) deadline = op_deadline();
       if (!await_io(POLLOUT, deadline)) {
         fail(net::NetError::kTimeout);
         return false;
@@ -240,15 +248,46 @@ bool MemcacheConnection::send_all(std::string_view bytes, SimTime deadline,
   return true;
 }
 
+bool MemcacheConnection::send_parts(
+    const std::array<std::string_view, 3>& parts, SimTime deadline,
+    int flags) {
+  std::array<iovec, 3> iov;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    iov[i] = {const_cast<char*>(parts[i].data()), parts[i].size()};
+  }
+  msghdr msg{};
+  msg.msg_iov = iov.data();
+  msg.msg_iovlen = iov.size();
+  ssize_t n;
+  do {
+    n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | flags);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+    fail(net::NetError::kReset);
+    return false;
+  }
+  std::size_t sent = n > 0 ? static_cast<std::size_t>(n) : 0;
+  for (const std::string_view part : parts) {
+    if (sent >= part.size()) {
+      sent -= part.size();
+      continue;
+    }
+    if (!send_all(part.substr(sent), deadline, flags)) return false;
+    sent = 0;
+  }
+  return true;
+}
+
 std::optional<std::string_view> MemcacheConnection::front_line() {
-  const std::size_t eol = buffer_.find("\r\n");
-  if (eol == std::string::npos ? buffer_.size() > kMaxLineBytes
-                               : eol > kMaxLineBytes) {
+  const std::string_view bytes = unread();
+  const std::size_t eol = bytes.find("\r\n");
+  if (eol == std::string_view::npos ? bytes.size() > kMaxLineBytes
+                                    : eol > kMaxLineBytes) {
     fail(net::NetError::kProtocol);
     return std::nullopt;
   }
-  if (eol == std::string::npos) return std::nullopt;
-  return std::string_view(buffer_.data(), eol);
+  if (eol == std::string_view::npos) return std::nullopt;
+  return bytes.substr(0, eol);
 }
 
 bool MemcacheConnection::refused(std::string_view reply) {
@@ -262,12 +301,12 @@ bool MemcacheConnection::refused(std::string_view reply) {
   return true;
 }
 
-std::optional<std::string> MemcacheConnection::read_line(SimTime deadline) {
+std::optional<std::string_view> MemcacheConnection::read_line(
+    SimTime deadline) {
   for (;;) {
     if (const auto line = front_line()) {
-      std::string out(*line);
-      buffer_.erase(0, out.size() + 2);
-      return out;
+      read_pos_ += line->size() + 2;
+      return line;
     }
     if (!ok()) return std::nullopt;
     const int n = fill_nonblocking();
@@ -288,22 +327,34 @@ bool MemcacheConnection::begin_get(std::string_view key,
   pending_bytes_ = 0;
   pending_value_.clear();
   value_checksum_.reset();
-  std::string cmd = "get ";
-  cmd.append(key);
-  append_meta_tokens(cmd, epoch, trace_id, background,
+  request_.assign("get ");
+  request_.append(key);
+  append_meta_tokens(request_, epoch, trace_id, background,
                      want_checksum ? std::optional<std::uint32_t>(0)
                                    : std::nullopt);
-  cmd += "\r\n";
-  if (!send_all(cmd, op_deadline())) return false;
+  request_ += "\r\n";
+  if (!send_all(request_, /*deadline=*/0)) return false;
   get_stage_ = GetStage::kHeader;
   return true;
 }
 
 int MemcacheConnection::fill_nonblocking() {
-  char chunk[4096];
-  const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+  if (read_pos_ == read_end_) {
+    read_pos_ = read_end_ = 0;
+  } else if (buffer_.size() - read_end_ < kRecvChunk && read_pos_ > 0) {
+    // Room for a whole chunk: move the unparsed start of a reply up front.
+    std::memmove(buffer_.data(), buffer_.data() + read_pos_,
+                 read_end_ - read_pos_);
+    read_end_ -= read_pos_;
+    read_pos_ = 0;
+  }
+  if (buffer_.size() - read_end_ < kRecvChunk) {
+    buffer_.resize(read_end_ + kRecvChunk);
+  }
+  const ssize_t n = ::recv(fd_, buffer_.data() + read_end_,
+                           buffer_.size() - read_end_, 0);
   if (n > 0) {
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    read_end_ += static_cast<std::size_t>(n);
     return static_cast<int>(n);
   }
   if (n == 0) {
@@ -338,7 +389,7 @@ MemcacheConnection::GetProgress MemcacheConnection::step_get(
             !(bytes = parse_value_header(*line, value_checksum_))) {
           fail(net::NetError::kProtocol);
         }
-        buffer_.erase(0, line->size() + 2);
+        read_pos_ += line->size() + 2;
         if (!bytes) {
           get_stage_ = GetStage::kIdle;
           return GetProgress::kDone;
@@ -348,14 +399,22 @@ MemcacheConnection::GetProgress MemcacheConnection::step_get(
         break;
       }
       case GetStage::kBody: {
-        if (buffer_.size() < pending_bytes_ + 2) return GetProgress::kPending;
-        if (buffer_.compare(pending_bytes_, 2, "\r\n") != 0) {
+        // The value's one copy: out of the receive buffer into the string
+        // the caller gets, as its bytes arrive.
+        const std::string_view bytes = unread();
+        const std::size_t take =
+            std::min(pending_bytes_ - pending_value_.size(), bytes.size());
+        pending_value_.append(bytes.data(), take);
+        read_pos_ += take;
+        if (pending_value_.size() < pending_bytes_ || bytes.size() < take + 2) {
+          return GetProgress::kPending;
+        }
+        if (bytes.substr(take, 2) != "\r\n") {
           fail(net::NetError::kProtocol);
           get_stage_ = GetStage::kIdle;
           return GetProgress::kDone;
         }
-        pending_value_.assign(buffer_, 0, pending_bytes_);
-        buffer_.erase(0, pending_bytes_ + 2);
+        read_pos_ += 2;
         get_stage_ = GetStage::kEnd;
         break;
       }
@@ -367,7 +426,7 @@ MemcacheConnection::GetProgress MemcacheConnection::step_get(
           return GetProgress::kDone;
         }
         const bool is_end = *line == "END";
-        buffer_.erase(0, line->size() + 2);
+        read_pos_ += line->size() + 2;
         get_stage_ = GetStage::kIdle;
         if (!is_end) fail(net::NetError::kProtocol);
         if (is_end) value = std::move(pending_value_);
@@ -401,10 +460,11 @@ std::optional<std::string> MemcacheConnection::get(std::string_view key,
   if (!begin_get(key, trace_id, background, epoch, want_checksum)) {
     return std::nullopt;
   }
-  const SimTime deadline = op_deadline();
+  SimTime deadline = 0;  // read from the clock at the first wait
   std::optional<std::string> value;
   for (;;) {
     if (poll_get(value) == GetProgress::kDone) return value;
+    if (deadline == 0) deadline = op_deadline();
     if (!await_io(POLLIN, deadline)) {
       get_stage_ = GetStage::kIdle;
       fail(net::NetError::kTimeout);
@@ -419,22 +479,27 @@ bool MemcacheConnection::set(std::string_view key, std::string_view value,
                              bool with_checksum, bool noreply) {
   if (!ok()) return false;
   last_error_ = net::NetError::kNone;
-  const SimTime deadline = op_deadline();
-  std::string cmd = "set ";
-  cmd.append(key);
-  cmd += ' ';
-  cmd += std::to_string(flags);
-  cmd += " 0 ";
-  cmd += std::to_string(value.size());
-  if (noreply) cmd += " noreply";
-  append_meta_tokens(cmd, epoch, trace_id, background,
+  // A noreply store waits for nothing: its deadline is read only if the
+  // send has to wait.
+  const SimTime deadline = noreply ? 0 : op_deadline();
+  request_.assign("set ");
+  request_.append(key);
+  request_ += ' ';
+  request_ += std::to_string(flags);
+  request_ += " 0 ";
+  request_ += std::to_string(value.size());
+  if (noreply) request_ += " noreply";
+  append_meta_tokens(request_, epoch, trace_id, background,
                      with_checksum ? std::optional<std::uint32_t>(crc32c(value))
                                    : std::nullopt);
-  cmd += "\r\n";
-  cmd.append(value);
-  cmd += "\r\n";
-  // Corked: the connection's next request carries a noreply store out.
-  if (!send_all(cmd, deadline, noreply ? MSG_MORE : 0)) return false;
+  request_ += "\r\n";
+  // Header, value and CRLF in one sendmsg, the value sent from where it
+  // lies. Corked: the connection's next request carries a noreply store
+  // out.
+  if (!send_parts({request_, value, "\r\n"}, deadline,
+                  noreply ? MSG_MORE : 0)) {
+    return false;
+  }
   // The daemon answers a noreply store nothing, not even a refusal. One
   // non-blocking read still catches a daemon that has closed or reset the
   // connection, so a store into a dead daemon fails here, not at the next
@@ -458,11 +523,11 @@ bool MemcacheConnection::erase(std::string_view key, std::uint64_t epoch) {
   if (!ok()) return false;
   last_error_ = net::NetError::kNone;
   const SimTime deadline = op_deadline();
-  std::string cmd = "delete ";
-  cmd.append(key);
-  append_meta_tokens(cmd, epoch, 0, false);
-  cmd += "\r\n";
-  if (!send_all(cmd, deadline)) return false;
+  request_.assign("delete ");
+  request_.append(key);
+  append_meta_tokens(request_, epoch, 0, false);
+  request_ += "\r\n";
+  if (!send_all(request_, deadline)) return false;
   const auto reply = read_line(deadline);
   if (!reply.has_value()) return false;
   if (*reply == "DELETED") return true;
@@ -503,13 +568,13 @@ MemcacheConnection::stats(std::string_view arg) {
   if (!ok()) return std::nullopt;
   last_error_ = net::NetError::kNone;
   const SimTime deadline = op_deadline();
-  std::string cmd = "stats";
+  request_.assign("stats");
   if (!arg.empty()) {
-    cmd += ' ';
-    cmd.append(arg);
+    request_ += ' ';
+    request_.append(arg);
   }
-  cmd += "\r\n";
-  if (!send_all(cmd, deadline)) return std::nullopt;
+  request_ += "\r\n";
+  if (!send_all(request_, deadline)) return std::nullopt;
   std::vector<std::pair<std::string, std::string>> out;
   for (;;) {
     const auto line = read_line(deadline);
@@ -550,7 +615,7 @@ std::string MemcacheConnection::version() {
     fail(net::NetError::kProtocol);
     return {};
   }
-  return *reply;
+  return std::string(*reply);
 }
 
 std::optional<bloom::BloomFilter> MemcacheConnection::fetch_digest() {
@@ -599,6 +664,8 @@ ProteusClient::ProteusClient(Options options, Backend backend)
   for (int r = 0; r < options_.replicas; ++r) {
     routers_.emplace_back(placement_, initial, r);
   }
+  put_locations_.reserve(routers_.size());
+  put_old_locations_.reserve(routers_.size());
   endpoints_.reserve(options_.endpoints.size());
   for (std::size_t i = 0; i < options_.endpoints.size(); ++i) {
     Endpoint ep;
@@ -827,6 +894,7 @@ ProteusClient::FetchResult ProteusClient::fetch(int server, std::string_view key
     SimTime hedge_t0 = 0;
     std::optional<std::string> pvalue;
     std::optional<std::string> bvalue;
+    SimTime mono = t0;  // the first pass has not waited: t0 still stands
 
     // One pass per poll wakeup: drive both parsers, fire the hedge when the
     // adaptive delay elapses, first well-formed answer wins, the loser's
@@ -890,7 +958,6 @@ ProteusClient::FetchResult ProteusClient::fetch(int server, std::string_view key
         if (!primary_alive) break;
       }
 
-      const SimTime mono = mono_usec();
       if (mono >= deadline) {
         if (primary_alive) {
           pc->abandon();
@@ -951,13 +1018,14 @@ ProteusClient::FetchResult ProteusClient::fetch(int server, std::string_view key
       if (bc != nullptr) fds[nfds++] = {bc->fd(), POLLIN, 0};
       const SimTime wait_until =
           hedge_decided ? deadline : std::min(deadline, hedge_at);
-      const SimTime remaining = wait_until - mono_usec();
+      const SimTime remaining = wait_until - mono;
       const int timeout_ms =
           remaining <= 0 ? 0
                          : static_cast<int>(std::min<SimTime>(
                                (remaining + kMillisecond - 1) / kMillisecond,
                                60 * 1000));
       ::poll(fds, nfds, timeout_ms);  // EINTR/timeout: the loop re-examines
+      mono = mono_usec();
     }
   }
   return {FetchStatus::kDown, {}};
@@ -1175,8 +1243,10 @@ core::Retrieval::Action ProteusClient::fetch_backend(
 void ProteusClient::put(std::string_view key, std::string_view value,
                         SimTime now) {
   tick(now);
-  std::vector<int> locations;
-  std::vector<int> old_locations;
+  std::vector<int>& locations = put_locations_;
+  std::vector<int>& old_locations = put_old_locations_;
+  locations.clear();
+  old_locations.clear();
   for (const cluster::Router& router : routers_) {
     const cluster::Router::Decision d = router.decide(key);
     if (std::find(locations.begin(), locations.end(), d.primary) ==

@@ -49,6 +49,7 @@
 // from the database instead of propagating.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -79,6 +80,14 @@ namespace proteus::client {
 // deadline or fail with net::NetError::kTimeout. After any transport or
 // protocol error the connection is dead (ok() == false) — a desynced byte
 // stream must never be read again — and the owner reconnects.
+//
+// The connection keeps two buffers for its whole life and copies a value
+// once each way. A request is encoded into the reused request buffer; set()
+// sends that header, the caller's value and the CRLF in one sendmsg over
+// iovecs, so the value is not copied, and a short send finishes the rest
+// through send_all. Replies land in the reused receive buffer, up to 16 KiB
+// per recv, and are parsed at a read offset instead of erasing consumed
+// bytes; a get's value is copied once, into the string it returns.
 class MemcacheConnection {
  public:
   struct Options {
@@ -198,15 +207,25 @@ class MemcacheConnection {
   // `flags` is OR-ed into MSG_NOSIGNAL; MSG_MORE holds the bytes in the
   // socket until the next uncorked send on it (or the kernel's flush, about
   // one retransmission timeout and at least 200 ms) so they share that
-  // request's transmit.
+  // request's transmit. A `deadline` of 0 is op_timeout from the first
+  // wait, so a send the kernel takes at once never reads the clock.
   bool send_all(std::string_view bytes, SimTime deadline, int flags = 0);
-  // Reads until buffer_ contains a full line; returns it without CRLF.
-  std::optional<std::string> read_line(SimTime deadline);
-  // The complete line at the front of buffer_, CRLF excluded, viewed in
-  // place (erase size() + 2 bytes once done with it). nullopt while the
+  // Sends `parts` in order with one sendmsg; what the kernel does not take
+  // at once (a full send buffer) follows through send_all.
+  bool send_parts(const std::array<std::string_view, 3>& parts,
+                  SimTime deadline, int flags);
+  // Reads until a full line is buffered and consumes it; returns it without
+  // CRLF, viewed in the receive buffer (valid until the next read).
+  std::optional<std::string_view> read_line(SimTime deadline);
+  // The complete line at the read offset, CRLF excluded, viewed in place
+  // (advance read_pos_ by size() + 2 once done with it). nullopt while the
   // line is still arriving, or after a line past the reply bound failed
   // the connection (kProtocol; ok() tells the two apart).
   std::optional<std::string_view> front_line();
+  // The received bytes not yet parsed.
+  std::string_view unread() const noexcept {
+    return std::string_view(buffer_.data() + read_pos_, read_end_ - read_pos_);
+  }
   // A daemon refusal that keeps the stream in sync — the admission shed
   // (kOverloaded) or the fence (kStaleEpoch) — is recorded in last_error_;
   // false for any other reply.
@@ -227,8 +246,16 @@ class MemcacheConnection {
   int fd_ = -1;
   Options options_;
   net::NetError last_error_ = net::NetError::kNone;
+  // The request being sent, encoded in place; its capacity is kept.
+  std::string request_;
+  // Receive buffer, sized once and grown only for a line that does not fit:
+  // [read_pos_, read_end_) is received and not yet parsed, and recv writes
+  // at read_end_.
   std::string buffer_;
-  // Streaming-GET parser state.
+  std::size_t read_pos_ = 0;
+  std::size_t read_end_ = 0;
+  // Streaming-GET parser state. The value streams into pending_value_,
+  // which moves out to the caller.
   GetStage get_stage_ = GetStage::kIdle;
   std::size_t pending_bytes_ = 0;
   std::string pending_value_;
@@ -501,6 +528,9 @@ class ProteusClient {
   SimTime last_audit_feed_ = 0;
   SimTime last_probe_sweep_ = 0;  // tick()'s background-probe rate gate
   core::Retrieval::Options retrieval_options_;
+  // put()'s location lists, kept so that a put allocates nothing.
+  std::vector<int> put_locations_;
+  std::vector<int> put_old_locations_;
 };
 
 }  // namespace proteus::client

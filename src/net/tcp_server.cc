@@ -90,7 +90,7 @@ namespace {
 constexpr char kOverloadLine[] = "SERVER_ERROR overloaded\r\n";
 }  // namespace
 
-void TcpServer::accept_new() {
+void TcpServer::accept_new(SimTime now) {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
@@ -138,21 +138,27 @@ void TcpServer::accept_new() {
     set_nonblocking(fd);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    connections_.emplace(fd, Connection{factory_(), {}, false, mono_usec()});
+    connections_.emplace(fd, Connection{factory_(), {}, false, now});
     ++accepted_;
   }
 }
 
-bool TcpServer::service_read(int fd) {
+bool TcpServer::service_read(int fd, SimTime now) {
   Connection& conn = connections_.at(fd);
   char buf[16 * 1024];
   for (;;) {
     const ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n > 0) {
-      conn.last_activity = mono_usec();
+      conn.last_activity = now;
       bool close = false;
-      conn.outbox += conn.handler->on_data(
+      std::string reply = conn.handler->on_data(
           std::string_view(buf, static_cast<std::size_t>(n)), close);
+      // Nothing pending (the usual case): the reply becomes the outbox.
+      if (conn.outbox.empty()) {
+        conn.outbox = std::move(reply);
+      } else {
+        conn.outbox += reply;
+      }
       if (close) conn.close_after_write = true;
       if (conn.outbox.size() > limits_.max_outbox_bytes) {
         ++slow_drops_;
@@ -169,7 +175,7 @@ bool TcpServer::service_read(int fd) {
   }
 }
 
-bool TcpServer::service_write(int fd) {
+bool TcpServer::service_write(int fd, SimTime now) {
   Connection& conn = connections_.at(fd);
   while (!conn.outbox.empty()) {
     // MSG_NOSIGNAL: a peer that disconnected mid-reply must surface EPIPE,
@@ -177,7 +183,7 @@ bool TcpServer::service_write(int fd) {
     const ssize_t n = ::send(fd, conn.outbox.data(), conn.outbox.size(),
                              MSG_NOSIGNAL);
     if (n > 0) {
-      conn.last_activity = mono_usec();
+      conn.last_activity = now;
       conn.outbox.erase(0, static_cast<std::size_t>(n));
       continue;
     }
@@ -191,9 +197,8 @@ void TcpServer::drop(int fd) {
   connections_.erase(fd);
 }
 
-void TcpServer::reap_idle() {
+void TcpServer::reap_idle(SimTime now) {
   if (limits_.idle_timeout <= 0) return;
-  const SimTime now = mono_usec();
   for (auto it = connections_.begin(); it != connections_.end();) {
     if (now - it->second.last_activity >= limits_.idle_timeout) {
       ::close(it->first);
@@ -259,6 +264,8 @@ void TcpServer::run() {
       if (errno == EINTR) continue;
       return;
     }
+    // Only the idle reaper reads last_activity: without it, no clock.
+    const SimTime now = limits_.idle_timeout > 0 ? mono_usec() : 0;
     if (fds[1].revents & POLLIN) {
       // Drain the pipe and act on what arrived: 'q' = stop now, 'd' = the
       // drain flag is already set and the next loop iteration handles it.
@@ -268,7 +275,7 @@ void TcpServer::run() {
         if (bytes[i] == 'q') return;  // stop() requested
       }
     }
-    if (fds[0].revents & POLLIN) accept_new();
+    if (fds[0].revents & POLLIN) accept_new(now);
 
     for (std::size_t i = 2; i < fds.size(); ++i) {
       const int fd = fds[i].fd;
@@ -276,15 +283,15 @@ void TcpServer::run() {
       bool alive = true;
       if (fds[i].revents & (POLLERR | POLLHUP)) {
         // Flush what we can, then drop.
-        service_write(fd);
+        service_write(fd, now);
         alive = false;
       } else {
-        if (fds[i].revents & POLLIN) alive = service_read(fd);
-        if (alive) alive = service_write(fd);
+        if (fds[i].revents & POLLIN) alive = service_read(fd, now);
+        if (alive) alive = service_write(fd, now);
       }
       if (!alive) drop(fd);
     }
-    reap_idle();
+    reap_idle(now);
   }
 }
 

@@ -104,16 +104,20 @@ class TcpServer {
  private:
   struct Connection {
     std::unique_ptr<ConnectionHandler> handler;
-    std::string outbox;   // bytes pending write
+    std::string outbox;   // bytes pending write; a reply moves into it
     bool close_after_write = false;
-    SimTime last_activity = 0;  // monotonic usec of last read/write progress
+    // Monotonic usec of the last read/write progress; kept only while
+    // idle reaping is on (it alone reads it).
+    SimTime last_activity = 0;
   };
 
-  void accept_new();
-  bool service_read(int fd);   // false -> drop connection
-  bool service_write(int fd);  // false -> drop connection
+  // `now` is the poll wakeup's one clock read, taken only when idle reaping
+  // is on (0 otherwise): progress stamps last_activity with it.
+  void accept_new(SimTime now);
+  bool service_read(int fd, SimTime now);   // false -> drop connection
+  bool service_write(int fd, SimTime now);  // false -> drop connection
   void drop(int fd);
-  void reap_idle();
+  void reap_idle(SimTime now);
 
   HandlerFactory factory_;
   Limits limits_;

@@ -30,12 +30,18 @@ void append_json_escaped(std::string& out, std::string_view s) {
   }
 }
 
-void append_hex16(std::string& out, std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  out += buf;
+// Appends the low `digits` hex digits of `v`, lowercase and zero-padded.
+void append_hex(std::string& out, std::uint64_t v, int digits) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  char buf[16];
+  for (int i = digits - 1; i >= 0; --i) {
+    buf[i] = kHex[v & 0xf];
+    v >>= 4;
+  }
+  out.append(buf, static_cast<std::size_t>(digits));
 }
+
+void append_hex16(std::string& out, std::uint64_t v) { append_hex(out, v, 16); }
 
 }  // namespace
 
@@ -128,9 +134,14 @@ std::string to_json(const SpanRecord& span) {
 }
 
 std::string encode_trace_token(std::uint64_t trace_id) {
-  std::string out = "O";
-  append_hex16(out, trace_id);
+  std::string out;
+  append_trace_token(out, trace_id);
   return out;
+}
+
+void append_trace_token(std::string& out, std::uint64_t trace_id) {
+  out += 'O';
+  append_hex16(out, trace_id);
 }
 
 namespace {
@@ -163,9 +174,14 @@ bool decode_trace_token(std::string_view token, std::uint64_t& out) {
 }
 
 std::string encode_epoch_token(std::uint64_t epoch) {
-  std::string out = "E";
-  append_hex16(out, epoch);
+  std::string out;
+  append_epoch_token(out, epoch);
   return out;
+}
+
+void append_epoch_token(std::string& out, std::uint64_t epoch) {
+  out += 'E';
+  append_hex16(out, epoch);
 }
 
 bool decode_epoch_token(std::string_view token, std::uint64_t& out) {
@@ -173,9 +189,14 @@ bool decode_epoch_token(std::string_view token, std::uint64_t& out) {
 }
 
 std::string encode_checksum_token(std::uint32_t crc) {
-  char buf[10];
-  std::snprintf(buf, sizeof(buf), "C%08x", crc);
-  return std::string(buf, 9);
+  std::string out;
+  append_checksum_token(out, crc);
+  return out;
+}
+
+void append_checksum_token(std::string& out, std::uint32_t crc) {
+  out += 'C';
+  append_hex(out, crc, 8);
 }
 
 bool decode_checksum_token(std::string_view token, std::uint32_t& out) {

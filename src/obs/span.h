@@ -133,6 +133,12 @@ bool decode_epoch_token(std::string_view token, std::uint64_t& out);
 std::string encode_checksum_token(std::uint32_t crc);
 bool decode_checksum_token(std::string_view token, std::uint32_t& out);
 
+// The encoders' append forms, for the wire path: the token goes straight
+// onto `out`, its digits from a table, with no temporary string.
+void append_trace_token(std::string& out, std::uint64_t trace_id);
+void append_epoch_token(std::string& out, std::uint64_t epoch);
+void append_checksum_token(std::string& out, std::uint32_t crc);
+
 // --- the collector -----------------------------------------------------------
 
 // Bounded, thread-safe span sink: a ring like TraceRing (old spans are

@@ -1,5 +1,5 @@
-// Per-connection pipeline admission, applied by the CommandExecutor behind
-// the text session.
+// Per-connection pipeline admission, applied by the text session
+// (cache/text_protocol.h).
 //
 // A client that pipelines an unbounded burst of commands into one TCP
 // segment can monopolize a cache shard's mutex for the whole batch,

@@ -74,7 +74,7 @@ class ShardedCacheServer {
   }
 
   // --- shard locking -------------------------------------------------------
-  // RAII shard-lock handle. Public so the command executor can hold the
+  // RAII shard-lock handle. Public so the text session can hold the
   // lock across one whole command (an incr's get+set must be atomic).
   // Debug builds maintain a per-thread rank watermark and assert that
   // locks are only ever acquired in ascending shard order.
@@ -170,7 +170,7 @@ class ShardedCacheServer {
   bool erase(std::string_view key);
   bool contains(std::string_view key, SimTime now) const;
 
-  // Reserved-key probe shared with the command executor.
+  // Reserved-key probe shared with the text session.
   static bool is_reserved_key(std::string_view key) noexcept {
     return key == kSetBloomFilterKey || key == kGetBloomFilterKey ||
            key == kEpochKey;

@@ -67,9 +67,26 @@
 // unfinished tail between feeds (a partial line, or the last byte of a data
 // block's CRLF); a data block still arriving is copied once, into the value
 // that moves into the item. Every reply of a feed is appended to the one
-// string it returns. It only frames: each command runs through the
-// CommandExecutor (cache/command_executor.h), which owns what a command
-// means.
+// string it returns.
+//
+// The session is also where each command's rules live, applied straight to
+// the parsed TextCommand:
+//   * the per-shard pipeline budget (cache/pipeline_policy.h);
+//   * shard locking under `lock_deadline_us`, counting deadline sheds;
+//   * the epoch fence: mutations admit, reads observe, PROTEUS_EPOCH adopts;
+//   * CRC32C verification of stamped payloads on arrival;
+//   * reserved-key dispatch (digest blob, epoch hello);
+//   * server-side parse, lock-wait and op spans, with their causes;
+//   * the `stats` name/value list.
+// A get hit is copied once, from the item into the reply, while the key's
+// shard lock is held (CacheServer::get_view verifies a stamped item first).
+// Storage commands run their checks in one order:
+//   1. checksum verify — before the payload is interpreted and outside the
+//      shard lock (counting a reject takes the key's shard lock);
+//   2. reserved or epoch key;
+//   3. epoch fence;
+//   4. shard lock;
+//   5. the store, refused when the item can never fit its shard.
 //
 // Text is the only wire protocol (docs/PROTOCOL.md "Compatibility"). A
 // connection whose first byte is the binary protocol's 0x80 request magic
@@ -88,12 +105,15 @@
 #include <string_view>
 #include <vector>
 
-#include "cache/command_executor.h"
+#include "cache/pipeline_policy.h"
+#include "cache/sharded_cache.h"
 #include "common/time.h"
 
 namespace proteus::obs {
 class MetricsRegistry;
 class SpanCollector;
+enum class SpanKind;
+enum class SpanCause;
 }  // namespace proteus::obs
 
 namespace proteus::cache {
@@ -130,7 +150,6 @@ class KeyList {
 // route commands themselves). Its keys and stats argument view the line it
 // was parsed from, which must outlive it.
 struct TextCommand {
-  // Opens with the executor's Command::Op values, in the same order.
   enum class Op {
     kGet,
     kSet,
@@ -223,7 +242,12 @@ class TextProtocolSession {
                                obs::SpanCollector* spans = nullptr,
                                int server_id = -1,
                                PipelinePolicy pipeline = {})
-      : exec_(engine, spans, server_id, pipeline), metrics_(metrics) {}
+      : engine_(engine),
+        metrics_(metrics),
+        spans_(spans),
+        server_id_(server_id),
+        pipeline_(pipeline),
+        served_(static_cast<std::size_t>(engine.num_shards()), 0) {}
 
   // Feeds raw bytes; returns the replies of every command they complete,
   // in order. The bytes are parsed where they lie; only an unfinished tail
@@ -235,9 +259,7 @@ class TextProtocolSession {
 
   // Trace id of the most recent command that carried one (0 = none yet) —
   // the daemon reads this after feed() to correlate its lock-wait span.
-  std::uint64_t last_trace_id() const noexcept {
-    return exec_.last_trace_id();
-  }
+  std::uint64_t last_trace_id() const noexcept { return last_trace_id_; }
 
   // Invoked on `stats reset` after the cache counters clear, so an owning
   // daemon can reset its own counters (sheds, trace/span drops) in the same
@@ -256,15 +278,44 @@ class TextProtocolSession {
   // noreply).
   void handle_line(std::string_view line, SimTime now, std::string& out);
   // Runs a single-key command (storage commands carry their data block).
-  // `charge` stands in for a payload discarded unread (Command::charge).
+  // `charge` is the value size to account in place of a data block too
+  // large for its shard, which is discarded unread.
   void handle_keyed(const TextCommand& cmd, std::string payload, SimTime now,
                     std::string& out, std::size_t charge = 0);
   void handle_get(const TextCommand& cmd, SimTime now, std::string& out);
   void handle_stats(const TextCommand& cmd, std::string& out);
 
-  CommandExecutor exec_;
-  const obs::MetricsRegistry* metrics_ = nullptr;
+  // Spends one unit of `key`'s shard budget for this batch (keyless
+  // commands: shard 0). False = over the cap, already counted in
+  // `pipeline_.sheds`; the command never attempts its shard lock, so it can
+  // never also count as a deadline shed.
+  bool admit(std::string_view key);
+  // set/add/replace, delete/incr/decr/touch: the reply line.
+  std::string_view store(const TextCommand& cmd, std::string payload,
+                         SimTime now, std::size_t charge, std::uint64_t tid);
+  std::string_view update(const TextCommand& cmd, SimTime now,
+                          std::uint64_t tid);
+  // Appends `key`'s VALUE entry to `out` on a hit, copying the item under
+  // its shard lock; false when the lock deadline passed.
+  bool append_hit(std::string_view key, bool echo_crc, SimTime now,
+                  std::uint64_t tid, std::string& out);
+  // Locks `key`'s shard under the lock deadline, recording the lock-wait
+  // span; returns the shard, or nullptr after counting one deadline shed.
+  CacheServer* acquire(std::string_view key, ShardedCacheServer::Guard& guard,
+                       std::uint64_t tid);
+  // Records [start, now] on the span clock; `key` attributes the span.
+  void record_span(std::uint64_t tid, obs::SpanKind kind, SimTime start,
+                   obs::SpanCause cause, std::string_view key = {});
+
+  ShardedCacheServer& engine_;
+  const obs::MetricsRegistry* metrics_;
+  obs::SpanCollector* spans_;
+  int server_id_;
+  PipelinePolicy pipeline_;
   std::function<void()> stats_reset_hook_;
+  std::vector<int> served_;  // commands admitted this batch, per shard
+  std::uint64_t last_trace_id_ = 0;
+  std::string counter_reply_;  // an incr/decr's reply line
   // The unfinished tail of earlier feeds: a partial command line, or the
   // start of a pending store's CRLF. Empty between whole commands.
   std::string buffer_;

@@ -14,8 +14,8 @@
 // power-of-two number of CacheServer shards (default min(threads, 8)
 // rounded down to a power of two, override via the `shards` ctor arg),
 // each with its own mutex, LRU, budget slice, stats, and digest segment —
-// two threads touching different shards never contend. The sessions'
-// command executor takes each command's shard lock itself (see
+// two threads touching different shards never contend. Each text session
+// takes each command's shard lock itself (see
 // cache/sharded_cache.h for the locking discipline); the reserved digest
 // and epoch keys are served by engine-level merged/broadcast paths so the
 // wire contract is byte-identical at any shard count (§V-3).

@@ -202,6 +202,19 @@ TEST(TextProtocol, IncrDecr) {
             "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n");
 }
 
+TEST(TextProtocol, IncrDecrKeepTheFlagsAndDropTheStamp) {
+  // memcached keeps an item's client flags across incr/decr. The stored
+  // checksum stamped the old digits, so it goes with them.
+  Rig rig;
+  EXPECT_EQ(rig.run("set c 5 0 2 " + obs::encode_checksum_token(crc32c("10")) +
+                    "\r\n10\r\n"),
+            "STORED\r\n");
+  EXPECT_EQ(rig.run("incr c 1\r\n"), "11\r\n");
+  EXPECT_EQ(rig.run("get c C00000000\r\n"), "VALUE c 5 2\r\n11\r\nEND\r\n");
+  EXPECT_EQ(rig.run("decr c 2\r\n"), "9\r\n");
+  EXPECT_EQ(rig.run("get c\r\n"), "VALUE c 5 1\r\n9\r\nEND\r\n");
+}
+
 TEST(TextProtocol, TouchRefreshesHotness) {
   CacheConfig cfg = proto_config();
   cfg.item_ttl = 10 * kSecond;

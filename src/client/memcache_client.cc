@@ -696,27 +696,8 @@ MemcacheConnection* ProteusClient::acquire(int server, SimTime now) {
       record_failure(server, ep.conn->last_error(), now);
       return nullptr;
     }
-    // Restart detection: a fresh connection may face a daemon reborn since
-    // we last spoke. Its memory died with the old incarnation, so any
-    // transition digest describing it now advertises ghosts — drop it and
-    // let the affected keys take the migration/backfill path instead of
-    // probing the cold server for phantom hits. The hello also reconciles
-    // epochs in both directions (adopt a newer one, teach ours if ahead).
-    if (const auto h = ep.conn->hello()) {
-      if (ep.incarnation != 0 && h->second != ep.incarnation) {
-        ++stats_.incarnation_changes;
-        for (cluster::Router& router : routers_) router.drop_old_digest(server);
-        obs::emit(options_.trace, now,
-                  obs::TraceEventKind::kIncarnationChange, server, -1,
-                  h->second);
-      }
-      ep.incarnation = h->second;
-      if (h->first > epoch_) {
-        epoch_ = h->first;
-      } else if (epoch_ > h->first && ep.conn->push_epoch(epoch_)) {
-        ++stats_.epoch_pushes;
-      }
-    }
+    // A fresh connection may face a daemon reborn since we last spoke.
+    refresh_view(server, now);
     if (!ep.conn->ok()) {
       record_failure(server, ep.conn->last_error(), now);
       return nullptr;
@@ -1070,15 +1051,25 @@ void ProteusClient::settle(int server, const MemcacheConnection& c,
 void ProteusClient::refresh_view(int server, SimTime now) {
   Endpoint& ep = endpoints_[static_cast<std::size_t>(server)];
   if (ep.conn == nullptr || !ep.conn->ok()) return;
-  if (const auto h = ep.conn->hello()) {
-    if (h->first > epoch_) epoch_ = h->first;
-    if (ep.incarnation != 0 && h->second != ep.incarnation) {
-      ++stats_.incarnation_changes;
-      for (cluster::Router& router : routers_) router.drop_old_digest(server);
-      obs::emit(options_.trace, now, obs::TraceEventKind::kIncarnationChange,
-                server, -1, h->second);
-    }
-    ep.incarnation = h->second;
+  const auto h = ep.conn->hello();
+  if (!h.has_value()) return;
+  // Restart detection: the daemon's memory died with its old incarnation,
+  // so any transition digest describing it now advertises ghosts — drop it
+  // and let the affected keys take the migration/backfill path instead of
+  // probing the cold server for phantom hits.
+  if (ep.incarnation != 0 && h->second != ep.incarnation) {
+    ++stats_.incarnation_changes;
+    for (cluster::Router& router : routers_) router.drop_old_digest(server);
+    obs::emit(options_.trace, now, obs::TraceEventKind::kIncarnationChange,
+              server, -1, h->second);
+  }
+  ep.incarnation = h->second;
+  // Epochs reconcile in both directions: adopt a newer one, teach ours if
+  // ahead.
+  if (h->first > epoch_) {
+    epoch_ = h->first;
+  } else if (epoch_ > h->first && ep.conn->push_epoch(epoch_)) {
+    ++stats_.epoch_pushes;
   }
 }
 

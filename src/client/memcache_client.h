@@ -507,8 +507,9 @@ class ProteusClient {
   void settle(int server, const MemcacheConnection& c, SimTime t0,
               SimTime now);
   std::optional<bloom::BloomFilter> fetch_digest(int server, SimTime now);
-  // After a stale-epoch fence: re-read the daemon's (epoch, incarnation)
-  // and adopt the higher epoch so the next mutation passes.
+  // The hello, on a fresh connection and after a stale-epoch fence: re-read
+  // the daemon's (epoch, incarnation), drop the transition digest of a
+  // restarted daemon, adopt a newer epoch and push ours when it is ahead.
   void refresh_view(int server, SimTime now);
   // Ends the in-flight transition at `now` (drain window over, or overtaken
   // by the next resize) and emits its one resize_end.

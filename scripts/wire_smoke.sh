@@ -9,11 +9,12 @@
 #      while a wrong-stamp noreply set is refused silently and a get then
 #      answers END; a noreply set and a get of its key in one write (the
 #      bytes a corked client fill puts on the wire) answer the get alone;
-#   4. a binary-protocol GET frame sees EOF, not a reply;
-#   5. a set larger than the budget gets SERVER_ERROR object too large for
+#   4. a flagged counter keeps its flags through incr and decr;
+#   5. a binary-protocol GET frame sees EOF, not a reply;
+#   6. a set larger than the budget gets SERVER_ERROR object too large for
 #      cache, and the connection stays usable;
-#   6. a 128 KiB line with no CRLF gets CLIENT_ERROR line too long, then EOF;
-#   7. a fresh connection is still served afterwards.
+#   7. a 128 KiB line with no CRLF gets CLIENT_ERROR line too long, then EOF;
+#   8. a fresh connection is still served afterwards.
 #
 #   scripts/wire_smoke.sh [--build-dir=build]
 set -euo pipefail
@@ -135,6 +136,19 @@ s.sendall(b"set ok 0 0 6 noreply " + cork + b" E%016x\r\ncorked\r\n" % 1 +
           b"get ok\r\n")
 expect("noreply set and get in one write answer only the get",
        read_until(s, b"END\r\n"), b"VALUE ok 0 6\r\ncorked\r\nEND\r\n")
+
+s.sendall(b"set c 5 0 2\r\n10\r\n")
+expect("flagged counter stores", read_until(s, b"\r\n"), b"STORED\r\n")
+s.sendall(b"incr c 1\r\n")
+expect("incr answers the new value", read_until(s, b"\r\n"), b"11\r\n")
+s.sendall(b"get c\r\n")
+expect("incr keeps the flags", read_until(s, b"END\r\n"),
+       b"VALUE c 5 2\r\n11\r\nEND\r\n")
+s.sendall(b"decr c 2\r\n")
+expect("decr answers the new value", read_until(s, b"\r\n"), b"9\r\n")
+s.sendall(b"get c\r\n")
+expect("decr keeps the flags", read_until(s, b"END\r\n"),
+       b"VALUE c 5 1\r\n9\r\nEND\r\n")
 
 b = connect()
 start = time.monotonic()

@@ -355,8 +355,8 @@ class ProteusClient {
   bool resize(int n_active, SimTime now);
   void tick(SimTime now);
 
-  int active_servers() const noexcept { return routers_[0].active(); }
-  bool in_transition() const noexcept { return routers_[0].in_transition(); }
+  int active_servers() const noexcept { return router_.active(); }
+  bool in_transition() const noexcept { return router_.in_transition(); }
   // Fencing epoch: bumped on every resize, taught to daemons, stamped on
   // every wire mutation, and refreshed whenever a daemon fences us off.
   std::uint64_t cluster_epoch() const noexcept { return epoch_; }
@@ -517,8 +517,7 @@ class ProteusClient {
 
   Options options_;
   Backend backend_;
-  std::shared_ptr<const ring::ProteusPlacement> placement_;
-  std::vector<cluster::Router> routers_;  // one per §III-E ring
+  cluster::Router router_;  // every §III-E ring, one transition
   std::vector<Endpoint> endpoints_;
   Rng rng_;  // deterministic jitter for backoff/probe schedules
   core::DecorrelatedJitter retry_jitter_;  // spacing between wire retries

@@ -4,7 +4,7 @@ namespace proteus::cluster {
 
 void CacheCluster::resize(int n_new) {
   PROTEUS_CHECK(n_new >= 1 && n_new <= tier_.num_servers());
-  const int n_old = routers_.front()->active();
+  const int n_old = router_->active();
   if (n_new == n_old) return;
 
   finalize_pending();
@@ -17,12 +17,12 @@ void CacheCluster::resize(int n_new) {
     for (int i = n_new; i < n_old; ++i) {
       if (!failed_[static_cast<std::size_t>(i)]) tier_.server(i).power_off();
     }
-    for (auto& router : routers_) router->set_active(n_new);
+    router_->set_active(n_new);
     return;
   }
 
   // Smooth actuation (§IV). Snapshot every old-mapping server's digest;
-  // the routers (shared by all web servers) are the broadcast destination.
+  // the router (shared by all web servers) is the broadcast destination.
   std::vector<std::optional<bloom::BloomFilter>> digests(
       static_cast<std::size_t>(tier_.num_servers()));
   for (int i = 0; i < n_old; ++i) {
@@ -37,15 +37,11 @@ void CacheCluster::resize(int n_new) {
     if (!failed_[static_cast<std::size_t>(i)]) tier_.server(i).power_on();
   }
   for (int i = n_new; i < n_old; ++i) {
-    if (failed_[static_cast<std::size_t>(i)]) continue;
-    tier_.server(i).begin_draining();
-    draining_.push_back(i);
+    if (!failed_[static_cast<std::size_t>(i)]) tier_.server(i).begin_draining();
   }
 
   const SimTime end = sim_.now() + config_.ttl;
-  for (auto& router : routers_) {
-    router->begin_transition(n_new, end, digests);
-  }
+  router_->begin_transition(n_new, end, std::move(digests));
 
   const std::uint64_t epoch = ++transition_epoch_;
   sim_.schedule_at(end, [this, epoch] {
@@ -64,7 +60,7 @@ void CacheCluster::mark_failed(int server) {
   // memory died with it. Drop it so mid-transition old-location probes stop
   // chasing phantom "hot" answers (the live client reaches the same verdict
   // through the incarnation hello — docs/OPERATIONS.md §11).
-  for (auto& router : routers_) router->drop_old_digest(server);
+  router_->drop_old_digest(server);
 }
 
 void CacheCluster::mark_recovered(int server) {
@@ -72,22 +68,21 @@ void CacheCluster::mark_recovered(int server) {
   if (!failed_[static_cast<std::size_t>(server)]) return;
   failed_[static_cast<std::size_t>(server)] = false;
   // Rejoin cold if inside the active set.
-  if (server < routers_.front()->active()) {
+  if (server < router_->active()) {
     tier_.server(server).power_on();
   }
 }
 
 void CacheCluster::finalize_pending() {
-  for (int i : draining_) {
+  for (int i = 0; i < tier_.num_servers(); ++i) {
     // After TTL seconds every datum touched during the window has already
     // been copied to its new server (Algorithm 2 property 2); whatever
-    // remains is cold and may be discarded.
-    if (!failed_[static_cast<std::size_t>(i)]) tier_.server(i).power_off();
+    // remains is cold and may be discarded. A crashed leaver is already off.
+    if (tier_.server(i).power_state() == cache::PowerState::kDraining) {
+      tier_.server(i).power_off();
+    }
   }
-  draining_.clear();
-  for (auto& router : routers_) {
-    if (router->in_transition()) router->finalize_transition();
-  }
+  router_->finalize_transition();
   ++transition_epoch_;  // cancel any outstanding finalize timer
 }
 

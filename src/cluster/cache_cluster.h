@@ -7,15 +7,17 @@
 //
 // Smooth mode (Proteus): on every resize the digests of all servers active
 // under the OLD mapping are snapshotted and broadcast to the web servers
-// (via the shared Router(s)), the mapping switches, and servers leaving the
+// (via the shared Router), the mapping switches, and servers leaving the
 // active set keep serving GETs in a draining state for TTL seconds. Hot
 // data migrates on demand through Algorithm 2; after TTL the drained
 // servers hold only cold data and power off safely (§IV-A property 2).
 //
-// With §III-E replication the actuator drives one Router per hash ring
-// (shared digest snapshots). Crash injection (`mark_failed`) powers a
-// server off outside the provisioning protocol and keeps later resizes
-// from powering it back on until `mark_recovered`.
+// With §III-E replication the one Router holds every hash ring, so one
+// transition (one digest snapshot per old server) serves them all. A
+// server is draining exactly while its power state is kDraining. Crash
+// injection (`mark_failed`) powers a server off outside the provisioning
+// protocol and keeps later resizes from powering it back on until
+// `mark_recovered`.
 #pragma once
 
 #include <memory>
@@ -38,29 +40,18 @@ struct CacheClusterConfig {
 class CacheCluster {
  public:
   CacheCluster(sim::Simulation& sim, CacheTier& tier,
-               std::vector<std::shared_ptr<Router>> routers,
-               CacheClusterConfig config)
+               std::shared_ptr<Router> router, CacheClusterConfig config)
       : sim_(sim),
         tier_(tier),
-        routers_(std::move(routers)),
+        router_(std::move(router)),
         config_(config),
         failed_(static_cast<std::size_t>(tier.num_servers()), false) {
-    PROTEUS_CHECK(!routers_.empty());
-    for (const auto& router : routers_) {
-      PROTEUS_CHECK(router != nullptr);
-      PROTEUS_CHECK(router->active() == routers_.front()->active());
-    }
+    PROTEUS_CHECK(router_ != nullptr);
     // Servers beyond the initial active count start powered off.
-    for (int i = routers_.front()->active(); i < tier_.num_servers(); ++i) {
+    for (int i = router_->active(); i < tier_.num_servers(); ++i) {
       tier_.server(i).power_off();
     }
   }
-
-  CacheCluster(sim::Simulation& sim, CacheTier& tier,
-               std::shared_ptr<Router> router, CacheClusterConfig config)
-      : CacheCluster(sim, tier,
-                     std::vector<std::shared_ptr<Router>>{std::move(router)},
-                     config) {}
 
   // Applies a provisioning decision. Overlapping transitions are resolved
   // by finalizing the pending one first (with 30-minute provisioning slots
@@ -75,10 +66,8 @@ class CacheCluster {
     return failed_.at(static_cast<std::size_t>(server));
   }
 
-  int active() const noexcept { return routers_.front()->active(); }
-  bool transition_pending() const noexcept {
-    return !draining_.empty() || routers_.front()->in_transition();
-  }
+  int active() const noexcept { return router_->active(); }
+  bool transition_pending() const noexcept { return router_->in_transition(); }
   const CacheClusterConfig& config() const noexcept { return config_; }
 
   // Count of servers drawing power (active or draining).
@@ -97,10 +86,9 @@ class CacheCluster {
 
   sim::Simulation& sim_;
   CacheTier& tier_;
-  std::vector<std::shared_ptr<Router>> routers_;
+  std::shared_ptr<Router> router_;
   CacheClusterConfig config_;
   std::vector<bool> failed_;
-  std::vector<int> draining_;
   std::uint64_t transition_epoch_ = 0;  // guards stale finalize timers
   std::uint64_t digest_broadcast_bytes_ = 0;
   std::uint64_t transitions_started_ = 0;

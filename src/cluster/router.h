@@ -9,8 +9,14 @@
 // additionally knows the OLD mapping and the old servers' digests; decide()
 // then reports the old location to consult when the key's mapping changed
 // and the digest claims the data is resident there ("hot").
+//
+// One Router serves all r rings of §III-E: they share the virtual-node
+// placement and differ only in the key hash (ring::replica_ring_hash). The
+// transition state is kept once, because one digest per old server covers
+// every key it holds, whichever ring put the key there.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -28,14 +34,15 @@ namespace proteus::cluster {
 
 class Router {
  public:
-  // `ring` selects the replica hash function (§III-E): ring 0 is the
-  // default single-ring configuration.
+  // `replicas` is r of §III-E; 1 is the paper's base single-ring design.
   Router(std::shared_ptr<const ring::PlacementStrategy> placement,
-         int initial_active, int ring = 0)
-      : placement_(std::move(placement)), ring_(ring), active_(initial_active) {
+         int initial_active, int replicas = 1)
+      : placement_(std::move(placement)),
+        replicas_(replicas),
+        active_(initial_active) {
     PROTEUS_CHECK(placement_ != nullptr);
     PROTEUS_CHECK(active_ >= 1 && active_ <= placement_->max_servers());
-    PROTEUS_CHECK(ring_ >= 0);
+    PROTEUS_CHECK(replicas_ >= 1);
   }
 
   struct Decision {
@@ -46,8 +53,10 @@ class Router {
     int old = -1;
   };
 
-  Decision decide(std::string_view key) const {
-    const std::uint64_t h = ring::replica_ring_hash(hash_bytes(key), ring_);
+  // The key's locations on `ring` (0 <= ring < replicas()).
+  Decision decide(std::string_view key, int ring = 0) const {
+    assert(ring >= 0 && ring < replicas_);
+    const std::uint64_t h = ring::replica_ring_hash(hash_bytes(key), ring);
     Decision d{placement_->server_for(h, active_)};
     if (in_transition_) {
       d.old = placement_->server_for(h, old_active_);
@@ -99,6 +108,7 @@ class Router {
     }
   }
 
+  int replicas() const noexcept { return replicas_; }
   int active() const noexcept { return active_; }
   int old_active() const noexcept { return old_active_; }
   bool in_transition() const noexcept { return in_transition_; }
@@ -107,7 +117,7 @@ class Router {
 
  private:
   std::shared_ptr<const ring::PlacementStrategy> placement_;
-  int ring_ = 0;
+  int replicas_;
   int active_;
   int old_active_ = 0;
   bool in_transition_ = false;

@@ -81,17 +81,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   db::Database database(sim, cfg.db);
   CacheTier tier(sim, cfg.cache);
   auto placement = make_placement(cfg);
-  std::vector<std::shared_ptr<Router>> routers;
-  routers.reserve(static_cast<std::size_t>(cfg.replicas));
-  for (int r = 0; r < cfg.replicas; ++r) {
-    routers.push_back(
-        std::make_shared<Router>(placement, cfg.schedule.front(), r));
-  }
-  auto router = routers.front();
+  auto router =
+      std::make_shared<Router>(placement, cfg.schedule.front(), cfg.replicas);
   CacheCluster cluster(
-      sim, tier, routers,
+      sim, tier, router,
       CacheClusterConfig{cfg.kind == ScenarioKind::kProteus, cfg.ttl});
-  WebTier web(sim, cfg.web, routers, tier, database);
+  WebTier web(sim, cfg.web, router, tier, database);
 
   for (const auto& crash : cfg.crashes) {
     PROTEUS_CHECK(crash.server >= 0 && crash.server < cfg.cache.num_servers);

@@ -6,11 +6,11 @@
 namespace proteus::cluster {
 
 WebTier::WebTier(sim::Simulation& sim, WebTierConfig config,
-                 std::vector<std::shared_ptr<Router>> routers,
-                 CacheTier& cache, db::Database& db)
+                 std::shared_ptr<Router> router, CacheTier& cache,
+                 db::Database& db)
     : sim_(sim),
       config_(config),
-      routers_(std::move(routers)),
+      router_(std::move(router)),
       cache_(cache),
       db_(db),
       retrieval_options_{
@@ -25,8 +25,7 @@ WebTier::WebTier(sim::Simulation& sim, WebTierConfig config,
           // time, so they get no spans of their own.
           .span_bookkeeping = false,
           .span_clock = [this] { return sim_.now(); }} {
-  PROTEUS_CHECK(!routers_.empty());
-  for (const auto& router : routers_) PROTEUS_CHECK(router != nullptr);
+  PROTEUS_CHECK(router_ != nullptr);
   PROTEUS_CHECK(config_.num_servers >= 1);
   queues_.reserve(static_cast<std::size_t>(config_.num_servers));
   for (int i = 0; i < config_.num_servers; ++i) {
@@ -58,7 +57,7 @@ void WebTier::handle(const std::string& key, sim::Callback<void()> done) {
   if (++next_server_ == queues_.size()) next_server_ = 0;
   req->start = sim_.now();
   req->trace = obs::TraceContext::begin(config_.spans, sim_.now());
-  req->trace.in_transition = routers_.front()->in_transition();
+  req->trace.in_transition = router_->in_transition();
   // RBE -> web hop, then servlet service, then the retrieval procedure.
   sim_.schedule_after(config_.rbe_hop_latency, [this, req] {
     if (req->trace.active()) {
@@ -81,8 +80,7 @@ void WebTier::advance(Request* req, core::Retrieval::Action a) {
   for (;;) {
     switch (a.step) {
       case Step::kRoute:
-        a = req->retrieval.routed(
-            routers_[static_cast<std::size_t>(a.ring)]->decide(req->key));
+        a = req->retrieval.routed(router_->decide(req->key, a.ring));
         break;
       case Step::kGet:
         if (!server_alive(a.server)) {  // crashed or powered off
@@ -134,8 +132,8 @@ void WebTier::fetch_from_db(Request* req) {
       inflight_db_.erase(it);
     }
     // Sim time passed during the query: fill wherever the key maps now.
-    for (const auto& router : routers_) {
-      req->retrieval.add_repair(router->decide(req->key).primary);
+    for (int r = 0; r < replicas(); ++r) {
+      req->retrieval.add_repair(router_->decide(req->key, r).primary);
     }
     advance(req, req->retrieval.fetched(
                      core::Retrieval::Fetch::kValue,

@@ -8,11 +8,11 @@
 // whatever was fetched (Algorithm 2 line 12). The procedure itself is
 // core::Retrieval; this tier is its transport onto simulated events.
 //
-// With §III-E replication enabled the tier holds one Router per hash ring
-// and walks them in order: a ring whose server is powered off (crashed) is
-// skipped, the first resident replica answers, and whatever was fetched
-// repairs the replica locations that missed. One ring degenerates exactly
-// to the paper's base design.
+// With §III-E replication enabled the shared Router holds every hash ring
+// and the tier walks them in order: a ring whose server is powered off
+// (crashed) is skipped, the first resident replica answers, and whatever
+// was fetched repairs the replica locations that missed. One ring
+// degenerates exactly to the paper's base design.
 #pragma once
 
 #include <cstdint>
@@ -79,20 +79,12 @@ struct WebTierStats {
 
 class WebTier {
  public:
-  // Replicated form: one router per §III-E hash ring, walked in order.
+  // `router` holds every §III-E ring; the tier walks them in order.
   WebTier(sim::Simulation& sim, WebTierConfig config,
-          std::vector<std::shared_ptr<Router>> routers, CacheTier& cache,
-          db::Database& db);
+          std::shared_ptr<Router> router, CacheTier& cache, db::Database& db);
   // In-flight requests point back at this tier and its stats.
   WebTier(const WebTier&) = delete;
   WebTier& operator=(const WebTier&) = delete;
-
-  // Single-ring convenience (the paper's base design).
-  WebTier(sim::Simulation& sim, WebTierConfig config,
-          std::shared_ptr<Router> router, CacheTier& cache, db::Database& db)
-      : WebTier(sim, config,
-                std::vector<std::shared_ptr<Router>>{std::move(router)}, cache,
-                db) {}
 
   // One user request: RBE hop -> web service -> Algorithm 2 -> reply hop.
   // `done` fires when the response reaches the client.
@@ -116,7 +108,7 @@ class WebTier {
     return *queues_.at(static_cast<std::size_t>(i));
   }
   int num_servers() const noexcept { return config_.num_servers; }
-  int replicas() const noexcept { return static_cast<int>(routers_.size()); }
+  int replicas() const noexcept { return router_->replicas(); }
 
  private:
   // One request's state, from the RBE hop to the reply hop. Pooled, so the
@@ -146,7 +138,7 @@ class WebTier {
 
   sim::Simulation& sim_;
   WebTierConfig config_;
-  std::vector<std::shared_ptr<Router>> routers_;
+  std::shared_ptr<Router> router_;
   CacheTier& cache_;
   db::Database& db_;
   std::vector<std::unique_ptr<sim::QueueingServer>> queues_;

@@ -4,16 +4,13 @@
 // hashing rings that SHARE the virtual-node placement but hash keys with r
 // different hash functions (here: r seeds). A key is stored on every server
 // whose host range contains it on any ring; Eq. (3) gives the probability
-// that the r replicas land on r distinct servers.
+// that the r replicas land on r distinct servers. cluster::Router applies
+// this hash per ring.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "common/check.h"
 #include "common/hash.h"
-#include "hashring/placement.h"
 
 namespace proteus::ring {
 
@@ -27,43 +24,5 @@ inline std::uint64_t replica_ring_hash(std::uint64_t key_hash,
                    : hash_u64(key_hash,
                               0xabcd1234u + static_cast<std::uint64_t>(ring));
 }
-
-class ReplicatedRing {
- public:
-  ReplicatedRing(std::shared_ptr<const PlacementStrategy> placement,
-                 int replicas)
-      : placement_(std::move(placement)), replicas_(replicas) {
-    PROTEUS_CHECK(placement_ != nullptr);
-    PROTEUS_CHECK(replicas_ >= 1);
-  }
-
-  // Servers holding replicas of `key` with n active servers. May contain
-  // duplicates when two rings map the key to the same server (the conflict
-  // case of Eq. 3); order is by ring index.
-  std::vector<int> servers_for(std::uint64_t key_hash, int n_active) const {
-    std::vector<int> out;
-    out.reserve(static_cast<std::size_t>(replicas_));
-    for (int r = 0; r < replicas_; ++r) {
-      out.push_back(placement_->server_for(ring_hash(key_hash, r), n_active));
-    }
-    return out;
-  }
-
-  // The primary replica (ring 0); used for reads.
-  int primary_for(std::uint64_t key_hash, int n_active) const {
-    return placement_->server_for(ring_hash(key_hash, 0), n_active);
-  }
-
-  int replicas() const noexcept { return replicas_; }
-  const PlacementStrategy& placement() const noexcept { return *placement_; }
-
- private:
-  static std::uint64_t ring_hash(std::uint64_t key_hash, int ring) noexcept {
-    return replica_ring_hash(key_hash, ring);
-  }
-
-  std::shared_ptr<const PlacementStrategy> placement_;
-  int replicas_;
-};
 
 }  // namespace proteus::ring

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "hashring/proteus_placement.h"
+#include "hashring/replicated_ring.h"
 
 namespace proteus::cluster {
 namespace {
@@ -142,6 +143,75 @@ TEST(Router, ConsistentAcrossReplicas) {
     ASSERT_EQ(da.primary, db.primary);
     ASSERT_EQ(da.fallback, db.fallback);
   }
+}
+
+// One Router holds every §III-E ring and keeps one transition for all.
+constexpr int kRings = 3;
+
+int ring_server(const std::string& key, int ring, int n) {
+  return placement10()->server_for(
+      ring::replica_ring_hash(hash_bytes(key), ring), n);
+}
+
+TEST(Router, OneTransitionServesEveryRing) {
+  Router router(placement10(), 10, kRings);
+  router.begin_transition(5, 100 * kSecond, all_positive_digests(10));
+  for (int r = 0; r < kRings; ++r) {
+    int fallbacks = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const std::string key = "page:" + std::to_string(i);
+      const auto d = router.decide(key, r);
+      EXPECT_EQ(d.primary, ring_server(key, r, 5)) << "ring " << r;
+      EXPECT_EQ(d.old, ring_server(key, r, 10)) << "ring " << r;
+      EXPECT_EQ(d.fallback, d.old != d.primary ? d.old : -1) << "ring " << r;
+      fallbacks += d.fallback != -1;
+    }
+    EXPECT_NEAR(fallbacks, 1000, 100) << "ring " << r;
+  }
+}
+
+TEST(Router, DropOldDigestClearsEveryRing) {
+  Router router(placement10(), 10, kRings);
+  router.begin_transition(5, 100 * kSecond, all_positive_digests(10));
+  router.drop_old_digest(7);
+  for (int r = 0; r < kRings; ++r) {
+    int dropped = 0;
+    int kept = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const std::string key = "page:" + std::to_string(i);
+      const auto d = router.decide(key, r);
+      EXPECT_NE(d.fallback, 7) << "ring " << r;
+      dropped += d.old == 7;
+      kept += d.fallback != -1;
+    }
+    EXPECT_GT(dropped, 0) << "ring " << r;  // server 7 was an old location
+    EXPECT_GT(kept, 0) << "ring " << r;     // the other digests still steer
+  }
+}
+
+TEST(Router, FinalizeAndSetActiveEndEveryRing) {
+  for (const bool finalize : {true, false}) {
+    Router router(placement10(), 10, kRings);
+    router.begin_transition(5, 100 * kSecond, all_positive_digests(10));
+    if (finalize) {
+      router.finalize_transition();
+    } else {
+      router.set_active(5);
+    }
+    EXPECT_FALSE(router.in_transition());
+    for (int r = 0; r < kRings; ++r) {
+      for (int i = 0; i < 500; ++i) {
+        const auto d = router.decide("page:" + std::to_string(i), r);
+        EXPECT_EQ(d.old, -1) << "ring " << r;
+        EXPECT_EQ(d.fallback, -1) << "ring " << r;
+      }
+    }
+  }
+}
+
+TEST(Router, RingOutsideReplicasAssertsInDebugBuilds) {
+  const Router router(placement10(), 10, kRings);
+  EXPECT_DEBUG_DEATH(router.decide("page:1", kRings), "ring < replicas_");
 }
 
 }  // namespace

@@ -189,17 +189,6 @@ class EndpointHealth {
     }
   }
 
-  // Force quarantine (e.g. the membership layer declared the server failed).
-  void force_quarantine(SimTime now, Rng& rng) noexcept { quarantine(now, rng); }
-
-  // Drop straight into probation with an immediate probe allowance — used
-  // when an operator re-admits a server by hand.
-  void begin_probation() noexcept {
-    enter(State::kProbation);
-    probation_left_ = policy_.probation_successes;
-    consecutive_errors_ = 0;
-  }
-
   // Adaptive hedge trigger: fire a backup request once the primary has been
   // outstanding longer than baseline-mean + k deviations (a cheap p95+
   // proxy). Before warmup the cap disables hedging in practice.
@@ -213,13 +202,9 @@ class EndpointHealth {
 
   State state() const noexcept { return state_; }
   double suspicion() const noexcept { return suspicion_; }
-  double mean_latency_usec() const noexcept { return mean_usec_; }
-  double latency_deviation_usec() const noexcept { return dev_usec_; }
   bool warmed_up() const noexcept { return samples_ >= policy_.warmup_samples; }
   SimTime probe_at() const noexcept { return probe_at_; }
-  int quarantine_count() const noexcept { return quarantine_count_; }
   int consecutive_errors() const noexcept { return consecutive_errors_; }
-  const Policy& policy() const noexcept { return policy_; }
 
   // Lifetime transition counters (monotonic; exported as metrics).
   std::uint64_t quarantine_enters() const noexcept { return enters_; }
@@ -238,7 +223,6 @@ class EndpointHealth {
     // only a sustained healthy stretch resets the jitter schedule.
     if (now >= quarantined_until_recently_) probe_jitter_.reset();
     quarantined_until_recently_ = now + policy_.flap_window;
-    ++quarantine_count_;
     enter(State::kQuarantined);
     probe_at_ = now + probe_jitter_.next(rng);
     suspicion_ = std::max(suspicion_, policy_.phi_quarantine);
@@ -300,7 +284,6 @@ class EndpointHealth {
   // Quarantine bookkeeping.
   SimTime probe_at_ = 0;
   SimTime quarantined_until_recently_ = 0;
-  int quarantine_count_ = 0;
   int probation_left_ = 0;
   std::uint64_t enters_ = 0;
   std::uint64_t exits_ = 0;

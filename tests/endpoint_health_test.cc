@@ -266,19 +266,5 @@ TEST(EndpointHealth, SuspectHysteresisRecoversWithoutQuarantine) {
   EXPECT_EQ(h.quarantine_enters(), 0u);
 }
 
-TEST(EndpointHealth, ForceQuarantineAndOperatorProbation) {
-  EndpointHealth h(sensitive_policy());
-  Rng rng(7);
-  h.force_quarantine(kSecond, rng);
-  EXPECT_EQ(h.state(), EndpointHealth::State::kQuarantined);
-  EXPECT_FALSE(h.allow(kSecond));
-  // Operator re-admission skips the dwell but still demands proof.
-  h.begin_probation();
-  EXPECT_EQ(h.state(), EndpointHealth::State::kProbation);
-  EXPECT_TRUE(h.allow(kSecond));
-  h.record_failure(kSecond, rng);
-  EXPECT_EQ(h.state(), EndpointHealth::State::kQuarantined);
-}
-
 }  // namespace
 }  // namespace proteus::core

@@ -178,18 +178,22 @@ bool CacheServer::get_into(std::string_view key, SimTime now,
 std::optional<std::string_view> CacheServer::get_view(std::string_view key,
                                                       SimTime now,
                                                       ItemMeta* meta) {
-  PROTEUS_CHECK_MSG(power_state_ != PowerState::kOff,
-                    "get() on a powered-off cache server");
   ++stats_.gets;
+  const std::optional<std::string_view> value = touch(key, now, meta);
+  ++(value.has_value() ? stats_.hits : stats_.misses);
+  return value;
+}
+
+std::optional<std::string_view> CacheServer::touch(std::string_view key,
+                                                   SimTime now,
+                                                   ItemMeta* meta) {
+  PROTEUS_CHECK_MSG(power_state_ != PowerState::kOff,
+                    "read on a powered-off cache server");
   const LruList::iterator* found = index_.find(key, index_.hash(key));
-  if (found == nullptr) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
+  if (found == nullptr) return std::nullopt;
   const LruList::iterator it = *found;
   if (expired(*it, now)) {
     ++stats_.expirations;
-    ++stats_.misses;
     obs::emit(config_.trace, now, obs::TraceEventKind::kTtlExpiry,
               config_.trace_server_id, -1, 1, key);
     unlink(it);
@@ -202,13 +206,11 @@ std::optional<std::string_view> CacheServer::get_view(std::string_view key,
   // read-repairs from the database.
   if (it->has_crc && crc32c(it->value) != it->crc) {
     ++stats_.corrupt_drops;
-    ++stats_.misses;
     obs::emit(config_.trace, now, obs::TraceEventKind::kCorruption,
               config_.trace_server_id, -1, /*n=at-rest*/ 1, key);
     unlink(it);
     return std::nullopt;
   }
-  ++stats_.hits;
   it->last_access = now;
   lru_.splice(lru_.begin(), lru_, it);  // move to MRU
   if (meta != nullptr) {
@@ -221,12 +223,18 @@ std::optional<std::string_view> CacheServer::get_view(std::string_view key,
 bool CacheServer::set(std::string_view key, std::string value, SimTime now,
                       std::size_t charge, std::uint32_t flags,
                       std::optional<std::uint32_t> crc) {
+  ++stats_.sets;
+  return rewrite(key, std::move(value), now, charge, flags, crc);
+}
+
+bool CacheServer::rewrite(std::string_view key, std::string value,
+                          SimTime now, std::size_t charge, std::uint32_t flags,
+                          std::optional<std::uint32_t> crc) {
   PROTEUS_CHECK_MSG(power_state_ != PowerState::kOff,
                     "set() on a powered-off cache server");
   PROTEUS_CHECK_MSG(key != kSetBloomFilterKey && key != kGetBloomFilterKey &&
                         key != kEpochKey,
                     "reserved protocol key");
-  ++stats_.sets;
 
   // Build the replacement first: `key` may alias the stored key of the item
   // about to be unlinked (e.g. a view obtained from this cache).

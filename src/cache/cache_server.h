@@ -154,6 +154,16 @@ class CacheServer {
            std::size_t charge = 0, std::uint32_t flags = 0,
            std::optional<std::uint32_t> crc = std::nullopt);
 
+  // get_view() and set() for the touch, incr and decr commands, which
+  // memcached counts in none of gets, hits, misses and sets. touch()
+  // refreshes the item as a get does; expirations, corrupt drops and
+  // evictions still count.
+  std::optional<std::string_view> touch(std::string_view key, SimTime now,
+                                        ItemMeta* meta = nullptr);
+  bool rewrite(std::string_view key, std::string value, SimTime now,
+               std::size_t charge = 0, std::uint32_t flags = 0,
+               std::optional<std::uint32_t> crc = std::nullopt);
+
   bool erase(std::string_view key);
   void flush();
 

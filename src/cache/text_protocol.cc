@@ -576,10 +576,10 @@ std::string_view TextProtocolSession::update(const TextCommand& cmd,
   if (cmd.op == TextCommand::Op::kDelete) {
     return cache->erase(key) ? "DELETED\r\n" : kNotFound;
   }
-  // The TTL is access-based, so a touch is a read.
+  // The TTL is access-based, so a touch refreshes the item as a read does;
+  // like memcached, none of the three counts as a get or a set.
   CacheServer::ItemMeta meta;
-  const std::optional<std::string_view> value =
-      cache->get_view(key, now, &meta);
+  const std::optional<std::string_view> value = cache->touch(key, now, &meta);
   if (!value.has_value()) return kNotFound;
   if (!counter) return "TOUCHED\r\n";
   std::uint64_t current = 0;
@@ -590,7 +590,7 @@ std::string_view TextProtocolSession::update(const TextCommand& cmd,
           : (current > cmd.delta ? current - cmd.delta : 0));  // clamps
   counter_reply_.assign(next).append("\r\n");
   // The flags stay, as in memcached; a stamp checked the old digits.
-  cache->set(key, std::move(next), now, 0, meta.flags);
+  cache->rewrite(key, std::move(next), now, 0, meta.flags);
   return counter_reply_;
 }
 

@@ -850,7 +850,7 @@ struct PinnedScript {
 
 TEST(ReplyDigests, VerbScripts) {
   for (const PinnedScript& pin : std::array<PinnedScript, 4>{{
-           {"storage verbs", storage_verbs_script(), 0x3e6dd2f8},
+           {"storage verbs", storage_verbs_script(), 0x07f10aaf},
            {"counters", counter_script(), 0x3eee9298},
            {"reserved keys", reserved_key_script(), 0x5c1e3677},
            {"refusals", refusal_script(), 0x117f8c4d},

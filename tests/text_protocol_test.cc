@@ -247,6 +247,23 @@ TEST(TextProtocol, StatsReportCounters) {
   EXPECT_NE(stats.find("END\r\n"), std::string::npos);
 }
 
+TEST(TextProtocol, TouchIncrDecrCountAsNeitherGetsNorSets) {
+  // memcached counts touch, incr and decr in none of cmd_get, get_hits,
+  // get_misses and cmd_set, hit or miss.
+  Rig rig;
+  rig.run("set c 0 0 2\r\n10\r\n");
+  EXPECT_EQ(rig.run("touch c 0\r\ntouch missing 0\r\n"),
+            "TOUCHED\r\nNOT_FOUND\r\n");
+  EXPECT_EQ(rig.run("incr c 5\r\ndecr c 2\r\nincr missing 1\r\n"),
+            "15\r\n13\r\nNOT_FOUND\r\n");
+  const std::string stats = rig.run("stats\r\n");
+  EXPECT_NE(stats.find("STAT cmd_get 0\r\n"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("STAT get_hits 0\r\n"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("STAT get_misses 0\r\n"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("STAT cmd_set 1\r\n"), std::string::npos) << stats;
+  EXPECT_EQ(rig.run("get c\r\n"), "VALUE c 0 2\r\n13\r\nEND\r\n");
+}
+
 TEST(TextProtocol, StatsKeySetAndFormat) {
   // memcached-parity checks of handle_stats(): every key present exactly
   // once, every line "STAT <name> <decimal>\r\n", END-terminated.

@@ -156,7 +156,7 @@ BENCHMARK(BM_FarTimerMix);
 // default experiment's Proteus scenario for its first `range(0)`
 // provisioning slots (two simulated minutes each, about 25 k requests per
 // slot) and reports wall nanoseconds per completed request as
-// ns_per_request. The scenario's setup (placement, routers, empty caches)
+// ns_per_request. The scenario's setup (placement, router, empty caches)
 // is inside the timing; it is a small share of a three-slot run.
 void BM_ClusterRequest(benchmark::State& state) {
   cluster::ScenarioConfig cfg =

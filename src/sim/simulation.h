@@ -7,7 +7,7 @@
 // Event core: each event's callable is constructed in place in a cell of a
 // CallbackCells slab (callback.h), runs there and is destroyed there, so it
 // is never copied or moved and allocates nothing unless its closure is
-// larger than a cell. Small trivially-copyable (when, seq, slot) entries
+// larger than a cell. Small trivially-copyable (when, seq, cell) entries
 // order the events, in two min-heaps: events scheduled less than
 // kNearHorizon ahead go to the near heap, the rest to the far heap. In the
 // cluster model nearly every pending event is a user's think timer 0.5 s
@@ -45,9 +45,9 @@ class Simulation {
   template <class F>
   void schedule_at(SimTime when, F&& f) {
     PROTEUS_CHECK_MSG(when >= now_, "cannot schedule into the past");
-    const std::uint32_t slot = cells_.emplace(std::forward<F>(f));
+    const CallbackCells::Handle cell = cells_.emplace(std::forward<F>(f));
     std::vector<Entry>& heap = when - now_ < kNearHorizon ? near_ : far_;
-    heap.push_back(Entry{when, next_seq_++, slot});
+    heap.push_back(Entry{when, next_seq_++, cell});
     std::push_heap(heap.begin(), heap.end(), Later{});
   }
 
@@ -81,8 +81,9 @@ class Simulation {
   struct Entry {
     SimTime when;
     std::uint64_t seq;  // tie-breaker: FIFO among equal timestamps
-    std::uint32_t slot;
+    CallbackCells::Handle cell;
   };
+  static_assert(sizeof(Entry) == 24);
 
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
@@ -103,7 +104,7 @@ class Simulation {
     const Entry e = heap.back();
     heap.pop_back();
     now_ = e.when;
-    cells_.run(e.slot);
+    cells_.run(e.cell);
   }
 
   SimTime now_ = 0;

@@ -4,14 +4,17 @@
 
 #include <array>
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "sim/callback.h"
 #include "sim/queueing_server.h"
@@ -441,6 +444,184 @@ TEST(QueueingServer, OverloadBuildsQueue) {
   }
   sim.run();
   EXPECT_GE(server.max_queue_depth(), 8u);
+}
+
+// The station as the parent design ran it: one std::priority_queue on
+// (when, seq) for every event and a FIFO deque of waiting jobs; a job's
+// completion ends its service (dequeuing and starting the next waiting job)
+// and then runs the job.
+class ReferenceStation {
+ public:
+  explicit ReferenceStation(int concurrency) : concurrency_(concurrency) {}
+
+  SimTime now() const { return now_; }
+  void schedule_at(SimTime when, std::function<void()> f) {
+    events_.push(Event{when, next_seq_++, std::move(f)});
+  }
+  void run() {
+    while (!events_.empty()) {
+      Event e = events_.top();
+      events_.pop();
+      now_ = e.when;
+      e.f();
+    }
+  }
+
+  void submit(SimTime service_time, std::function<void()> done) {
+    ++arrivals;
+    if (in_service_ < concurrency_) {
+      start(service_time, std::move(done));
+    } else {
+      queue_.push_back(Waiting{service_time, now_, std::move(done)});
+      max_queue_depth = std::max(max_queue_depth, queue_.size());
+    }
+  }
+
+  std::uint64_t arrivals = 0;
+  std::uint64_t completions = 0;
+  SimTime busy_time = 0;
+  SimTime wait_time = 0;
+  std::size_t max_queue_depth = 0;
+
+ private:
+  struct Event {
+    SimTime when;
+    std::uint64_t seq;
+    std::function<void()> f;
+    bool operator>(const Event& o) const {
+      return when != o.when ? when > o.when : seq > o.seq;
+    }
+  };
+  struct Waiting {
+    SimTime service_time;
+    SimTime enqueued_at;
+    std::function<void()> done;
+  };
+
+  void start(SimTime service_time, std::function<void()> done) {
+    ++in_service_;
+    busy_time += service_time;
+    schedule_at(now_ + service_time, [this, done = std::move(done)] {
+      --in_service_;
+      ++completions;
+      if (!queue_.empty()) {
+        Waiting next = std::move(queue_.front());
+        queue_.pop_front();
+        wait_time += now_ - next.enqueued_at;
+        start(next.service_time, std::move(next.done));
+      }
+      done();
+    });
+  }
+
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  int concurrency_;
+  int in_service_ = 0;
+  std::deque<Waiting> queue_;
+};
+
+TEST(QueueingServer, CompletesInTheOrderOfAReferenceStation) {
+  // Arrivals and service times on a 10-unit grid, so completions tie, in
+  // stretches that alternately saturate the station and leave it idle. Some
+  // completions submit a follow-up job to their own station, some schedule a
+  // plain event, and every third job's closure is too large for a small
+  // cell.
+  constexpr SimTime kGrid = 10;
+  constexpr int kArrivals = 3000;
+  constexpr int kFollowUp = 1'000'000;  // id offset of follow-up jobs
+  constexpr int kMarker = 2 * kFollowUp;  // id offset of plain events
+  struct Completion {
+    int id;
+    SimTime at;
+    bool operator==(const Completion&) const = default;
+  };
+  const auto service_of = [](int id) {
+    return kGrid * static_cast<SimTime>(
+                       1 + hash_combine(static_cast<std::uint64_t>(id), 7) % 6);
+  };
+
+  for (int concurrency = 1; concurrency <= 4; ++concurrency) {
+    SCOPED_TRACE(concurrency);
+    Rng rng(0xc0ffee + static_cast<std::uint64_t>(concurrency));
+    std::vector<SimTime> arrival_at;
+    SimTime t = 0;
+    for (int id = 0; id < kArrivals; ++id) {
+      const bool saturate = (id / 200) % 2 == 0;
+      t += kGrid * (saturate ? rng.next_int(0, 1) : rng.next_int(3, 12));
+      arrival_at.push_back(t);
+    }
+
+    // Runs the same script on either side; `clock` schedules and runs the
+    // events. Also returns each job's submission time.
+    const auto drive = [&](auto& station, auto& clock) {
+      std::vector<Completion> log;
+      std::map<int, SimTime> submitted;
+      std::function<void(int)> submit = [&](int id) {
+        submitted[id] = clock.now();
+        const auto record = [&, id] {
+          log.push_back({id, clock.now()});
+          if (id < kFollowUp && id % 7 == 3) submit(id + kFollowUp);
+          if (id % 5 == 1) {  // an event that may tie a dequeued job's end
+            clock.schedule_at(clock.now() + service_of(id), [&, id] {
+              log.push_back({kMarker + id, clock.now()});
+            });
+          }
+        };
+        if (id % 3 == 0) {
+          std::array<char, 64> pad{};
+          pad[63] = static_cast<char>(id);
+          station.submit(service_of(id), [record, pad, id] {
+            EXPECT_EQ(pad[63], static_cast<char>(id));
+            record();
+          });
+        } else {
+          station.submit(service_of(id), record);
+        }
+      };
+      for (int id = 0; id < kArrivals; ++id) {
+        clock.schedule_at(arrival_at[static_cast<std::size_t>(id)],
+                          [&submit, id] { submit(id); });
+      }
+      clock.run();
+      return std::pair(log, submitted);
+    };
+
+    Simulation sim;
+    QueueingServer server(sim, "s", concurrency);
+    const auto [got, got_submitted] = drive(server, sim);
+    ReferenceStation ref(concurrency);
+    const auto [want, want_submitted] = drive(ref, ref);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "completion " << i;
+    }
+    EXPECT_EQ(server.arrivals(), ref.arrivals);
+    EXPECT_EQ(server.completions(), ref.completions);
+    EXPECT_EQ(server.total_busy_time(), ref.busy_time);
+    EXPECT_EQ(server.total_wait_time(), ref.wait_time);
+    EXPECT_EQ(server.max_queue_depth(), ref.max_queue_depth);
+    EXPECT_EQ(server.in_service(), 0);
+
+    // The script reaches the case it is for: at some instant a job that
+    // started at once and one that had waited both complete (which takes
+    // two slots).
+    std::map<SimTime, std::pair<bool, bool>> kinds;  // {started at once, waited}
+    for (const Completion& c : want) {
+      if (c.id >= kMarker) continue;
+      const bool waited =
+          c.at - want_submitted.at(c.id) > service_of(c.id);
+      (waited ? kinds[c.at].second : kinds[c.at].first) = true;
+    }
+    const auto mixed = std::count_if(kinds.begin(), kinds.end(),
+                                     [](const auto& k) {
+                                       return k.second.first && k.second.second;
+                                     });
+    EXPECT_EQ(mixed > 0, concurrency > 1);
+    EXPECT_GT(ref.max_queue_depth, 2u);
+  }
 }
 
 }  // namespace

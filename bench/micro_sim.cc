@@ -84,6 +84,9 @@ void BM_HeavyCaptureChain(benchmark::State& state) {
 }
 BENCHMARK(BM_HeavyCaptureChain)->Arg(42);
 
+// A saturated station: arrivals every 1 us, 50 us service, 8 slots, so all
+// but the first 8 jobs wait in the station's cells (a database shard under
+// overload).
 void BM_QueueingServerThroughput(benchmark::State& state) {
   for (auto _ : state) {
     Simulation sim;
@@ -96,6 +99,23 @@ void BM_QueueingServerThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_QueueingServerThroughput);
+
+// An idle station: arrivals every 10 us, 50 us service, 8 slots, so at most
+// 5 jobs are in service and every job starts at once, its callable riding
+// in its completion event (the cluster model's web and cache stations).
+void BM_QueueingServerIdle(benchmark::State& state) {
+  for (auto _ : state) {
+    Simulation sim;
+    QueueingServer server(sim, "s", 8);
+    for (int i = 0; i < 1000; ++i) {
+      sim.schedule_at(10 * i, [&] { server.submit(50, [] {}); });
+    }
+    sim.run();
+    benchmark::DoNotOptimize(server.max_queue_depth());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
+}
+BENCHMARK(BM_QueueingServerIdle);
 
 void BM_DeepEventHeap(benchmark::State& state) {
   // Heap behaviour with many co-pending events (peak RBE population).

@@ -1,7 +1,8 @@
 // Allocation guard for the simulator's request path. This binary replaces
 // the global operator new with a counting one and runs a whole mini
-// scenario. With in-place event cells, queue jobs kept in the station's own
-// cells, move-only continuations between the tiers, a flat cache key index,
+// scenario. With in-place event cells, a station's job carried in its
+// completion event (only a waiting job takes one of the station's own
+// cells), move-only continuations between the tiers, a flat cache key index,
 // pooled web requests and cache-tier operations, and hits copied into
 // their reused buffers, a request allocates about 0.36 times (measured):
 // the database's value, and the value and LRU list node of each item a

@@ -384,9 +384,6 @@ MemcacheDaemon::MemcacheDaemon(cache::CacheConfig config, std::uint16_t port,
       flight_ = std::make_unique<obs::FlightRecorder>(
           std::move(fc), tsdb_.get(), &trace_,
           [this] { return spans_.jsonl(); });
-      if (tsdb_opts_.install_crash_handlers) {
-        flight_->install_crash_handlers();
-      }
       flight_->register_metrics(metrics_);
     }
     obs::SamplerConfig sc;

@@ -112,8 +112,7 @@ struct AuditOptions {
 // obs::TimeSeriesStore on `sample_interval` cadence, scores the watched
 // series against their diurnal baseline (kAnomaly trace events +
 // proteus_anomaly_* counters), and — when `dump_dir` is set — writes
-// periodic atomic flight.jsonl checkpoints plus best-effort
-// flight-crash.jsonl dumps from SIGSEGV/SIGABRT.
+// periodic atomic flight.jsonl checkpoints and a clean-shutdown dump.
 struct TsdbOptions {
   bool enabled = false;
   SimTime sample_interval = kSecond;
@@ -121,7 +120,6 @@ struct TsdbOptions {
   obs::AnomalyConfig anomaly;  // empty watch list = daemon's default four
   std::string dump_dir;        // empty = no flight recorder
   SimTime checkpoint_interval = 60 * kSecond;
-  bool install_crash_handlers = true;  // ignored without dump_dir
 };
 
 // Daemon-wide shed accounting, one counter per reason (all on /metrics).

@@ -1,11 +1,8 @@
 #include "obs/tsdb/flight_recorder.h"
 
 #include <fcntl.h>
-#include <signal.h>
-#include <time.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstddef>
 
 #include "obs/metrics.h"
@@ -15,31 +12,6 @@
 namespace proteus::obs {
 
 namespace {
-
-// The crash handler needs a recorder without a way to pass one; latest
-// install wins (one daemon per process in practice).
-std::atomic<FlightRecorder*> g_crash_recorder{nullptr};
-std::atomic<bool> g_in_crash_dump{false};
-
-SimTime monotonic_usec() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<SimTime>(ts.tv_sec) * kSecond + ts.tv_nsec / 1000;
-}
-
-void crash_handler(int signo) {
-  // One attempt only: a fault inside the dump must not recurse.
-  if (!g_in_crash_dump.exchange(true)) {
-    FlightRecorder* r = g_crash_recorder.load(std::memory_order_acquire);
-    if (r != nullptr) {
-      r->dump(monotonic_usec(),
-              signo == SIGSEGV ? "signal:SIGSEGV" : "signal:SIGABRT",
-              "flight-crash.jsonl");
-    }
-  }
-  ::signal(signo, SIG_DFL);
-  ::raise(signo);
-}
 
 bool write_all(int fd, std::string_view bytes) {
   std::size_t off = 0;
@@ -163,16 +135,6 @@ void FlightRecorder::maybe_checkpoint(SimTime now) {
     last_checkpoint_ = now;
   }
   dump(now, "checkpoint", "flight.jsonl");
-}
-
-void FlightRecorder::install_crash_handlers() {
-  g_crash_recorder.store(this, std::memory_order_release);
-  struct sigaction sa{};
-  sa.sa_handler = crash_handler;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = SA_RESETHAND;
-  ::sigaction(SIGSEGV, &sa, nullptr);
-  ::sigaction(SIGABRT, &sa, nullptr);
 }
 
 void FlightRecorder::register_metrics(MetricsRegistry& registry) {

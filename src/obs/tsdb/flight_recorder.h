@@ -2,18 +2,14 @@
 //
 // A cache node that dies mid-transition takes its /metrics, /trace, and
 // /timeseries surfaces with it; the flight recorder is the part of the
-// observability stack that outlives the daemon. Two paths write the same
-// JSONL artifact:
-//
-//   * periodic checkpoints (`maybe_checkpoint`, driven off the sampler
-//     thread's post-tick hook) write `<dir>/flight.jsonl` with the
-//     journal's durable discipline — temp file, fsync, rename, fsync dir —
-//     so even `kill -9` leaves the last completed checkpoint intact;
-//   * crash handlers (SIGSEGV / SIGABRT via `install_crash_handlers`)
-//     write `<dir>/flight-crash.jsonl` best-effort on the way down, then
-//     re-raise the signal. This path takes locks and allocates — it is
-//     deliberately NOT async-signal-safe (a wedged dump cannot make the
-//     crash worse; the periodic checkpoint is the guaranteed artifact).
+// observability stack that outlives the daemon. Periodic checkpoints
+// (`maybe_checkpoint`, driven off the sampler thread's post-tick hook) and
+// the daemon's clean-shutdown dump write `<dir>/flight.jsonl` with the
+// journal's durable discipline — temp file, fsync, rename, fsync dir — so
+// even `kill -9` leaves the last completed checkpoint intact. No signal
+// handler dumps on a crash: rendering takes locks and allocates, so a dump
+// from a handler could block forever on a lock the crashing thread holds.
+// The last checkpoint is the postmortem.
 //
 // Artifact format (one JSON object per line):
 //   {"type":"header","reason":...,"t_us":...,"series":N,...}
@@ -62,10 +58,6 @@ class FlightRecorder {
   // Checkpoint cadence: dumps to flight.jsonl when `checkpoint_interval`
   // has elapsed since the last one. Called from the sampler's post-tick.
   void maybe_checkpoint(SimTime now);
-
-  // Installs SIGSEGV/SIGABRT handlers that dump flight-crash.jsonl for the
-  // most recently installed recorder, then re-raise. Process-global.
-  void install_crash_handlers();
 
   std::uint64_t dumps() const noexcept {
     return dumps_.load(std::memory_order_relaxed);

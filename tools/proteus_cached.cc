@@ -138,8 +138,8 @@ void print_help(std::FILE* out) {
       "                       need the sampler and refuse 0)\n"
       "  --dump-dir=DIR       write flight-recorder artifacts here:\n"
       "                       flight.jsonl (periodic atomic checkpoint,\n"
-      "                       survives kill -9) and flight-crash.jsonl\n"
-      "                       (best-effort SIGSEGV/SIGABRT dump)\n"
+      "                       survives kill -9; also written on a clean\n"
+      "                       shutdown)\n"
       "  --checkpoint-interval-s=S  checkpoint cadence (default 60)\n");
 }
 
